@@ -37,7 +37,6 @@ from .jspec import (
     compute_jspectrum,
     dual_jspectrum,
     extremal_pair,
-    konig_limit,
     konig_report,
     operator_norm,
 )
@@ -67,12 +66,10 @@ from .gtrig import (
     GenTrig,
     bilap_eigenvalue,
     bilaplacian_check,
-    cos_pq,
     hardy_norm_formula,
     laplacian_residual,
     laplacian_residual_parts,
     pi_pq,
-    sin_pq,
 )
 from .pcpt import (
     Cover,

@@ -150,14 +150,6 @@ class GenTrig:
         return buf.getvalue()
 
 
-def sin_pq(g: GenTrig, x, extend=False):
-    return g.sin(x, extend=extend)
-
-
-def cos_pq(g: GenTrig, x, extend=False):
-    return g.cos(x, extend=extend)
-
-
 def hardy_norm_formula(p: float, b: float = 1.0, direction: str = "forward") -> float:
     """Closed-form norm of the Hardy operator L_p(0,b) -> L_2(0,b).
 

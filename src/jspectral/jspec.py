@@ -3,12 +3,16 @@
 Level k maximizes S_T(x) = ||Tx||_Y / ||x||_X over the polar subspace
 X_k = {x : <x, J_X x_j> = 0, j < k}. A maximizer solves the nonlinear
 eigenvalue equation T* J~_Y T x = lambda J~_X x with lambda = ||Tx||_Y,
-understood as an identity of functionals on X_k. The solver runs a
-normalized fixed-point iteration x <- Pi(J_X^-1(T* J~_Y T x)) with damping,
-then polishes with projected gradient ascent on S_T (Barzilai-Borwein
-steps). The residual certificate is the weighted l_{p'} distance from
-T* J~_Y Tx - lambda J~_X x to the span of the active deflation functionals,
-which reduces to the plain dual norm when no constraints are present.
+understood as an identity of functionals on X_k. The quotient dual problem
+is the same one for T* with the codomain norm replaced by the distance to
+the span M of the earlier dual representatives, so one engine serves both:
+it maximizes dist_Y(Tx, span M) / ||x||_X, where an empty M gives the plain
+norm. It runs a normalized fixed-point iteration x <- Pi(J_X^-1(T* J~_Y T x))
+with damping, then polishes with projected gradient ascent (Barzilai-Borwein
+steps). The residual certificate is the weighted l_{p'} distance from the
+gradient T* J~_Y(Tx - Mc) - lambda J~_X x to the span of the active deflation
+functionals, which reduces to the plain dual norm when no constraints are
+present.
 
 No global-optimality certificate exists for p != 2; seeded multi-start keeps
 the largest certified lambda.
@@ -141,93 +145,80 @@ def nullspace_basis(T, constraints):
     return Q[:, rank:]
 
 
-def _residual_coeffs(T, x, lam):
-    """Raw residual functional of the eigenvalue equation at unit x."""
-    w_d, p = T.dom.weights, T.dom.p
+def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
+    """One start: maximize dist_Y(Tx, span M) / ||x||_X on the polar subspace.
+
+    With M None the distance is ||Tx||_Y, the primal problem; the quotient
+    dual passes the adjoint as T and its representatives as the columns of
+    M. A damped normalized fixed point on ||Tx||_Y comes first, then
+    projected gradient ascent with Barzilai-Borwein steps. The gradient
+    T* J~_Y(Tx - Mc) - lambda J~_X x at unit x (c the best-approximation
+    coefficients) is the residual of the eigenvalue equation, and its
+    distance to span(constraints) certifies lambda. Returns None when the
+    start projects to zero, else (lambda, x, residual, certified).
+    """
+    w_d, p, pp = T.dom.weights, T.dom.p, T.dom.pprime
     w_c, q = T.cod.weights, T.cod.p
-    y = T.apply_coeffs(x)
-    phi = _jtilde(y, w_c, q)
-    r = T.apply_adjoint_coeffs(phi)
-    return r - lam * _jtilde(x, w_d, p)
 
+    def unit(v):
+        v = project(v)
+        nv = _lp_norm(v, w_d, p)
+        return None if nv == 0.0 else v / nv
 
-def _certified_residual(T, x, lam, constraints):
-    r = Functional(_residual_coeffs(T, x, lam), T.dom)
-    return functional_distance(r, constraints)
+    def value_grad(x, y):
+        if M is None:
+            d, resid = _lp_norm(y, w_c, q), y
+        else:
+            try:
+                c, d = min_norm_coeffs(y, M, w_c, q)
+            except ConvergenceError as exc:
+                return exc.residual, None
+            resid = y - M @ c
+        return d, T.apply_adjoint_coeffs(_jtilde(resid, w_c, q)) - d * _jtilde(x, w_d, p)
 
-
-def _solve_single(T, project, constraints, x0, tol, fp_max, ga_max):
-    """One start: fixed-point phase, then BB projected gradient ascent."""
-    w_d, p = T.dom.weights, T.dom.p
-    w_c, q = T.cod.weights, T.cod.p
-    pp = T.dom.pprime
-    lam_tiny = 1e-13 * max(np.linalg.norm(T.matrix), 1.0)
-
-    def svalue(v):
-        return _lp_norm(T.apply_coeffs(v), w_c, q) / _lp_norm(v, w_d, p)
-
-    x = project(np.asarray(x0, dtype=float))
-    nx = _lp_norm(x, w_d, p)
-    if nx == 0.0:
+    x = unit(np.asarray(x0, dtype=float))
+    if x is None:
         return None
-    x /= nx
-
-    lam_prev = svalue(x)
+    y = T.apply_coeffs(x)
+    lam = _lp_norm(y, w_c, q)
     damping = 1.0
     raw_hist = []
     for _ in range(fp_max):
-        y = T.apply_coeffs(x)
-        lam = _lp_norm(y, w_c, q)
         if lam < lam_tiny:
             return (0.0, x, 0.0, True)
-        phi = _jtilde(y, w_c, q)
-        r = T.apply_adjoint_coeffs(phi)
-        z = project(_jmap(r, w_d, pp))
-        nz = _lp_norm(z, w_d, p)
-        if nz == 0.0:
+        r = T.apply_adjoint_coeffs(_jtilde(y, w_c, q))
+        x_new = unit(_jmap(r, w_d, pp))
+        if x_new is None:
             break
-        x_new = z / nz
         if x_new @ x < 0:
             x_new = -x_new
         if damping < 1.0:
-            x_new = project(x + damping * (x_new - x))
-            x_new /= _lp_norm(x_new, w_d, p)
+            x_new = unit(x + damping * (x_new - x))
         raw_hist.append(_lp_norm(r - lam * _jtilde(x, w_d, p), w_d, pp))
         step = np.max(np.abs(x_new - x))
         x = x_new
-        lam_new = svalue(x)
-        if lam_new < lam_prev - 1e-14 * max(lam_prev, 1.0):
+        y = T.apply_coeffs(x)
+        lam_new = _lp_norm(y, w_c, q)
+        if lam_new < lam - 1e-14 * max(lam, 1.0):
             damping = 0.5  # Rayleigh-type quotient oscillated
-        lam_prev = lam_new
-        if step < 1e-15:
+        lam = lam_new
+        if step < 1e-14:
             break
         if len(raw_hist) > 200 and raw_hist[-1] > 0.99 * raw_hist[-201]:
             break  # stalled; hand over to gradient ascent
 
-    lam = svalue(x)
-    res = _certified_residual(T, x, lam, constraints)
-    if res <= tol:
-        return (lam, x, res, True)
-
-    # projected gradient ascent on S_T, BB steps
     x_old = None
     g_old = None
     step = 0.1
-    check_every = 25
     for it in range(ga_max):
-        x = project(x)
-        nx = _lp_norm(x, w_d, p)
-        if nx == 0.0:
-            break
-        x /= nx
-        y = T.apply_coeffs(x)
-        lam = _lp_norm(y, w_c, q)
+        lam, G = value_grad(x, y)
         if lam < lam_tiny:
             return (0.0, x, 0.0, True)
-        rv = _residual_coeffs(T, x, lam)
-        g = project(w_d * rv)
-        if it % check_every == 0 or np.linalg.norm(g) < 1e-13:
-            res = _certified_residual(T, x, lam, constraints)
+        if G is None:
+            break
+        g = project(w_d * G)
+        if it % 25 == 0 or np.linalg.norm(g) < 1e-13:
+            res = functional_distance(Functional(G, T.dom), constraints)
             if res <= tol:
                 return (lam, x, res, True)
         if x_old is not None:
@@ -236,13 +227,15 @@ def _solve_single(T, project, constraints, x0, tol, fp_max, ga_max):
             denom = s @ yg
             if abs(denom) > 1e-300:
                 step = min(abs((s @ s) / denom), 1e6)
-        x_old, g_old = x.copy(), g.copy()
-        x = x + step * g
+        x_old, g_old = x, g
+        x_new = unit(x + step * g)
+        if x_new is None:
+            break
+        x = x_new
+        y = T.apply_coeffs(x)
 
-    x = project(x)
-    x /= _lp_norm(x, w_d, p)
-    lam = svalue(x)
-    res = _certified_residual(T, x, lam, constraints)
+    lam, G = value_grad(x, y)
+    res = np.inf if G is None else functional_distance(Functional(G, T.dom), constraints)
     return (lam, x, res, res <= tol)
 
 
@@ -253,34 +246,27 @@ def _canonical_sign(x):
     return x
 
 
-def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
-                  restarts: int = 8, fp_max: int = 600, ga_max: int = 4000):
-    """Largest certified extremal of S_T on the constrained subspace.
-
-    Returns (lambda, x, residual) with ||x||_X = 1, lambda = ||Tx||_Y and the
-    certified residual at most tol. Raises DeflationExhausted when T vanishes
-    on the subspace and ConvergenceError (with the best residual) when no
-    start certifies.
-    """
-    constraints = list(constraints_X)
-    project, _ = _constraint_projector(T, constraints)
-    rng = np.random.default_rng(seed)
+def _best_start(T, project, constraints, rng, restarts, tol, lam_tiny,
+                fp_max=600, ga_max=4000, M=None):
+    """Largest certified lambda over the all-ones start and restarts - 1
+    Gaussian starts drawn from rng. Returns (lambda, x, residual) with x in
+    canonical sign. Raises DeflationExhausted when no start certifies a
+    positive lambda and some start finds T vanishing, and ConvergenceError
+    (with the best residual) when no start certifies."""
     n = T.dom.dim
     starts = [np.ones(n)]
     starts += [rng.standard_normal(n) for _ in range(max(restarts - 1, 0))]
-
     best = None
     best_failed = None
     n_zero = 0
     for x0 in starts:
-        out = _solve_single(T, project, constraints, x0, tol, fp_max, ga_max)
+        out = _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M)
         if out is None:
             continue
         lam, x, res, ok = out
         if ok and lam == 0.0:
             n_zero += 1
-            continue
-        if ok:
+        elif ok:
             if best is None or lam > best[0]:
                 best = (lam, x, res)
         elif best_failed is None or res < best_failed[2]:
@@ -294,7 +280,24 @@ def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
             residual=res,
         )
     lam, x, res = best
-    return lam, Vec(_canonical_sign(x), T.dom), res
+    return lam, _canonical_sign(x), res
+
+
+def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
+                  restarts: int = 8, fp_max: int = 600, ga_max: int = 4000):
+    """Largest certified extremal of S_T on the constrained subspace.
+
+    Returns (lambda, x, residual) with ||x||_X = 1, lambda = ||Tx||_Y and the
+    certified residual at most tol. Raises DeflationExhausted when T vanishes
+    on the subspace and ConvergenceError (with the best residual) when no
+    start certifies.
+    """
+    constraints = list(constraints_X)
+    project, _ = _constraint_projector(T, constraints)
+    lam_tiny = 1e-13 * max(np.linalg.norm(T.matrix), 1.0)
+    lam, x, res = _best_start(T, project, constraints, np.random.default_rng(seed),
+                              restarts, tol, lam_tiny, fp_max, ga_max)
+    return lam, Vec(x, T.dom), res
 
 
 def operator_norm(T: LinOp, tol: float = 1e-8, seed: int = 42, restarts: int = 4) -> float:
@@ -365,111 +368,6 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     return js
 
 
-def _solve_dual_level(S, project, constraints, M_mat, x0, tol, fp_max, ga_max):
-    """One start of the quotient dual problem for S = T*.
-
-    Maximizes dist_{X*}(S psi, span M) / ||psi||_{Y*} over the polar subspace
-    of the accumulated dual deflation functionals. The distance realizes the
-    codomain quotient norm of the adjoint of the restricted operator, which
-    is what makes the dual j-eigenvalues reproduce the primal ones.
-    """
-    wD, pD = S.dom.weights, S.dom.p      # Y* side
-    wC, pC = S.cod.weights, S.cod.p      # X* side
-    lam_tiny = 1e-13 * max(np.linalg.norm(S.matrix), 1.0)
-
-    def dist_resid(phi):
-        if M_mat is None:
-            return _lp_norm(phi, wC, pC), phi
-        try:
-            c, d = min_norm_coeffs(phi, M_mat, wC, pC)
-        except ConvergenceError as exc:
-            return exc.residual, None
-        return d, phi - M_mat @ c
-
-    psi = project(np.asarray(x0, dtype=float))
-    npsi = _lp_norm(psi, wD, pD)
-    if npsi == 0.0:
-        return None
-    psi /= npsi
-
-    # warm-up: plain normalized fixed point on the subspace (ignores the
-    # quotient; lands near the extremal before the ascent polishes)
-    for _ in range(fp_max):
-        phi = S.apply_coeffs(psi)
-        lam = _lp_norm(phi, wC, pC)
-        if lam < lam_tiny:
-            return (0.0, psi, 0.0, True)
-        r = S.apply_adjoint_coeffs(_jtilde(phi, wC, pC))
-        z = project(_jmap(r, wD, S.dom.pprime))
-        nz = _lp_norm(z, wD, pD)
-        if nz == 0.0:
-            break
-        z /= nz
-        if z @ psi < 0:
-            z = -z
-        if np.max(np.abs(z - psi)) < 1e-14:
-            psi = z
-            break
-        psi = z
-
-    def grad_and_value(psi):
-        phi = S.apply_coeffs(psi)
-        d, resid = dist_resid(phi)
-        if resid is None:
-            return d, None, None
-        # envelope gradient of the quotient Rayleigh quotient at unit psi
-        t = _jtilde(resid, wC, pC)                  # element of X (= X** coords)
-        G = S.apply_adjoint_coeffs(t) - d * _jtilde(psi, wD, pD)
-        return d, G, resid
-
-    lam, G, resid = grad_and_value(psi)
-    if lam < lam_tiny:
-        return (0.0, psi, 0.0, True)
-
-    def certified(G):
-        return functional_distance(Functional(G, S.dom), constraints)
-
-    if G is not None:
-        res = certified(G)
-        if res <= tol:
-            return (lam, psi, res, True)
-
-    psi_old = None
-    g_old = None
-    step = 0.1
-    check_every = 25
-    for it in range(ga_max):
-        psi = project(psi)
-        npsi = _lp_norm(psi, wD, pD)
-        if npsi == 0.0:
-            break
-        psi /= npsi
-        lam, G, resid = grad_and_value(psi)
-        if lam < lam_tiny:
-            return (0.0, psi, 0.0, True)
-        if G is None:
-            break
-        g = project(wD * G)
-        if it % check_every == 0 or np.linalg.norm(g) < 1e-13:
-            res = certified(G)
-            if res <= tol:
-                return (lam, psi, res, True)
-        if psi_old is not None:
-            s = psi - psi_old
-            yg = g - g_old
-            denom = s @ yg
-            if abs(denom) > 1e-300:
-                step = min(abs((s @ s) / denom), 1e6)
-        psi_old, g_old = psi.copy(), g.copy()
-        psi = psi + step * g
-
-    psi = project(psi)
-    psi /= _lp_norm(psi, wD, pD)
-    lam, G, resid = grad_and_value(psi)
-    res = certified(G) if G is not None else np.inf
-    return (lam, psi, res, res <= tol)
-
-
 def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
                    restarts: int = 8, primal: JSpectrum | None = None) -> JSpectrum:
     """j-spectrum of the dual problem for T*, with duality cross-checks.
@@ -495,6 +393,7 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     wC, pC = S.cod.weights, S.cod.p
     js = JSpectrum([], [], [], [], [], [], [], [])
     rng = np.random.default_rng(seed)
+    lam_tiny = 1e-13 * max(np.linalg.norm(S.matrix), 1.0)
     xstars = []
     for level in range(n_levels):
         M_mat = np.column_stack([x.coeffs for x in xstars]) if xstars else None
@@ -503,36 +402,15 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
         except DeflationExhausted:
             js.meta["terminated"] = f"dual constraints exhaust Y* after level {level}"
             break
-        starts = [np.ones(S.dom.dim)]
-        starts += [rng.standard_normal(S.dom.dim) for _ in range(max(restarts - 1, 0))]
-        best = None
-        best_failed = None
-        n_zero = 0
-        for x0 in starts:
-            out = _solve_dual_level(S, project, js.defl_X, M_mat, x0, tol,
-                                    fp_max=600, ga_max=4000)
-            if out is None:
-                continue
-            lam, psi, res, ok = out
-            if ok and lam == 0.0:
-                n_zero += 1
-                continue
-            if ok:
-                if best is None or lam > best[0]:
-                    best = (lam, psi, res)
-            elif best_failed is None or res < best_failed[2]:
-                best_failed = (lam, psi, res)
-        if best is None:
-            if n_zero:
-                js.meta["terminated"] = f"restriction of T* is zero after level {level}"
-                break
-            res = best_failed[2] if best_failed else np.inf
-            raise ConvergenceError(
-                f"dual level {level + 1}: no start reached tolerance {tol:g} "
-                f"(best residual {res:.3e})", residual=res,
-            )
-        lam, psi, res = best
-        psi = _canonical_sign(psi)
+        try:
+            lam, psi, res = _best_start(S, project, js.defl_X, rng, restarts, tol,
+                                        lam_tiny, M=M_mat)
+        except DeflationExhausted:
+            js.meta["terminated"] = f"restriction of T* is zero after level {level}"
+            break
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"dual level {level + 1}: {exc}",
+                                   residual=exc.residual) from exc
         # representative: the full image T* psi / lambda*. Its distance to the
         # accumulated span is 1 (unit quotient norm) and it carries the
         # biorthogonality that makes the linearized series exact.
@@ -566,15 +444,10 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     return js
 
 
-def konig_limit(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42,
-                restarts: int = 4) -> list[float]:
-    """Sequence lambda_n(T^k)^(1/k), k = 1..k_max, for a square operator."""
-    return konig_report(T, n, k_max, tol=tol, seed=seed, restarts=restarts)["values"]
-
-
 def konig_report(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42,
                  restarts: int = 4) -> dict:
-    """konig_limit values plus the dense-eigenvalue reference |lambda_hat_n|."""
+    """Sequence lambda_n(T^k)^(1/k), k = 1..k_max, for a square operator
+    ("values"), plus the dense-eigenvalue reference |lambda_hat_n|."""
     if not T.dom.same_grid(T.cod) or T.dom.p != T.cod.p:
         raise GeometryError("the eigenvalue comparison needs T acting on one space")
     from .oper import power as _power

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import svd
 
 from .jspec import (
+    DeflationExhausted,
     JSpectrum,
     compute_jspectrum,
     dual_jspectrum,
@@ -431,7 +432,7 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     for i in range(n + 1):
         try:
             Z = nullspace_basis(T, js_T.defl_X[:i])
-        except Exception:
+        except DeflationExhausted:
             bases.append(np.zeros((A.cod.dim, 0)))
             continue
         bases.append(_scaled_orth(A.matrix @ Z, wH, rank_rtol))

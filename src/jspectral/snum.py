@@ -77,6 +77,8 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
     kind "exact": both sides Hilbert, values are singular values.
     kind "bracketed": one Hilbert side; values are the best measured norm of
     T minus explicit rank-(n-1) candidates, upper bounds for the true a_n.
+    A candidate whose norm does not certify is skipped; ConvergenceError is
+    raised when no candidate certifies at some n.
     """
     both = T.dom.p == 2.0 and T.cod.p == 2.0
     if both:
@@ -112,15 +114,23 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         candidates["svd"] = (Sk / Dc[:, None]) * Dd[None, :]
         best = np.inf
         best_name = None
+        residuals = []
         for name, F in candidates.items():
             diff = LinOp(T.matrix - F, T.dom, T.cod)
             try:
                 lam, _, _ = extremal_pair(diff, (), seed=seed, tol=max(tol, 1e-9),
                                           restarts=restarts)
             except ConvergenceError as exc:
-                lam = np.inf if exc.residual is None else np.inf
+                residuals.append(exc.residual)
+                continue  # an uncertified norm bounds nothing
             if lam < best:
                 best, best_name = lam, name
+        if best_name is None:
+            res = min(residuals)
+            raise ConvergenceError(
+                f"no rank-{k} candidate has a certified norm at n = {n} "
+                f"(best residual {res:.3e})", residual=res,
+            )
         values.append(best)
         details.append(best_name)
     return {"values": values, "kind": "bracketed", "candidates": details,

@@ -183,7 +183,7 @@ def test_criterion_11_sobolev_cover():
 def _konig_jordan(k_max):
     sp = jl.Space.sequence(2, 2.0)
     T = jl.LinOp(np.array([[0.5, 1.0], [0.0, 0.5]]), sp, sp)
-    return jl.konig_limit(T, 1, k_max, tol=1e-10, seed=42, restarts=4)
+    return jl.konig_report(T, 1, k_max, tol=1e-10, seed=42, restarts=4)["values"]
 
 
 @pytest.mark.xfail(

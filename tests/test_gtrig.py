@@ -8,13 +8,11 @@ from jspectral import (
     GeometryError,
     Space,
     bilaplacian_check,
-    cos_pq,
     extremal_pair,
     hardy,
     hardy_norm_formula,
     laplacian_residual,
     pi_pq,
-    sin_pq,
 )
 from jspectral.gtrig import bilap_eigenvalue, laplacian_residual_parts
 
@@ -61,9 +59,9 @@ def test_pythagorean_identity():
 def test_out_of_range_requires_extension_flag():
     g = GenTrig(3.0, 1.5)
     with pytest.raises(GeometryError):
-        sin_pq(g, g.pi_pq)
+        g.sin(g.pi_pq)
     with pytest.raises(GeometryError):
-        cos_pq(g, -0.5)
+        g.cos(-0.5)
 
 
 def test_extension_symmetry_and_periodicity():

@@ -14,10 +14,10 @@ from jspectral import (
     extremal_pair,
     hardy,
     hardy_norm_formula,
-    konig_limit,
     konig_report,
     operator_norm,
 )
+from jspectral.jspec import _ascent, _constraint_projector
 from jspectral.space import _lp_norm
 
 
@@ -144,7 +144,7 @@ def test_dual_jspectrum_mixed_norm_duality(hardy_l3_l2):
 def test_konig_diagonal_is_constant():
     sp = Space.sequence(3, 2.0)
     T = LinOp(np.diag([0.9, 0.5, 0.1]), sp, sp)
-    vals = konig_limit(T, 1, 6, tol=1e-11, seed=0)
+    vals = konig_report(T, 1, 6, tol=1e-11, seed=0)["values"]
     assert np.max(np.abs(np.array(vals) - 0.9)) <= 1e-9
 
 
@@ -166,7 +166,7 @@ def test_konig_jordan_block_trend():
 def test_konig_quasinilpotent_volterra_decays():
     sp = Space.uniform(128, 2.0)
     T = hardy(sp, sp)
-    vals = konig_limit(T, 1, 4, tol=1e-9, seed=0, restarts=2)
+    vals = konig_report(T, 1, 4, tol=1e-9, seed=0, restarts=2)["values"]
     assert vals[0] == pytest.approx(2 / np.pi, rel=1e-3)
     # trend toward the zero spectrum (||H^k||^(1/k) decays like 1/k)
     assert all(vals[i + 1] < vals[i] for i in range(3))
@@ -182,3 +182,55 @@ def test_jspectrum_export_formats(hardy_l2):
     table = js.to_csv()
     assert table.splitlines()[0] == "level,lambda,residual"
     assert len(table.splitlines()) == 3
+
+
+class CountingOp(LinOp):
+    """Dense operator that counts its forward and adjoint applications."""
+
+    __slots__ = ("forward", "backward")
+
+    def __init__(self, matrix, dom, cod):
+        super().__init__(matrix, dom, cod)
+        self.forward = 0
+        self.backward = 0
+
+    def apply_coeffs(self, coeffs):
+        self.forward += 1
+        return super().apply_coeffs(coeffs)
+
+    def apply_adjoint_coeffs(self, coeffs):
+        self.backward += 1
+        return super().apply_adjoint_coeffs(coeffs)
+
+
+def _applications_per_fixed_point_step(run, T):
+    counts = []
+    for fp_max in (3, 4):
+        T.forward = T.backward = 0
+        run(fp_max)
+        counts.append((T.forward, T.backward))
+    return counts[1][0] - counts[0][0], counts[1][1] - counts[0][1]
+
+
+def test_fixed_point_step_costs_one_apply_and_one_adjoint_primal(hardy_l3_l2):
+    T = CountingOp(hardy_l3_l2.matrix, hardy_l3_l2.dom, hardy_l3_l2.cod)
+
+    def run(fp_max):
+        with pytest.raises(ConvergenceError):
+            extremal_pair(T, (), seed=0, tol=1e-300, restarts=1, fp_max=fp_max,
+                          ga_max=0)
+
+    assert _applications_per_fixed_point_step(run, T) == (1, 1)
+
+
+def test_fixed_point_step_costs_one_apply_and_one_adjoint_quotient(hardy_l3_l2):
+    S0 = adjoint(hardy_l3_l2)
+    S = CountingOp(S0.matrix, S0.dom, S0.cod)
+    M = np.random.default_rng(3).standard_normal((S.cod.dim, 1))
+    project, _ = _constraint_projector(S, [])
+
+    def run(fp_max):
+        out = _ascent(S, project, [], np.ones(S.dom.dim), 1e-300, 0.0, fp_max, 0, M)
+        assert out is not None and not out[3]
+
+    assert _applications_per_fixed_point_step(run, S) == (1, 1)

@@ -18,6 +18,7 @@ from jspectral import (
     identity,
     linearized_series,
 )
+from jspectral import series
 from jspectral.oper import scale
 from jspectral.series import (
     alpha_p,
@@ -238,6 +239,21 @@ def test_hilbertian_series_factorization_invariance():
     a = rep1.apply_truncated(x, 4).coeffs
     b = rep2.apply_truncated(x, 4).coeffs
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_hilbertian_series_propagates_basis_errors(monkeypatch):
+    dom = Space.uniform(32, 3.0)
+    mid = Space.uniform(32, 2.0)
+    A = hardy(dom, mid)
+    B = identity(mid)
+    js = compute_jspectrum(compose(B, A), 2, tol=1e-8, seed=0, restarts=2)
+
+    def broken(T, constraints):
+        raise ValueError("basis construction failed")
+
+    monkeypatch.setattr(series, "nullspace_basis", broken)
+    with pytest.raises(ValueError, match="basis construction failed"):
+        hilbertian_series(A, B, js)
 
 
 # ------------------------------------------------------- double series

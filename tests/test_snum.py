@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import svdvals
 
 from jspectral import (
+    ConvergenceError,
     GeometryError,
     LinOp,
     Space,
@@ -13,6 +14,7 @@ from jspectral import (
     eigenvector_bound_check,
     sandwich_check,
 )
+from jspectral import snum
 from jspectral.oper import scale
 
 
@@ -44,6 +46,21 @@ def test_approx_numbers_reject_double_mixed():
     cod = Space.uniform(32, 1.5)
     with pytest.raises(GeometryError):
         approx_numbers(hardy(dom, cod), 2)
+
+
+def test_approx_numbers_uncertified_candidates_raise(monkeypatch):
+    dom = Space.uniform(32, 2.0)
+    cod = Space.uniform(32, 1.5)
+    T = hardy(dom, cod)
+    js = compute_jspectrum(T, 2, tol=1e-8, seed=0, restarts=2)
+
+    def uncertified(*args, **kwargs):
+        raise ConvergenceError("no start certified", residual=1.0)
+
+    monkeypatch.setattr(snum, "extremal_pair", uncertified)
+    with pytest.raises(ConvergenceError) as err:
+        approx_numbers_report(T, 2, js=js)
+    assert err.value.residual == 1.0
 
 
 def test_sandwich_hilbert_case_tight_at_upper_end(hardy_l2):
