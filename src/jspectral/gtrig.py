@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
 
 from .oper import compose, hardy, hardy_dual
-from .space import ConvergenceError, GeometryError, Space, odd_power
+from .space import ConvergenceError, GeometryError, Space, odd_power, sup_dev_up_to_sign
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
@@ -305,8 +305,7 @@ def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
     target = target / np.max(np.abs(target))
 
     def sup_dev(v):
-        v = v / np.max(np.abs(v))
-        return float(min(np.max(np.abs(v - target)), np.max(np.abs(v + target))))
+        return sup_dev_up_to_sign(v / np.max(np.abs(v)), target)
 
     dev_extremal = sup_dev(x1.coeffs)
     dev_dual_image = sup_dev(odd_power(x1.coeffs, p - 1.0))

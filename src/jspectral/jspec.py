@@ -39,6 +39,7 @@ from .space import (
     _lp_norm,
     functional_distance,
     min_norm_coeffs,
+    sup_dev_up_to_sign,
 )
 
 
@@ -110,18 +111,26 @@ def _json_safe(v):
         return False
 
 
+def _constraint_qr(T, constraints, mode):
+    """Pivoted QR of the constraint functionals (as weighted columns) and
+    their numerical rank; raises DeflationExhausted when they span the
+    whole domain."""
+    C = np.array([T.dom.weights * f.coeffs for f in constraints])
+    Q, R, _ = qr(C.T, mode=mode, pivoting=True)
+    d = np.abs(np.diag(R))
+    rank = int(np.sum(d > 1e-13 * max(float(d.max(initial=0.0)), 1e-300)))
+    if T.dom.dim - rank <= 0:
+        raise DeflationExhausted("constraints exhaust the domain")
+    return Q, rank
+
+
 def _constraint_projector(T, constraints):
     """Euclidean projector onto the common kernel of the constraint
     functionals (thin-QR based), plus the kernel dimension."""
     n = T.dom.dim
     if not constraints:
         return (lambda v: v), n
-    C = np.array([T.dom.weights * f.coeffs for f in constraints])
-    Q, R, _ = qr(C.T, mode="economic", pivoting=True)
-    d = np.abs(np.diag(R))
-    rank = int(np.sum(d > 1e-13 * max(float(d.max(initial=0.0)), 1e-300)))
-    if n - rank <= 0:
-        raise DeflationExhausted("constraints exhaust the domain")
+    Q, rank = _constraint_qr(T, constraints, "economic")
     Qr = Q[:, :rank]
 
     def project(v):
@@ -133,15 +142,9 @@ def _constraint_projector(T, constraints):
 def nullspace_basis(T, constraints):
     """Explicit orthonormal basis of the constraint kernel (for subspace
     constructions; quadratic memory, intended for moderate grids)."""
-    n = T.dom.dim
     if not constraints:
-        return np.eye(n)
-    C = np.array([T.dom.weights * f.coeffs for f in constraints])
-    Q, R, _ = qr(C.T, mode="full", pivoting=True)
-    d = np.abs(np.diag(R))
-    rank = int(np.sum(d > 1e-13 * max(float(d.max(initial=0.0)), 1e-300)))
-    if n - rank <= 0:
-        raise DeflationExhausted("constraints exhaust the domain")
+        return np.eye(T.dom.dim)
+    Q, rank = _constraint_qr(T, constraints, "full")
     return Q[:, rank:]
 
 
@@ -437,9 +440,7 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     if prim_x1 is not None and js.n_levels:
         w_c, q = T.cod.weights, T.cod.p
         ystar = _jtilde(T.apply_coeffs(prim_x1.coeffs), w_c, q)
-        got = js.xs[0].coeffs
-        dev = min(np.max(np.abs(got - ystar)), np.max(np.abs(got + ystar)))
-        js.meta["first_dual_vector_dev"] = float(dev)
+        js.meta["first_dual_vector_dev"] = sup_dev_up_to_sign(js.xs[0].coeffs, ystar)
     js.meta["tol"] = tol
     return js
 

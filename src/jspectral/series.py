@@ -41,6 +41,7 @@ from .space import (
     duality_map,
     functional_distance,
     inverse_duality_map,
+    sup_dev_up_to_sign,
 )
 
 
@@ -221,16 +222,8 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
                       T.dom, T.cod)
 
     lam_dev = [abs(js_p.lambdas[i] - lam_star[i]) for i in range(m)]
-    h_dev = [
-        float(min(np.max(np.abs(js_p.ys[i].coeffs - h_star[i].coeffs)),
-                  np.max(np.abs(js_p.ys[i].coeffs + h_star[i].coeffs))))
-        for i in range(m)
-    ]
-    z1_dev = (
-        float(min(np.max(np.abs(zs[0].coeffs - js_p.xs[0].coeffs)),
-                  np.max(np.abs(zs[0].coeffs + js_p.xs[0].coeffs))))
-        if m else 0.0
-    )
+    h_dev = [sup_dev_up_to_sign(js_p.ys[i].coeffs, h_star[i].coeffs) for i in range(m)]
+    z1_dev = sup_dev_up_to_sign(zs[0].coeffs, js_p.xs[0].coeffs) if m else 0.0
     # unit quotient norm of the representatives: dist to the earlier span
     psi_norm_dev = [
         abs(functional_distance(psis[i], [Functional(f.coeffs, T.dom)
@@ -416,8 +409,12 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     B(h_i*)/||.|| and lambda_i* their norm product.
 
     Neither factor needs to be compact; js_T supplies the deflation flags of
-    the composition. The factored subspace dimension must drop by exactly one
-    per level (degenerate deflation raises).
+    the composition. The j-eigenvector x_i lies in X_i and J x_i does not
+    vanish on it, so X_i = X_{i+1} + span{x_i} and H_i = H_{i+1} + span{A x_i}.
+    One orthonormal basis of the deepest image H_n is therefore extended,
+    level by level upwards, by the part of A x_i orthogonal to it, which is
+    h_i*. The factored subspace dimension must drop by exactly one per level:
+    an A x_i that lies in H_{i+1} to rank_rtol raises DegenerateDeflationError.
     """
     if A.cod.p != 2.0:
         raise GeometryError("the factorization must pass through exponent 2")
@@ -428,34 +425,32 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     wH = A.cod.weights
     D = np.sqrt(wH)
 
-    bases = []
-    for i in range(n + 1):
-        try:
-            Z = nullspace_basis(T, js_T.defl_X[:i])
-        except DeflationExhausted:
-            bases.append(np.zeros((A.cod.dim, 0)))
-            continue
-        bases.append(_scaled_orth(A.matrix @ Z, wH, rank_rtol))
+    try:
+        Z = nullspace_basis(T, js_T.defl_X[:n])
+    except DeflationExhausted:
+        Z = np.zeros((A.dom.dim, 0))
+    U = _scaled_orth(A.apply_coeffs(Z), wH, rank_rtol)
 
-    lambdas, lefts, funcs, hs = [], [], [], []
-    for i in range(n):
-        Ui, Un = bases[i], bases[i + 1]
-        if Ui.shape[1] - Un.shape[1] != 1:
+    hs = []
+    for i in reversed(range(n)):
+        g = D * A.apply_coeffs(js_T.xs[i].coeffs)
+        v = g - U @ (U.T @ g)
+        nv = float(np.linalg.norm(v))
+        if nv <= rank_rtol * float(np.linalg.norm(g)):
             raise DegenerateDeflationError(
-                f"dim A(X_{i+1}) - dim A(X_{i+2}) = {Ui.shape[1] - Un.shape[1]}, expected 1"
+                f"A x_{i+1} lies in A(X_{i+2}): "
+                f"dim A(X_{i+1}) - dim A(X_{i+2}) = 0, expected 1"
             )
-        P = Ui - Un @ (Un.T @ Ui) if Un.shape[1] else Ui
-        Us, s, _ = svd(P, full_matrices=False)
-        if s.size > 1 and s[1] > rank_rtol * max(s[0], 1e-300) * 1e4:
-            raise DegenerateDeflationError(
-                f"complement of A(X_{i+2}) in A(X_{i+1}) is not one-dimensional "
-                f"(second singular value {s[1]:.2e})"
-            )
-        h = Us[:, 0] / D
-        hs.append(Vec(h, A.cod))
-        astar = A.apply_adjoint_coeffs(h)
+        u = v / nv
+        U = np.column_stack([U, u])
+        hs.append(Vec(u / D, A.cod))
+    hs.reverse()
+
+    lambdas, lefts, funcs = [], [], []
+    for h in hs:
+        astar = A.apply_adjoint_coeffs(h.coeffs)
         na = _lp_norm(astar, A.dom.weights, A.dom.pprime)
-        bh = B.apply_coeffs(h)
+        bh = B.apply_coeffs(h.coeffs)
         nb = _lp_norm(bh, B.cod.weights, B.cod.p)
         lambdas.append(na * nb)
         lefts.append(Vec(bh / nb, B.cod))

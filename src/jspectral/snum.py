@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import svd, svdvals
 
-from .jspec import JSpectrum, compute_jspectrum, extremal_pair
+from .jspec import DeflationExhausted, JSpectrum, compute_jspectrum, extremal_pair
 from .oper import LinOp
 from .series import hilbert_source_series, hilbert_target_series, _weighted_gram
 from .space import ConvergenceError, GeometryError, _lp_norm
@@ -78,7 +78,8 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
     kind "bracketed": one Hilbert side; values are the best measured norm of
     T minus explicit rank-(n-1) candidates, upper bounds for the true a_n.
     A candidate whose norm does not certify is skipped; ConvergenceError is
-    raised when no candidate certifies at some n.
+    raised when no candidate certifies at some n. A candidate with T - F
+    numerically zero (the solver finds T - F vanishing) counts with norm 0.
     """
     both = T.dom.p == 2.0 and T.cod.p == 2.0
     if both:
@@ -120,6 +121,8 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
             try:
                 lam, _, _ = extremal_pair(diff, (), seed=seed, tol=max(tol, 1e-9),
                                           restarts=restarts)
+            except DeflationExhausted:
+                lam = 0.0  # T - F vanishes to the solver's floor
             except ConvergenceError as exc:
                 residuals.append(exc.residual)
                 continue  # an uncertified norm bounds nothing

@@ -181,12 +181,17 @@ def _jtilde(coeffs, w, p):
     nv = _lp_norm(coeffs, w, p)
     if nv == 0.0:
         return np.zeros_like(coeffs)
-    return _jmap(coeffs, w, p) / nv
+    return odd_power(coeffs, p - 1.0) * nv ** (1.0 - p)
 
 
 def odd_power(v, r):
     """Signed power sign(v)|v|^r, the odd continuation used by duality maps."""
     return np.sign(v) * np.abs(v) ** r
+
+
+def sup_dev_up_to_sign(a, b):
+    """min(max|a - b|, max|a + b|): sup-norm deviation blind to a sign flip."""
+    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
 from jspectral import (
+    DegenerateDeflationError,
     LinOp,
     Space,
     Vec,
@@ -20,6 +23,7 @@ from jspectral import (
 )
 from jspectral import series
 from jspectral.oper import scale
+from jspectral.jspec import nullspace_basis
 from jspectral.series import (
     alpha_p,
     alpha_p_report,
@@ -254,6 +258,54 @@ def test_hilbertian_series_propagates_basis_errors(monkeypatch):
     monkeypatch.setattr(series, "nullspace_basis", broken)
     with pytest.raises(ValueError, match="basis construction failed"):
         hilbertian_series(A, B, js)
+
+
+@pytest.fixture(scope="module")
+def factored_l3_l15():
+    dom = Space.uniform(96, 3.0)
+    mid = Space.uniform(96, 2.0)
+    cod = Space.uniform(96, 1.5)
+    A = hardy(dom, mid)
+    B = hardy(mid, cod)
+    T = compose(B, A)
+    return A, B, T, compute_jspectrum(T, 4, tol=1e-8, seed=0, restarts=2)
+
+
+def test_hilbertian_series_functionals_annihilate_deeper_polar_subspace(factored_l3_l15):
+    # h_i is orthogonal to A(X_{i+1}), so <z, A* h_i> = (A z, h_i)_H = 0 on X_{i+1}
+    A, B, T, js = factored_l3_l15
+    rep = hilbertian_series(A, B, js)
+    for i in range(rep.n_terms):
+        Z = nullspace_basis(T, js.defl_X[: i + 1])
+        f = A.dom.weights * rep.coeff_functionals[i].coeffs
+        assert np.max(np.abs(f @ Z)) <= 1e-12
+
+
+def test_hilbertian_series_degenerate_deflation_raises(factored_l3_l15):
+    A, B, _, js = factored_l3_l15
+    # a repeated deflation functional keeps X_2 = X_1, so A(X_1) = A(X_2)
+    bad = dataclasses.replace(js, defl_X=[js.defl_X[0], js.defl_X[0], *js.defl_X[2:]])
+    with pytest.raises(DegenerateDeflationError):
+        hilbertian_series(A, B, bad)
+
+
+def test_hilbertian_series_factorises_once(factored_l3_l15, monkeypatch):
+    A, B, _, js = factored_l3_l15
+    calls = {"nullspace_basis": 0, "svd": 0}
+
+    def counted(name):
+        inner = getattr(series, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(series, name, counted(name))
+    hilbertian_series(A, B, js)
+    assert calls == {"nullspace_basis": 1, "svd": 1}
 
 
 # ------------------------------------------------------- double series

@@ -35,6 +35,18 @@ def test_approx_numbers_rank_k_vanish():
     assert a[2] <= 1e-12 and a[3] <= 1e-12
 
 
+def test_approx_numbers_rank_deficient_bracketed_case_reaches_zero():
+    # the rank-2 series truncation leaves T - F zero; it counts with norm 0
+    rng = np.random.default_rng(0)
+    M = sum(np.outer(rng.standard_normal(6), rng.standard_normal(6)) for _ in range(2))
+    T = LinOp(M, Space.sequence(6, 2.0), Space.sequence(6, 1.5))
+    rep = approx_numbers_report(T, 4)
+    assert rep["kind"] == "bracketed"
+    a = rep["values"]
+    assert a[0] >= a[1] > 0.0
+    assert a[2] == 0.0 and a[3] == 0.0
+
+
 def test_approx_numbers_homogeneous(hardy_l2):
     a = np.array(approx_numbers(hardy_l2, 4))
     a_scaled = np.array(approx_numbers(scale(hardy_l2, -2.5), 4))

@@ -19,7 +19,8 @@ from jspectral import (
     pairing,
     semi_inner,
 )
-from jspectral.space import min_norm_coeffs
+from jspectral import space
+from jspectral.space import min_norm_coeffs, sup_dev_up_to_sign
 
 
 # ---------------------------------------------------------------- Space type
@@ -157,6 +158,31 @@ def test_inverse_duality_roundtrip():
     sp2 = Space.uniform(16, 2.0)
     f = Functional(np.arange(16.0), sp2)
     assert np.allclose(inverse_duality_map(f).coeffs, f.coeffs)
+
+
+def test_jtilde_takes_one_norm(monkeypatch):
+    calls = []
+    inner = space._lp_norm
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(space, "_lp_norm", counted)
+    sp = Space.uniform(24, 3.0)
+    v = np.random.default_rng(5).standard_normal(24)
+    jt = space._jtilde(v, sp.weights, sp.p)
+    assert len(calls) == 1
+    expected = space._jmap(v, sp.weights, sp.p) / inner(v, sp.weights, sp.p)
+    assert np.max(np.abs(jt - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_sup_dev_up_to_sign():
+    a = np.array([1.0, -2.0, 0.5])
+    assert sup_dev_up_to_sign(a, a) == 0.0
+    assert sup_dev_up_to_sign(a, -a) == 0.0
+    assert sup_dev_up_to_sign(a, -a + np.array([0.0, 0.25, 0.0])) == 0.25
+    assert isinstance(sup_dev_up_to_sign(a, a), float)
 
 
 # ---------------------------------------------------------------- semi-inner
