@@ -39,6 +39,7 @@ from .space import (
     _lp_norm,
     functional_distance,
     min_norm_coeffs,
+    odd_power,
     sup_dev_up_to_sign,
 )
 
@@ -159,6 +160,9 @@ def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
     coefficients) is the residual of the eigenvalue equation, and its
     distance to span(constraints) certifies lambda. Returns None when the
     start projects to zero, else (lambda, x, residual, certified).
+
+    Every iterate x is unit, so J~_X x is odd_power(x, p - 1), and J~_Y is
+    taken with the codomain norm already at hand.
     """
     w_d, p, pp = T.dom.weights, T.dom.p, T.dom.pprime
     w_c, q = T.cod.weights, T.cod.p
@@ -177,7 +181,8 @@ def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
             except ConvergenceError as exc:
                 return exc.residual, None
             resid = y - M @ c
-        return d, T.apply_adjoint_coeffs(_jtilde(resid, w_c, q)) - d * _jtilde(x, w_d, p)
+        return d, (T.apply_adjoint_coeffs(_jtilde(resid, w_c, q, d))
+                   - d * odd_power(x, p - 1.0))
 
     x = unit(np.asarray(x0, dtype=float))
     if x is None:
@@ -189,15 +194,15 @@ def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
     for _ in range(fp_max):
         if lam < lam_tiny:
             return (0.0, x, 0.0, True)
-        r = T.apply_adjoint_coeffs(_jtilde(y, w_c, q))
-        x_new = unit(_jmap(r, w_d, pp))
+        r = T.apply_adjoint_coeffs(_jtilde(y, w_c, q, lam))
+        x_new = unit(odd_power(r, pp - 1.0))
         if x_new is None:
             break
         if x_new @ x < 0:
             x_new = -x_new
         if damping < 1.0:
             x_new = unit(x + damping * (x_new - x))
-        raw_hist.append(_lp_norm(r - lam * _jtilde(x, w_d, p), w_d, pp))
+        raw_hist.append(_lp_norm(r - lam * odd_power(x, p - 1.0), w_d, pp))
         step = np.max(np.abs(x_new - x))
         x = x_new
         y = T.apply_coeffs(x)
@@ -297,7 +302,7 @@ def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
     """
     constraints = list(constraints_X)
     project, _ = _constraint_projector(T, constraints)
-    lam_tiny = 1e-13 * max(np.linalg.norm(T.matrix), 1.0)
+    lam_tiny = 1e-13 * max(T.frobenius_norm(), 1.0)
     lam, x, res = _best_start(T, project, constraints, np.random.default_rng(seed),
                               restarts, tol, lam_tiny, fp_max, ga_max)
     return lam, Vec(x, T.dom), res
@@ -396,7 +401,7 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     wC, pC = S.cod.weights, S.cod.p
     js = JSpectrum([], [], [], [], [], [], [], [])
     rng = np.random.default_rng(seed)
-    lam_tiny = 1e-13 * max(np.linalg.norm(S.matrix), 1.0)
+    lam_tiny = 1e-13 * max(S.frobenius_norm(), 1.0)
     xstars = []
     for level in range(n_levels):
         M_mat = np.column_stack([x.coeffs for x in xstars]) if xstars else None
@@ -460,7 +465,7 @@ def konig_report(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42
         if js.n_levels < n:
             raise ConvergenceError(f"deflation exhausted before level {n} at power {k}")
         vals.append(js.lambdas[n - 1] ** (1.0 / k))
-    ev = np.sort(np.abs(np.linalg.eigvals(T.matrix)))[::-1]
+    ev = np.sort(np.abs(np.linalg.eigvals(T.dense())))[::-1]
     return {
         "values": vals,
         "reference": float(ev[n - 1]),

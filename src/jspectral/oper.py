@@ -1,8 +1,21 @@
 """Linear operators between discretized L_p spaces.
 
-Matrices act on coefficient vectors; adjoints are taken with respect to the
-weighted pairings, A* = W_dom^-1 A^T W_cod, so the adjoint pairing identity
-is enforced algebraically rather than approximated.
+A LinOp is a small protocol: a domain and a codomain Space, the action on
+coefficient vectors (apply_coeffs) and the action of the adjoint on
+functional coefficients (apply_adjoint_coeffs), a dense() matrix made on
+demand and a Frobenius norm. Adjoints are taken with respect to the weighted
+pairings, A* = W_dom^-1 A^T W_cod, so the adjoint pairing identity holds
+algebraically rather than approximately.
+
+LinOp(matrix, dom, cod) is the dense implementation. The Hardy pair is
+matrix-free: the half-cell lower-triangular weight matrix is a cumulative sum,
+so hardy applies C(w x) - w x / 2 (C the running sum along the grid) and its
+weighted adjoint is the reversed running sum of w_cod phi minus half of it;
+the domain weights cancel, so the adjoint stays exact. hardy_dual swaps the
+two sums. Both kernels take one vector or an n x k block of columns and cost
+O(n) per column. adjoint, compose, power and scale are lazy: they combine the
+kernels of their operands, whether dense or matrix-free, and dense() turns
+any operator into its matrix.
 """
 
 from __future__ import annotations
@@ -15,11 +28,23 @@ import numpy as np
 
 from .space import Functional, GeometryError, Space, Vec, _readonly
 
+_FRO_BLOCK = 64  # identity columns per kernel call when summing ||T e_j||^2
+
+
+def _nodal(w, x):
+    """w shaped to scale x row by row: x is a vector or an n x k block."""
+    return w if x.ndim == 1 else w[:, None]
+
 
 class LinOp:
-    """Dense operator: matrix (rows = codomain dim, cols = domain dim)."""
+    """Linear operator dom -> cod acting on coefficient vectors.
 
-    __slots__ = ("matrix", "dom", "cod")
+    LinOp(matrix, dom, cod) is dense: rows = codomain dim, cols = domain dim,
+    kept in .matrix. Operators from the constructors below carry kernels
+    instead and have matrix None; dense() gives the matrix of any operator.
+    """
+
+    __slots__ = ("matrix", "dom", "cod", "_fwd", "_adj")
 
     def __init__(self, matrix, dom: Space, cod: Space):
         matrix = _readonly(matrix)
@@ -27,16 +52,52 @@ class LinOp:
             raise GeometryError("matrix shape does not match the spaces")
         if not np.all(np.isfinite(matrix)):
             raise GeometryError("operator matrix has non-finite entries")
+        w_d, w_c = dom.weights, cod.weights
         self.matrix = matrix
         self.dom = dom
         self.cod = cod
+        self._fwd = matrix.__matmul__
+        self._adj = lambda f: (matrix.T @ (_nodal(w_c, f) * f)) / _nodal(w_d, f)
+
+    @classmethod
+    def _from_kernels(cls, dom: Space, cod: Space, fwd, adj):
+        """Matrix-free operator: fwd maps domain coefficients, adj functional
+        coefficients on cod to those on dom; both take vectors and blocks."""
+        op = object.__new__(cls)
+        op.matrix = None
+        op.dom = dom
+        op.cod = cod
+        op._fwd = fwd
+        op._adj = adj
+        return op
 
     def apply_coeffs(self, coeffs):
-        return self.matrix @ coeffs
+        """Coefficients of T v for domain coefficients v (or a block of columns)."""
+        return self._fwd(coeffs)
 
     def apply_adjoint_coeffs(self, coeffs):
         """Coefficients of T* phi for functional coefficients phi on cod."""
-        return (self.matrix.T @ (self.cod.weights * coeffs)) / self.dom.weights
+        return self._adj(coeffs)
+
+    def dense(self):
+        """The matrix of T (rows = codomain dim); built on demand when matrix-free."""
+        if self.matrix is not None:
+            return self.matrix
+        return self._fwd(np.eye(self.dom.dim))
+
+    def frobenius_norm(self):
+        """||matrix||_F. A matrix-free operator sums ||T e_j||^2 over blocks of
+        identity columns, in O(n * block) memory."""
+        if self.matrix is not None:
+            return float(np.linalg.norm(self.matrix))
+        n = self.dom.dim
+        total = 0.0
+        for j in range(0, n, _FRO_BLOCK):
+            # columns j, j+1, ... of the identity, stored column-major so that
+            # sums along the grid read contiguous memory
+            cols = self._fwd(np.eye(min(_FRO_BLOCK, n - j), n, j).T)
+            total += float(np.sum(cols * cols))
+        return float(np.sqrt(total))
 
     def __repr__(self):
         return f"LinOp({self.dom!r} -> {self.cod!r})"
@@ -44,13 +105,13 @@ class LinOp:
     def to_csv(self):
         buf = io.StringIO()
         writer = csv.writer(buf)
-        for row in self.matrix:
+        for row in self.dense():
             writer.writerow([repr(float(v)) for v in row])
         return buf.getvalue()
 
     def to_json(self):
         return json.dumps(
-            {"matrix": self.matrix.tolist(),
+            {"matrix": self.dense().tolist(),
              "dom": json.loads(self.dom.to_json()),
              "cod": json.loads(self.cod.to_json())},
             sort_keys=True,
@@ -69,9 +130,12 @@ def apply(T: LinOp, v: Vec) -> Vec:
 
 
 def adjoint(T: LinOp) -> LinOp:
-    """Adjoint with respect to the weighted pairings; maps cod* to dom*."""
-    A = (T.matrix.T * T.cod.weights[None, :]) / T.dom.weights[:, None]
-    return LinOp(A, T.cod.dual(), T.dom.dual())
+    """Adjoint with respect to the weighted pairings; maps cod* to dom*.
+
+    Lazy: its kernels are those of T, swapped, so adjoint(adjoint(T)) acts
+    exactly as T.
+    """
+    return LinOp._from_kernels(T.cod.dual(), T.dom.dual(), T._adj, T._fwd)
 
 
 def apply_adjoint(T: LinOp, f: Functional) -> Functional:
@@ -81,19 +145,31 @@ def apply_adjoint(T: LinOp, f: Functional) -> Functional:
 
 
 def compose(B: LinOp, A: LinOp) -> LinOp:
-    """B after A."""
+    """B after A (lazy). Its adjoint is A* B*, since cod(A) and dom(B) share
+    their weights."""
     if not A.cod.same_grid(B.dom):
         raise GeometryError("compose needs cod(A) and dom(B) on the same grid")
-    return LinOp(B.matrix @ A.matrix, A.dom, B.cod)
+    a_fwd, a_adj, b_fwd, b_adj = A._fwd, A._adj, B._fwd, B._adj
+    return LinOp._from_kernels(A.dom, B.cod, lambda x: b_fwd(a_fwd(x)),
+                               lambda f: a_adj(b_adj(f)))
+
+
+def _repeat(kernel, k):
+    def run(x):
+        for _ in range(k):
+            x = kernel(x)
+        return x
+
+    return run
 
 
 def power(T: LinOp, k: int) -> LinOp:
+    """T applied k times (lazy)."""
     if not T.dom.same_grid(T.cod):
         raise GeometryError("powers need a square operator (same grid)")
     if k < 1:
         raise GeometryError("power requires k >= 1")
-    M = np.linalg.matrix_power(T.matrix, k)
-    return LinOp(M, T.dom, T.cod)
+    return LinOp._from_kernels(T.dom, T.cod, _repeat(T._fwd, k), _repeat(T._adj, k))
 
 
 def identity(dom: Space, cod: Space | None = None) -> LinOp:
@@ -105,7 +181,11 @@ def identity(dom: Space, cod: Space | None = None) -> LinOp:
 
 
 def scale(T: LinOp, c: float) -> LinOp:
-    return LinOp(c * T.matrix, T.dom, T.cod)
+    """c T (lazy)."""
+    if not np.isfinite(c):
+        raise GeometryError("scale factor must be finite")
+    fwd, adj = T._fwd, T._adj
+    return LinOp._from_kernels(T.dom, T.cod, lambda x: c * fwd(x), lambda f: c * adj(f))
 
 
 def _require_common_grid(dom, cod):
@@ -115,25 +195,34 @@ def _require_common_grid(dom, cod):
         raise GeometryError("interval lengths differ")
 
 
+def _half_cell_sum(w, x, reverse):
+    """Running sum of w x along the grid, reversed if asked, with the own
+    cell counted half: sum_{j<i} w_j x_j + w_i x_i / 2 (j > i if reverse)."""
+    u = _nodal(w, x) * x
+    c = np.cumsum(u[::-1], axis=0)[::-1] if reverse else np.cumsum(u, axis=0)
+    return c - 0.5 * u
+
+
+def _volterra_pair(dom, cod, reverse):
+    _require_common_grid(dom, cod)
+    w = dom.weights
+    return LinOp._from_kernels(dom, cod, lambda x: _half_cell_sum(w, x, reverse),
+                               lambda f: _half_cell_sum(w, f, not reverse))
+
+
 def hardy(dom: Space, cod: Space) -> LinOp:
     """Hardy operator (Hf)(x) = integral_0^x f(t) dt.
 
-    Lower-triangular weight accumulation with the half-cell at the diagonal:
-    row i sums w_j for j < i plus w_i / 2, which is exact for cellwise
-    constants and second order for smooth integrands.
+    Its matrix is lower triangular with the half cell at the diagonal: row i
+    sums w_j for j < i plus w_i / 2, which is exact for cellwise constants and
+    second order for smooth integrands. Applied as a running sum in O(n).
     """
-    _require_common_grid(dom, cod)
-    w = dom.weights
-    A = np.tril(np.tile(w, (dom.dim, 1)), -1) + np.diag(w / 2.0)
-    return LinOp(A, dom, cod)
+    return _volterra_pair(dom, cod, reverse=False)
 
 
 def hardy_dual(dom: Space, cod: Space) -> LinOp:
-    """Companion operator (H*f)(x) = integral_x^b f(t) dt."""
-    _require_common_grid(dom, cod)
-    w = dom.weights
-    A = np.triu(np.tile(w, (dom.dim, 1)), 1) + np.diag(w / 2.0)
-    return LinOp(A, dom, cod)
+    """Companion operator (H*f)(x) = integral_x^b f(t) dt, the reversed sum."""
+    return _volterra_pair(dom, cod, reverse=True)
 
 
 def kernel_op(dom: Space, cod: Space, k) -> LinOp:

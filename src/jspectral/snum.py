@@ -58,7 +58,7 @@ class SNumberReport:
 
 def _scaled_matrix(T):
     """Matrix of T between the weighted-2 coordinatizations."""
-    return (np.sqrt(T.cod.weights)[:, None] * T.matrix) / np.sqrt(T.dom.weights)[None, :]
+    return (np.sqrt(T.cod.weights)[:, None] * T.dense()) / np.sqrt(T.dom.weights)[None, :]
 
 
 def exact_hilbert_approx_numbers(T: LinOp, n_max: int) -> list[float]:
@@ -94,6 +94,7 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         js = compute_jspectrum(T, n_max, tol=tol, seed=seed, restarts=restarts)
     rep = (hilbert_source_series(T, js) if T.dom.p == 2.0
            else hilbert_target_series(T, js))
+    A = T.dense()
     U, s, Vt = svd(_scaled_matrix(T), full_matrices=False)
     Dc = np.sqrt(T.cod.weights)
     Dd = np.sqrt(T.dom.weights)
@@ -103,7 +104,7 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         k = n - 1
         candidates = {}
         # series truncation candidate
-        Fk = np.zeros_like(T.matrix)
+        Fk = np.zeros_like(A)
         for i in range(min(k, rep.n_terms)):
             Fk += rep.lambdas[i] * np.outer(
                 rep.left_vectors[i].coeffs,
@@ -111,13 +112,13 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
             )
         candidates["series"] = Fk
         # weighted-SVD truncation candidate
-        Sk = (U[:, :k] * s[:k]) @ Vt[:k] if k else np.zeros_like(_scaled_matrix(T))
+        Sk = (U[:, :k] * s[:k]) @ Vt[:k] if k else np.zeros_like(A)
         candidates["svd"] = (Sk / Dc[:, None]) * Dd[None, :]
         best = np.inf
         best_name = None
         residuals = []
         for name, F in candidates.items():
-            diff = LinOp(T.matrix - F, T.dom, T.cod)
+            diff = LinOp(A - F, T.dom, T.cod)
             try:
                 lam, _, _ = extremal_pair(diff, (), seed=seed, tol=max(tol, 1e-9),
                                           restarts=restarts)

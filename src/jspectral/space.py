@@ -46,6 +46,9 @@ class Space:
             raise GeometryError("nodes and weights must be 1-d arrays of equal length")
         if nodes.size < 2:
             raise GeometryError("a Space needs at least 2 nodes")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+                and np.isfinite(b)):
+            raise GeometryError("nodes, weights and b must be finite")
         if not (b > 0):
             raise GeometryError("interval length b must be positive")
         if np.any(weights <= 0):
@@ -176,9 +179,13 @@ def _jmap(coeffs, w, p):
     return np.abs(coeffs) ** (p - 1.0) * np.sign(coeffs) * nv ** (2.0 - p)
 
 
-def _jtilde(coeffs, w, p):
-    """Normalized duality map: unit dual norm, pairing equal to the norm."""
-    nv = _lp_norm(coeffs, w, p)
+def _jtilde(coeffs, w, p, nv=None):
+    """Normalized duality map: unit dual norm, pairing equal to the norm.
+
+    nv, when given, is the norm of coeffs already at hand.
+    """
+    if nv is None:
+        nv = _lp_norm(coeffs, w, p)
     if nv == 0.0:
         return np.zeros_like(coeffs)
     return odd_power(coeffs, p - 1.0) * nv ** (1.0 - p)

@@ -91,7 +91,7 @@ def test_hardy_norm_p2_closed_form():
     assert hardy_norm_formula(2.0, 1.0) == pytest.approx(2 / np.pi, rel=1e-14)
     # independent oracle: top singular value of the discretized operator
     sp = Space.uniform(2048, 2.0)
-    sv = svdvals(hardy(sp, sp).matrix)[0]
+    sv = svdvals(hardy(sp, sp).dense())[0]
     assert hardy_norm_formula(2.0) == pytest.approx(sv, rel=1e-6)
 
 

@@ -17,6 +17,7 @@ from jspectral import (
     konig_report,
     operator_norm,
 )
+from jspectral import jspec, space
 from jspectral.jspec import _ascent, _constraint_projector
 from jspectral.space import _lp_norm
 
@@ -27,7 +28,7 @@ def classical_volterra_values(n):
 
 def test_extremal_hilbert_case_matches_svd(hardy_l2, l2_256):
     lam, x, res = extremal_pair(hardy_l2, (), seed=0, tol=1e-10, restarts=3)
-    sv = svdvals(hardy_l2.matrix)[0]  # equal weights: scaled matrix == matrix
+    sv = svdvals(hardy_l2.dense())[0]  # equal weights: scaled matrix == matrix
     assert lam == pytest.approx(sv, rel=1e-9)
     assert lam == pytest.approx(2 / np.pi, rel=1e-5)
     assert res <= 1e-10
@@ -68,7 +69,7 @@ def test_extremal_zero_operator_signals_termination():
 
 def test_jspectrum_hilbert_levels_match_singular_values(hardy_l2):
     js = compute_jspectrum(hardy_l2, 6, tol=1e-9, seed=0, restarts=4)
-    sv = svdvals(hardy_l2.matrix)[:6]
+    sv = svdvals(hardy_l2.dense())[:6]
     assert np.max(np.abs(np.array(js.lambdas) - sv) / sv) <= 1e-8
     # classical values within the midpoint discretization error at n = 256
     ref = classical_volterra_values(6)
@@ -213,7 +214,7 @@ def _applications_per_fixed_point_step(run, T):
 
 
 def test_fixed_point_step_costs_one_apply_and_one_adjoint_primal(hardy_l3_l2):
-    T = CountingOp(hardy_l3_l2.matrix, hardy_l3_l2.dom, hardy_l3_l2.cod)
+    T = CountingOp(hardy_l3_l2.dense(), hardy_l3_l2.dom, hardy_l3_l2.cod)
 
     def run(fp_max):
         with pytest.raises(ConvergenceError):
@@ -225,7 +226,7 @@ def test_fixed_point_step_costs_one_apply_and_one_adjoint_primal(hardy_l3_l2):
 
 def test_fixed_point_step_costs_one_apply_and_one_adjoint_quotient(hardy_l3_l2):
     S0 = adjoint(hardy_l3_l2)
-    S = CountingOp(S0.matrix, S0.dom, S0.cod)
+    S = CountingOp(S0.dense(), S0.dom, S0.cod)
     M = np.random.default_rng(3).standard_normal((S.cod.dim, 1))
     project, _ = _constraint_projector(S, [])
 
@@ -234,3 +235,24 @@ def test_fixed_point_step_costs_one_apply_and_one_adjoint_quotient(hardy_l3_l2):
         assert out is not None and not out[3]
 
     assert _applications_per_fixed_point_step(run, S) == (1, 1)
+
+
+def test_fixed_point_step_takes_three_norms(hardy_l3_l2, monkeypatch):
+    # ||J~_Y y||, ||J_X r|| and J~_X x reuse norms in hand: one norm for the
+    # new iterate, one for its image and one for the stall measure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _lp_norm(*args)
+
+    monkeypatch.setattr(space, "_lp_norm", counted)
+    monkeypatch.setattr(jspec, "_lp_norm", counted)
+    counts = []
+    for fp_max in (3, 4):
+        calls.clear()
+        with pytest.raises(ConvergenceError):
+            extremal_pair(hardy_l3_l2, (), seed=0, tol=1e-300, restarts=1,
+                          fp_max=fp_max, ga_max=0)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 3

@@ -40,7 +40,7 @@ def test_target_series_hilbert_case_matches_svd_tail(hardy_l2, l2_256):
     js = compute_jspectrum(hardy_l2, 6, tol=1e-10, seed=0, restarts=4)
     rep = hilbert_target_series(hardy_l2, js)
     tests = random_unit_vectors(l2_256, 20, seed=3)
-    sv = svdvals(hardy_l2.matrix)
+    sv = svdvals(hardy_l2.dense())
     for n, err in rep.reconstruction_errors(hardy_l2, tests, [1, 3, 5]):
         assert err <= sv[n] + 1e-9  # SVD truncation oracle: tail bound sigma_{N+1}
 
@@ -176,7 +176,7 @@ def test_decay_condition_lp_mode_builds_series(hardy_l2, l2_256):
     assert report["alpha_p"] == 0.0
     assert report["first_violation"] is None
     errs = dict(report["errors"])
-    sv = svdvals(hardy_l2.matrix)
+    sv = svdvals(hardy_l2.dense())
     assert errs[5] <= sv[5] + 1e-8
 
 

@@ -20,7 +20,7 @@ from jspectral.oper import scale
 
 def test_approx_numbers_hilbert_case_are_singular_values(hardy_l2):
     a = approx_numbers(hardy_l2, 6)
-    sv = svdvals(hardy_l2.matrix)[:6]
+    sv = svdvals(hardy_l2.dense())[:6]
     assert np.max(np.abs(np.array(a) - sv)) <= 1e-12
     ref = 2.0 / ((2 * np.arange(1, 7) - 1) * np.pi)
     assert np.max(np.abs(np.array(a) - ref) / ref) <= 5e-4

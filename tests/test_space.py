@@ -41,6 +41,17 @@ def test_space_invariants_enforced():
     assert sp.dual().p == pytest.approx(2.5 / 1.5)
 
 
+def test_space_rejects_non_finite_grid():
+    nodes, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    for n, w, b in ((np.array([np.nan, 0.75]), weights, 1.0),
+                    (nodes, np.array([0.5, np.nan]), 1.0),
+                    (nodes, np.array([np.inf, 0.5]), 1.0),
+                    (nodes, weights, np.nan),
+                    (nodes, weights, np.inf)):
+        with pytest.raises(GeometryError, match="finite"):
+            Space(n, w, 2.0, b)
+
+
 def test_space_json_roundtrip():
     sp = Space.uniform(8, 3.0, b=2.0)
     sp2 = Space.from_json(sp.to_json())
