@@ -162,7 +162,9 @@ def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
     start projects to zero, else (lambda, x, residual, certified).
 
     Every iterate x is unit, so J~_X x is odd_power(x, p - 1), and J~_Y is
-    taken with the codomain norm already at hand.
+    taken with the codomain norm already at hand. The best-approximation
+    coefficients of one iterate warm-start those of the next; nothing is
+    carried from one start to another.
     """
     w_d, p, pp = T.dom.weights, T.dom.p, T.dom.pprime
     w_c, q = T.cod.weights, T.cod.p
@@ -172,12 +174,15 @@ def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
         nv = _lp_norm(v, w_d, p)
         return None if nv == 0.0 else v / nv
 
+    c = None  # best-approximation coefficients of the last iterate
+
     def value_grad(x, y):
+        nonlocal c
         if M is None:
             d, resid = _lp_norm(y, w_c, q), y
         else:
             try:
-                c, d = min_norm_coeffs(y, M, w_c, q)
+                c, d = min_norm_coeffs(y, M, w_c, q, c0=c)
             except ConvergenceError as exc:
                 return exc.residual, None
             resid = y - M @ c
@@ -300,9 +305,20 @@ def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
     on the subspace and ConvergenceError (with the best residual) when no
     start certifies.
     """
-    constraints = list(constraints_X)
+    return _extremal(T, list(constraints_X), seed, tol, restarts, _lam_tiny(T),
+                     fp_max, ga_max)
+
+
+def _lam_tiny(T):
+    """Value below which the solvers treat T as vanishing. One Frobenius
+    norm, which costs O(n^2) for a matrix-free operator, so a spectrum
+    takes it once for all its levels."""
+    return 1e-13 * max(T.frobenius_norm(), 1.0)
+
+
+def _extremal(T, constraints, seed, tol, restarts, lam_tiny, fp_max=600, ga_max=4000):
+    """extremal_pair with the vanishing threshold lam_tiny at hand."""
     project, _ = _constraint_projector(T, constraints)
-    lam_tiny = 1e-13 * max(T.frobenius_norm(), 1.0)
     lam, x, res = _best_start(T, project, constraints, np.random.default_rng(seed),
                               restarts, tol, lam_tiny, fp_max, ga_max)
     return lam, Vec(x, T.dom), res
@@ -327,11 +343,11 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     w_c, q = T.cod.weights, T.cod.p
     js = JSpectrum([], [], [], [], [], [], [], [])
     rng = np.random.default_rng(seed + 7919)
+    lam_tiny = _lam_tiny(T)
     for level in range(n_levels):
         try:
-            lam, x, res = extremal_pair(
-                T, js.defl_X, seed=seed + 101 * level, tol=tol, restarts=restarts
-            )
+            lam, x, res = _extremal(T, js.defl_X, seed + 101 * level, tol, restarts,
+                                    lam_tiny)
         except DeflationExhausted:
             js.meta["terminated"] = f"restriction of T is zero after level {level}"
             break
@@ -401,7 +417,7 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     wC, pC = S.cod.weights, S.cod.p
     js = JSpectrum([], [], [], [], [], [], [], [])
     rng = np.random.default_rng(seed)
-    lam_tiny = 1e-13 * max(S.frobenius_norm(), 1.0)
+    lam_tiny = _lam_tiny(S)
     xstars = []
     for level in range(n_levels):
         M_mat = np.column_stack([x.coeffs for x in xstars]) if xstars else None

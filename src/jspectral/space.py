@@ -168,7 +168,18 @@ class Functional:
 # array-level kernels (shared with the solvers; objects wrap these)
 
 def _lp_norm(coeffs, w, p):
-    return float(np.power(w @ np.abs(coeffs) ** p, 1.0 / p))
+    """Weighted l_p norm, in one pass while the sum of p-th powers lies in
+    [1e-50, 1e50]. Outside it (overflow, which numpy warns about, underflow,
+    or a root s^(1/p) whose rounded exponent 1/p costs accuracy in
+    proportion to |ln s|) it is taken again as m ||coeffs / m|| with
+    m = max |coeffs|, the safe scaling of the Level 1 BLAS."""
+    s = float(w @ np.abs(coeffs) ** p)
+    if 1e-50 <= s <= 1e50:
+        return float(np.power(s, 1.0 / p))
+    m = float(np.max(np.abs(coeffs)))
+    if not 0.0 < m < np.inf:  # zero, or entries that are not finite
+        return float(np.power(s, 1.0 / p))
+    return m * float(np.power(w @ np.abs(coeffs / m) ** p, 1.0 / p))
 
 
 def _jmap(coeffs, w, p):
@@ -259,23 +270,34 @@ def is_j_orthogonal(x: Vec, y: Vec, tol: float = 1e-10) -> bool:
     return abs(semi_inner(x, y)) <= tol * nx * ny
 
 
-def min_norm_coeffs(target, basis, w, p, gtol=1e-10, max_iter=10_000):
+def min_norm_coeffs(target, basis, w, p, gtol=1e-10, max_iter=10_000, c0=None):
     """argmin_c ||target - basis @ c||_{w,p}, a small smooth convex problem.
 
-    Warm start is the weighted least-squares solution (exact for p = 2).
-    For p < 2 the iteration is reweighted least squares with safeguarded
-    damping (the quadratic model majorizes the p-th power); for p > 2 it is
+    The iteration starts at c0 when given, else at the weighted
+    least-squares solution, which is exact for p = 2 (there c0 is ignored).
+    For p < 2 each iteration solves the reweighted least-squares system and
+    tries two steps along its direction: the reweighted step, whose
+    quadratic model majorizes the p-th power so that it never increases the
+    value, and the Newton step, 1/(p - 1) times longer, which converges
+    quadratically near the minimizer. It keeps the lower value of the two
+    and halves the step only if neither decreases it. For p > 2 it is
     ridge-damped Newton with backtracking. Stops when the gradient falls
     below gtol relative to its scale at c = 0 or the value stagnates at
     machine precision. Returns (c, residual_norm); raises with the achieved
-    residual if the iteration limit is hit first.
+    residual if the iteration limit is hit first. Any c bounds the distance
+    from above, so the returned norm never understates it.
     """
     target = np.asarray(target, dtype=float)
     B = np.asarray(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != target.size:
         raise GeometryError("basis matrix shape does not match the target")
-    sw = np.sqrt(w)
-    c, *_ = np.linalg.lstsq(B * sw[:, None], target * sw, rcond=None)
+    if c0 is None or p == 2.0:
+        sw = np.sqrt(w)
+        c, *_ = np.linalg.lstsq(B * sw[:, None], target * sw, rcond=None)
+    else:
+        c = np.array(c0, dtype=float)
+        if c.shape != (B.shape[1],):
+            raise GeometryError("warm start length does not match the basis")
     if p == 2.0:
         return c, _lp_norm(target - B @ c, w, p)
 
@@ -290,6 +312,16 @@ def min_norm_coeffs(target, basis, w, p, gtol=1e-10, max_iter=10_000):
     v = target - B @ c
     f = fval(v)
     vfloor = 1e-14 * max(float(np.max(np.abs(target))), 1e-300)
+    # step lengths tried first along the solved direction: the reweighted
+    # step, and for p < 2 also the Newton step (the Hessian is p - 1 times
+    # the reweighted matrix); halving from 1/2 only if neither decreases f
+    lead = (1.0, 1.0 / (p - 1.0)) if p < 2.0 else (1.0,)
+
+    def trial(t):
+        c_try = c - t * step
+        v_try = target - B @ c_try
+        return fval(v_try), c_try, v_try
+
     for _ in range(max_iter):
         g = grad(v)
         gn = float(np.linalg.norm(g))
@@ -305,21 +337,16 @@ def min_norm_coeffs(target, basis, w, p, gtol=1e-10, max_iter=10_000):
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             step = g / max(gn, 1e-300)
-        t = 1.0
-        accepted = False
-        for _bt in range(60):
-            c_try = c - t * step
-            v_try = target - B @ c_try
-            f_try = fval(v_try)
-            if f_try <= f:
-                stalled = f - f_try <= 1e-15 * max(f, 1e-300)
-                c, v, f = c_try, v_try, f_try
-                accepted = True
-                if stalled:
-                    return c, _lp_norm(v, w, p)
-                break
+        f_try, c_try, v_try = min((trial(t) for t in lead), key=lambda tr: tr[0])
+        t = 0.5
+        while not f_try <= f and t >= 2.0 ** -59:
+            f_try, c_try, v_try = trial(t)
             t *= 0.5
-        if not accepted:
+        if not f_try <= f:
+            return c, _lp_norm(v, w, p)
+        stalled = f - f_try <= 1e-15 * max(f, 1e-300)
+        c, v, f = c_try, v_try, f_try
+        if stalled:
             return c, _lp_norm(v, w, p)
     raise ConvergenceError(
         "minimal-norm descent hit the iteration limit",

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jspectral import Space, hardy
+
+# property tests are reproducible run to run and untimed; each sets only
+# its own max_examples
+settings.register_profile("jspectral", deadline=None, derandomize=True)
+settings.load_profile("jspectral")
 
 
 @pytest.fixture(scope="session")

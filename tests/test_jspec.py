@@ -256,3 +256,38 @@ def test_fixed_point_step_takes_three_norms(hardy_l3_l2, monkeypatch):
                           fp_max=fp_max, ga_max=0)
         counts.append(len(calls))
     assert counts[1] - counts[0] == 3
+
+
+def test_ascent_cold_starts_best_approximation_once_per_start(hardy_l3_l2, monkeypatch):
+    # the quotient distance of each gradient starts from the coefficients of
+    # the previous iterate; only the first one of a start uses least squares
+    S = adjoint(hardy_l3_l2)
+    M = np.random.default_rng(3).standard_normal((S.cod.dim, 2))
+    project, _ = _constraint_projector(S, [])
+    cold = []
+    inner = jspec.min_norm_coeffs
+
+    def counted(*args, c0=None, **kwargs):
+        cold.append(c0 is None)
+        return inner(*args, c0=c0, **kwargs)
+
+    monkeypatch.setattr(jspec, "min_norm_coeffs", counted)
+    for x0 in (np.ones(S.dom.dim), np.random.default_rng(4).standard_normal(S.dom.dim)):
+        cold.clear()
+        _ascent(S, project, [], x0, 1e-8, 0.0, 600, 4000, M)
+        assert len(cold) > 1
+        assert cold[0] and not any(cold[1:])
+
+
+def test_jspectrum_takes_one_frobenius_norm(hardy_l2, monkeypatch):
+    calls = []
+    inner = LinOp.frobenius_norm
+
+    def counted(self):
+        calls.append(1)
+        return inner(self)
+
+    monkeypatch.setattr(LinOp, "frobenius_norm", counted)
+    js = compute_jspectrum(hardy_l2, 4, restarts=2)
+    assert js.n_levels == 4
+    assert len(calls) == 1

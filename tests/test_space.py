@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from jspectral import (
@@ -368,3 +370,87 @@ def test_min_norm_iteration_limit_reports_residual():
     with pytest.raises(ConvergenceError) as err:
         min_norm_coeffs(target, B, sp.weights, 1.5, max_iter=1)
     assert err.value.residual is not None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_norm_neither_overflows_nor_underflows(p):
+    sp = Space.uniform(64, p)
+    v = np.random.default_rng(37).standard_normal(64)
+    nv = space._lp_norm(v, sp.weights, p)
+    for s in (1e150, 1e-150):
+        ns = space._lp_norm(s * v, sp.weights, p)
+        assert np.isfinite(ns)
+        assert abs(ns - s * nv) <= 1e-14 * s * nv
+        assert np.any(space._jmap(s * v, sp.weights, p) != 0.0)
+
+
+# ---------------------------------------------------------------- min-norm solver
+
+def _lstsq_coeffs(target, B, w):
+    sw = np.sqrt(w)
+    c, *_ = np.linalg.lstsq(B * sw[:, None], target * sw, rcond=None)
+    return c
+
+
+@settings(max_examples=60)
+@given(n=st.integers(8, 64), k=st.integers(1, 6), p=st.floats(1.1, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_norm_coeffs_properties(n, k, p, seed):
+    rng = np.random.default_rng(seed)
+    w = Space.uniform(n, p).weights
+    target = rng.standard_normal(n)
+    B = rng.standard_normal((n, k))
+    c, d = min_norm_coeffs(target, B, w, p)
+    assert d == space._lp_norm(target - B @ c, w, p)
+    assert d <= space._lp_norm(target - B @ _lstsq_coeffs(target, B, w), w, p)
+    # no coordinate perturbation improves the distance
+    for i in range(k):
+        for h in (1e-6, -1e-6):
+            e = np.zeros(k)
+            e[i] = h
+            assert space._lp_norm(target - B @ (c + e), w, p) >= d * (1.0 - 1e-10)
+    # warm starts reach the same distance
+    for c0 in (c + rng.standard_normal(k), c):
+        _, d_warm = min_norm_coeffs(target, B, w, p, c0=c0)
+        assert abs(d_warm - d) <= 1e-12 * d
+
+
+def _solve_count(monkeypatch):
+    calls = []
+    inner = np.linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def _micro_case():
+    """Target and basis of the p = 1.5, k = 8 kernel benchmark at n = 2048."""
+    rng = np.random.default_rng(0)
+    n, k = 2048, 8
+    return rng, rng.standard_normal(n), rng.standard_normal((n, k)), np.full(n, 1.0 / n)
+
+
+def test_min_norm_steps_on_dense_residual(monkeypatch):
+    _, target, B, w = _micro_case()
+    calls = _solve_count(monkeypatch)
+    _, d = min_norm_coeffs(target, B, w, 1.5)
+    assert len(calls) <= 8  # reweighted least-squares steps alone take 20
+    assert d <= space._lp_norm(target - B @ _lstsq_coeffs(target, B, w), w, 1.5)
+
+
+def test_min_norm_steps_on_sparse_residual(monkeypatch):
+    # target = B a + s with s supported on 20 nodes; on it Newton steps alone
+    # (halved until the value decreases) take 182 solves
+    rng, _, B, w = _micro_case()
+    s = np.zeros(B.shape[0])
+    s[rng.choice(B.shape[0], 20, replace=False)] = rng.standard_normal(20)
+    target = B @ rng.standard_normal(B.shape[1]) + s
+    calls = _solve_count(monkeypatch)
+    _, d = min_norm_coeffs(target, B, w, 1.5)
+    assert len(calls) <= 12  # reweighted least-squares steps alone take 20
+    assert d <= space._lp_norm(s, w, 1.5)
