@@ -7,12 +7,12 @@ understood as an identity of functionals on X_k. The quotient dual problem
 is the same one for T* with the codomain norm replaced by the distance to
 the span M of the earlier dual representatives, so one engine serves both:
 it maximizes dist_Y(Tx, span M) / ||x||_X, where an empty M gives the plain
-norm. It runs a normalized fixed-point iteration x <- Pi(J_X^-1(T* J~_Y T x))
-with damping, then polishes with projected gradient ascent (Barzilai-Borwein
-steps). The residual certificate is the weighted l_{p'} distance from the
-gradient T* J~_Y(Tx - Mc) - lambda J~_X x to the span of the active deflation
-functionals, which reduces to the plain dual norm when no constraints are
-present.
+norm. Its one step is a polar power step: x <- J_X^-1(r - F mu), normalized,
+where r = T* J~_Y(Tx - Mc) and F mu is the best l_{p'} approximation of r from
+the span of the active deflation functionals. The new iterate lies in the
+polar subspace and lambda never decreases. The residual certificate is the
+weighted l_{p'} distance from the gradient r - lambda J~_X x to that span,
+which reduces to the plain dual norm when no constraints are present.
 
 No global-optimality certificate exists for p != 2; seeded multi-start keeps
 the largest certified lambda.
@@ -112,32 +112,34 @@ def _json_safe(v):
         return False
 
 
-def _constraint_qr(T, constraints, mode):
-    """Pivoted QR of the constraint functionals (as weighted columns) and
-    their numerical rank; raises DeflationExhausted when they span the
-    whole domain."""
-    C = np.array([T.dom.weights * f.coeffs for f in constraints])
+def _constraint_qr(rows, mode):
+    """Pivoted QR of the constraint rows (taken as columns) and their
+    numerical rank; raises DeflationExhausted when they span the whole
+    domain."""
+    C = np.array(rows)
     Q, R, _ = qr(C.T, mode=mode, pivoting=True)
     d = np.abs(np.diag(R))
     rank = int(np.sum(d > 1e-13 * max(float(d.max(initial=0.0)), 1e-300)))
-    if T.dom.dim - rank <= 0:
+    if C.shape[1] - rank <= 0:
         raise DeflationExhausted("constraints exhaust the domain")
     return Q, rank
 
 
 def _constraint_projector(T, constraints):
-    """Euclidean projector onto the common kernel of the constraint
-    functionals (thin-QR based), plus the kernel dimension."""
-    n = T.dom.dim
+    """Projector v - B B^T (w v) onto the common kernel of the constraint
+    functionals, orthogonal in the weighted pairing, and B: a basis of their
+    span, orthonormal in that pairing (None without constraints)."""
     if not constraints:
-        return (lambda v: v), n
-    Q, rank = _constraint_qr(T, constraints, "economic")
-    Qr = Q[:, :rank]
+        return (lambda v: v), None
+    w = T.dom.weights
+    sw = np.sqrt(w)
+    Q, rank = _constraint_qr([sw * f.coeffs for f in constraints], "economic")
+    B = Q[:, :rank] / sw[:, None]
 
     def project(v):
-        return v - Qr @ (Qr.T @ v)
+        return v - B @ (B.T @ (w * v))
 
-    return project, n - rank
+    return project, B
 
 
 def nullspace_basis(T, constraints):
@@ -145,21 +147,36 @@ def nullspace_basis(T, constraints):
     constructions; quadratic memory, intended for moderate grids)."""
     if not constraints:
         return np.eye(T.dom.dim)
-    Q, rank = _constraint_qr(T, constraints, "full")
+    Q, rank = _constraint_qr([T.dom.weights * f.coeffs for f in constraints], "full")
     return Q[:, rank:]
 
 
-def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
+def _ascent(T, project, B, constraints, x0, tol, lam_tiny, max_iter, M=None):
     """One start: maximize dist_Y(Tx, span M) / ||x||_X on the polar subspace.
 
     With M None the distance is ||Tx||_Y, the primal problem; the quotient
     dual passes the adjoint as T and its representatives as the columns of
-    M. A damped normalized fixed point on ||Tx||_Y comes first, then
-    projected gradient ascent with Barzilai-Borwein steps. The gradient
-    T* J~_Y(Tx - Mc) - lambda J~_X x at unit x (c the best-approximation
-    coefficients) is the residual of the eigenvalue equation, and its
-    distance to span(constraints) certifies lambda. Returns None when the
-    start projects to zero, else (lambda, x, residual, certified).
+    M. At unit x, with lambda = dist_Y(Tx, span M) and c the
+    best-approximation coefficients, r = T* J~_Y(Tx - Mc) pairs with x to
+    lambda, and the eigenvalue equation says r - lambda J~_X x lies in
+    span(constraints) = span B. Each step takes v = r - B mu, with B mu the
+    best l_{p'} approximation of r, and moves to the unit x' parallel to
+    J_X^-1 v = odd_power(v, p' - 1): the stationarity of mu puts x' in the
+    polar subspace (Alber's generalized projection), and Hoelder's
+    inequality gives dist_Y(Tx', span M) >= <r, x'> = ||v||_{p'} >=
+    <r, x> = lambda, so lambda never decreases (Boyd's l_p power method).
+    ||v - lambda J~_X x||_{p'} bounds the distance of r - lambda J~_X x to
+    span(constraints) from above at no cost; once it is at most tol, that
+    distance certifies lambda. Returns None when the start projects to
+    zero, else (lambda, x, residual, certified).
+
+    The inner minimization leaves a residue of the constraints in x'. For
+    p >= 2 project removes it; J~_X is Lipschitz there, and at p' = 2
+    project is the whole step. For p < 2 a correction of 1e-16 at a sign
+    change of x' would move J~_X x' = odd_power(x', p - 1) by
+    (1e-16)^(p - 1), far above tol, so one Newton step on mu corrects v
+    instead (odd_power(v, p' - 1) is smooth in mu for p' > 2); it also
+    sharpens the bound.
 
     Every iterate x is unit, so J~_X x is odd_power(x, p - 1), and J~_Y is
     taken with the codomain norm already at hand. The best-approximation
@@ -170,85 +187,47 @@ def _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M=None):
     w_c, q = T.cod.weights, T.cod.p
 
     def unit(v):
-        v = project(v)
         nv = _lp_norm(v, w_d, p)
         return None if nv == 0.0 else v / nv
 
-    c = None  # best-approximation coefficients of the last iterate
-
-    def value_grad(x, y):
-        nonlocal c
-        if M is None:
-            d, resid = _lp_norm(y, w_c, q), y
-        else:
-            try:
-                c, d = min_norm_coeffs(y, M, w_c, q, c0=c)
-            except ConvergenceError as exc:
-                return exc.residual, None
-            resid = y - M @ c
-        return d, (T.apply_adjoint_coeffs(_jtilde(resid, w_c, q, d))
-                   - d * odd_power(x, p - 1.0))
-
-    x = unit(np.asarray(x0, dtype=float))
+    x = unit(project(np.asarray(x0, dtype=float)))
     if x is None:
         return None
-    y = T.apply_coeffs(x)
-    lam = _lp_norm(y, w_c, q)
-    damping = 1.0
-    raw_hist = []
-    for _ in range(fp_max):
-        if lam < lam_tiny:
-            return (0.0, x, 0.0, True)
-        r = T.apply_adjoint_coeffs(_jtilde(y, w_c, q, lam))
-        x_new = unit(odd_power(r, pp - 1.0))
-        if x_new is None:
+    c = mu = None  # best-approximation coefficients of the last iterate
+    for it in range(max_iter + 1):
+        e = T.apply_coeffs(x)
+        try:
+            if M is None:
+                lam = _lp_norm(e, w_c, q)
+            else:
+                c, lam = min_norm_coeffs(e, M, w_c, q, c0=c)
+                e = e - M @ c
+            if lam < lam_tiny:
+                return (0.0, x, 0.0, True)
+            r = T.apply_adjoint_coeffs(_jtilde(e, w_c, q, lam))
+            if B is None:
+                v = r
+            elif pp == 2.0:
+                v = project(r)
+            else:
+                mu, _ = min_norm_coeffs(r, B, w_d, pp, c0=mu)
+                v = r - B @ mu
+                if p < 2.0:  # Newton step on <f, odd_power(v, p' - 1)> = 0
+                    h = (pp - 1.0) * w_d * np.abs(v) ** (pp - 2.0)
+                    mu = mu + np.linalg.solve(B.T @ (h[:, None] * B),
+                                              B.T @ (w_d * odd_power(v, pp - 1.0)))
+                    v = r - B @ mu
+        except ConvergenceError:
+            return (np.nan, x, np.inf, False)
+        jx = lam * odd_power(x, p - 1.0)
+        if it == max_iter or _lp_norm(v - jx, w_d, pp) <= tol:
             break
-        if x_new @ x < 0:
-            x_new = -x_new
-        if damping < 1.0:
-            x_new = unit(x + damping * (x_new - x))
-        raw_hist.append(_lp_norm(r - lam * odd_power(x, p - 1.0), w_d, pp))
-        step = np.max(np.abs(x_new - x))
-        x = x_new
-        y = T.apply_coeffs(x)
-        lam_new = _lp_norm(y, w_c, q)
-        if lam_new < lam - 1e-14 * max(lam, 1.0):
-            damping = 0.5  # Rayleigh-type quotient oscillated
-        lam = lam_new
-        if step < 1e-14:
-            break
-        if len(raw_hist) > 200 and raw_hist[-1] > 0.99 * raw_hist[-201]:
-            break  # stalled; hand over to gradient ascent
-
-    x_old = None
-    g_old = None
-    step = 0.1
-    for it in range(ga_max):
-        lam, G = value_grad(x, y)
-        if lam < lam_tiny:
-            return (0.0, x, 0.0, True)
-        if G is None:
-            break
-        g = project(w_d * G)
-        if it % 25 == 0 or np.linalg.norm(g) < 1e-13:
-            res = functional_distance(Functional(G, T.dom), constraints)
-            if res <= tol:
-                return (lam, x, res, True)
-        if x_old is not None:
-            s = x - x_old
-            yg = g - g_old
-            denom = s @ yg
-            if abs(denom) > 1e-300:
-                step = min(abs((s @ s) / denom), 1e6)
-        x_old, g_old = x, g
-        x_new = unit(x + step * g)
+        x_new = odd_power(v, pp - 1.0)
+        x_new = unit(x_new if p < 2.0 else project(x_new))
         if x_new is None:
             break
         x = x_new
-        y = T.apply_coeffs(x)
-
-    lam, G = value_grad(x, y)
-    res = np.inf if G is None else functional_distance(Functional(G, T.dom), constraints)
+    res = functional_distance(Functional(r - jx, T.dom), constraints)
     return (lam, x, res, res <= tol)
 
 
@@ -259,13 +238,14 @@ def _canonical_sign(x):
     return x
 
 
-def _best_start(T, project, constraints, rng, restarts, tol, lam_tiny,
-                fp_max=600, ga_max=4000, M=None):
+def _best_start(T, constraints, rng, restarts, tol, lam_tiny, max_iter=4600, M=None):
     """Largest certified lambda over the all-ones start and restarts - 1
-    Gaussian starts drawn from rng. Returns (lambda, x, residual) with x in
-    canonical sign. Raises DeflationExhausted when no start certifies a
-    positive lambda and some start finds T vanishing, and ConvergenceError
-    (with the best residual) when no start certifies."""
+    Gaussian starts drawn from rng, on the polar subspace of constraints.
+    Returns (lambda, x, residual) with x in canonical sign. Raises
+    DeflationExhausted when the constraints exhaust the domain, or when no
+    start certifies a positive lambda and some start finds T vanishing, and
+    ConvergenceError (with the best residual) when no start certifies."""
+    project, B = _constraint_projector(T, constraints)
     n = T.dom.dim
     starts = [np.ones(n)]
     starts += [rng.standard_normal(n) for _ in range(max(restarts - 1, 0))]
@@ -273,7 +253,7 @@ def _best_start(T, project, constraints, rng, restarts, tol, lam_tiny,
     best_failed = None
     n_zero = 0
     for x0 in starts:
-        out = _ascent(T, project, constraints, x0, tol, lam_tiny, fp_max, ga_max, M)
+        out = _ascent(T, project, B, constraints, x0, tol, lam_tiny, max_iter, M)
         if out is None:
             continue
         lam, x, res, ok = out
@@ -297,7 +277,7 @@ def _best_start(T, project, constraints, rng, restarts, tol, lam_tiny,
 
 
 def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
-                  restarts: int = 8, fp_max: int = 600, ga_max: int = 4000):
+                  restarts: int = 8, max_iter: int = 4600):
     """Largest certified extremal of S_T on the constrained subspace.
 
     Returns (lambda, x, residual) with ||x||_X = 1, lambda = ||Tx||_Y and the
@@ -306,7 +286,7 @@ def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
     start certifies.
     """
     return _extremal(T, list(constraints_X), seed, tol, restarts, _lam_tiny(T),
-                     fp_max, ga_max)
+                     max_iter)
 
 
 def _lam_tiny(T):
@@ -316,11 +296,10 @@ def _lam_tiny(T):
     return 1e-13 * max(T.frobenius_norm(), 1.0)
 
 
-def _extremal(T, constraints, seed, tol, restarts, lam_tiny, fp_max=600, ga_max=4000):
+def _extremal(T, constraints, seed, tol, restarts, lam_tiny, max_iter=4600):
     """extremal_pair with the vanishing threshold lam_tiny at hand."""
-    project, _ = _constraint_projector(T, constraints)
-    lam, x, res = _best_start(T, project, constraints, np.random.default_rng(seed),
-                              restarts, tol, lam_tiny, fp_max, ga_max)
+    lam, x, res = _best_start(T, constraints, np.random.default_rng(seed),
+                              restarts, tol, lam_tiny, max_iter)
     return lam, Vec(x, T.dom), res
 
 
@@ -422,13 +401,8 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     for level in range(n_levels):
         M_mat = np.column_stack([x.coeffs for x in xstars]) if xstars else None
         try:
-            project, _ = _constraint_projector(S, js.defl_X)
-        except DeflationExhausted:
-            js.meta["terminated"] = f"dual constraints exhaust Y* after level {level}"
-            break
-        try:
-            lam, psi, res = _best_start(S, project, js.defl_X, rng, restarts, tol,
-                                        lam_tiny, M=M_mat)
+            lam, psi, res = _best_start(S, js.defl_X, rng, restarts, tol, lam_tiny,
+                                        M=M_mat)
         except DeflationExhausted:
             js.meta["terminated"] = f"restriction of T* is zero after level {level}"
             break

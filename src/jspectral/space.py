@@ -34,6 +34,17 @@ def _readonly(a):
     return a
 
 
+def _checked_coeffs(coeffs, space):
+    """Read-only copy of coefficients on space; they must be finite and match
+    its grid."""
+    coeffs = _readonly(coeffs)
+    if coeffs.shape != (space.dim,):
+        raise GeometryError("coefficient length does not match the space")
+    if not np.all(np.isfinite(coeffs)):
+        raise GeometryError("coefficients must be finite")
+    return coeffs
+
+
 class Space:
     """Discretized L_p(0, b): nodes, positive quadrature weights, exponent p."""
 
@@ -127,9 +138,7 @@ class Vec:
     space: Space
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _readonly(self.coeffs))
-        if self.coeffs.shape != (self.space.dim,):
-            raise GeometryError("coefficient length does not match the space")
+        object.__setattr__(self, "coeffs", _checked_coeffs(self.coeffs, self.space))
 
     def norm(self):
         return norm(self)
@@ -156,9 +165,7 @@ class Functional:
     space: Space  # the predual
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _readonly(self.coeffs))
-        if self.coeffs.shape != (self.space.dim,):
-            raise GeometryError("coefficient length does not match the space")
+        object.__setattr__(self, "coeffs", _checked_coeffs(self.coeffs, self.space))
 
     def norm(self):
         return _lp_norm(self.coeffs, self.space.weights, self.space.pprime)
@@ -187,19 +194,21 @@ def _jmap(coeffs, w, p):
     nv = _lp_norm(coeffs, w, p)
     if nv == 0.0:
         return np.zeros_like(coeffs)
-    return np.abs(coeffs) ** (p - 1.0) * np.sign(coeffs) * nv ** (2.0 - p)
+    return odd_power(coeffs / nv, p - 1.0) * nv
 
 
 def _jtilde(coeffs, w, p, nv=None):
     """Normalized duality map: unit dual norm, pairing equal to the norm.
 
-    nv, when given, is the norm of coeffs already at hand.
+    nv, when given, is the norm of coeffs already at hand. Scaling by the
+    norm before the power keeps the entries finite and nonzero whatever the
+    scale of coeffs.
     """
     if nv is None:
         nv = _lp_norm(coeffs, w, p)
     if nv == 0.0:
         return np.zeros_like(coeffs)
-    return odd_power(coeffs, p - 1.0) * nv ** (1.0 - p)
+    return odd_power(coeffs / nv, p - 1.0)
 
 
 def odd_power(v, r):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from jspectral import (
     ConvergenceError,
     DeflationExhausted,
+    Functional,
     LinOp,
     Space,
     Vec,
@@ -55,8 +58,7 @@ def test_extremal_mixed_norm_matches_closed_form(hardy_l3_l2):
 
 def test_extremal_nonconvergence_error(hardy_l2):
     with pytest.raises(ConvergenceError) as err:
-        extremal_pair(hardy_l2, (), seed=0, tol=1e-300, restarts=1, fp_max=5,
-                      ga_max=5)
+        extremal_pair(hardy_l2, (), seed=0, tol=1e-300, restarts=1, max_iter=10)
     assert err.value.residual is not None
 
 
@@ -99,6 +101,24 @@ def test_jspectrum_semi_orthogonality_tables(hardy_l3_l2):
                 assert abs(S[r, s] - (r == s)) <= 1e-6
     # mapping of deflated domain subspaces into codomain subspaces
     assert max(js.meta["mapping_check"]) <= 1e-6
+
+
+@pytest.mark.parametrize("p, q, n", [(3.0, 2.0, 256), (1.5, 3.0, 256)])
+def test_jspectrum_semi_orthogonality_to_rounding(p, q, n):
+    # each x_s lies in the polar subspace of x_1, ..., x_{s-1} to rounding,
+    # with the correction on the side where the duality map is Lipschitz
+    T = hardy(Space.uniform(n, p), Space.uniform(n, q))
+    js = compute_jspectrum(T, 4, tol=1e-9, seed=0, restarts=4)
+    S = js.semi_orth_table("x")
+    assert max(abs(S[r, s]) for r in range(4) for s in range(r + 1, 4)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, q, n", [(1.5, 3.0, 1024), (1.2, 4.0, 512)])
+def test_jspectrum_certifies_deep_levels_for_small_domain_exponent(p, q, n):
+    T = hardy(Space.uniform(n, p), Space.uniform(n, q))
+    js = compute_jspectrum(T, 6, restarts=8)
+    assert js.n_levels == 6
+    assert all(r <= 1e-8 for r in js.residuals)
 
 
 def test_jspectrum_lambda_decreasing(hardy_l3_l2):
@@ -206,9 +226,9 @@ class CountingOp(LinOp):
 
 def _applications_per_fixed_point_step(run, T):
     counts = []
-    for fp_max in (3, 4):
+    for max_iter in (3, 4):
         T.forward = T.backward = 0
-        run(fp_max)
+        run(max_iter)
         counts.append((T.forward, T.backward))
     return counts[1][0] - counts[0][0], counts[1][1] - counts[0][1]
 
@@ -216,10 +236,9 @@ def _applications_per_fixed_point_step(run, T):
 def test_fixed_point_step_costs_one_apply_and_one_adjoint_primal(hardy_l3_l2):
     T = CountingOp(hardy_l3_l2.dense(), hardy_l3_l2.dom, hardy_l3_l2.cod)
 
-    def run(fp_max):
+    def run(max_iter):
         with pytest.raises(ConvergenceError):
-            extremal_pair(T, (), seed=0, tol=1e-300, restarts=1, fp_max=fp_max,
-                          ga_max=0)
+            extremal_pair(T, (), seed=0, tol=1e-300, restarts=1, max_iter=max_iter)
 
     assert _applications_per_fixed_point_step(run, T) == (1, 1)
 
@@ -228,18 +247,18 @@ def test_fixed_point_step_costs_one_apply_and_one_adjoint_quotient(hardy_l3_l2):
     S0 = adjoint(hardy_l3_l2)
     S = CountingOp(S0.dense(), S0.dom, S0.cod)
     M = np.random.default_rng(3).standard_normal((S.cod.dim, 1))
-    project, _ = _constraint_projector(S, [])
+    project, B = _constraint_projector(S, [])
 
-    def run(fp_max):
-        out = _ascent(S, project, [], np.ones(S.dom.dim), 1e-300, 0.0, fp_max, 0, M)
+    def run(max_iter):
+        out = _ascent(S, project, B, [], np.ones(S.dom.dim), 1e-300, 0.0, max_iter, M)
         assert out is not None and not out[3]
 
     assert _applications_per_fixed_point_step(run, S) == (1, 1)
 
 
 def test_fixed_point_step_takes_three_norms(hardy_l3_l2, monkeypatch):
-    # ||J~_Y y||, ||J_X r|| and J~_X x reuse norms in hand: one norm for the
-    # new iterate, one for its image and one for the stall measure
+    # J~_Y y and J~_X x reuse norms in hand: one norm for the new iterate,
+    # one for its image and one for the certificate's upper bound
     calls = []
 
     def counted(*args):
@@ -249,11 +268,11 @@ def test_fixed_point_step_takes_three_norms(hardy_l3_l2, monkeypatch):
     monkeypatch.setattr(space, "_lp_norm", counted)
     monkeypatch.setattr(jspec, "_lp_norm", counted)
     counts = []
-    for fp_max in (3, 4):
+    for max_iter in (3, 4):
         calls.clear()
         with pytest.raises(ConvergenceError):
             extremal_pair(hardy_l3_l2, (), seed=0, tol=1e-300, restarts=1,
-                          fp_max=fp_max, ga_max=0)
+                          max_iter=max_iter)
         counts.append(len(calls))
     assert counts[1] - counts[0] == 3
 
@@ -263,7 +282,7 @@ def test_ascent_cold_starts_best_approximation_once_per_start(hardy_l3_l2, monke
     # the previous iterate; only the first one of a start uses least squares
     S = adjoint(hardy_l3_l2)
     M = np.random.default_rng(3).standard_normal((S.cod.dim, 2))
-    project, _ = _constraint_projector(S, [])
+    project, B = _constraint_projector(S, [])
     cold = []
     inner = jspec.min_norm_coeffs
 
@@ -274,7 +293,7 @@ def test_ascent_cold_starts_best_approximation_once_per_start(hardy_l3_l2, monke
     monkeypatch.setattr(jspec, "min_norm_coeffs", counted)
     for x0 in (np.ones(S.dom.dim), np.random.default_rng(4).standard_normal(S.dom.dim)):
         cold.clear()
-        _ascent(S, project, [], x0, 1e-8, 0.0, 600, 4000, M)
+        _ascent(S, project, B, [], x0, 1e-8, 0.0, 4600, M)
         assert len(cold) > 1
         assert cold[0] and not any(cold[1:])
 
@@ -291,3 +310,35 @@ def test_jspectrum_takes_one_frobenius_norm(hardy_l2, monkeypatch):
     js = compute_jspectrum(hardy_l2, 4, restarts=2)
     assert js.n_levels == 4
     assert len(calls) == 1
+
+
+class RecordingOp(LinOp):
+    """Dense operator that records ||Tx||_Y / ||x||_X at every application."""
+
+    __slots__ = ("ratios",)
+
+    def __init__(self, matrix, dom, cod):
+        super().__init__(matrix, dom, cod)
+        self.ratios = []
+
+    def apply_coeffs(self, coeffs):
+        out = super().apply_coeffs(coeffs)
+        self.ratios.append(_lp_norm(out, self.cod.weights, self.cod.p)
+                           / _lp_norm(coeffs, self.dom.weights, self.dom.p))
+        return out
+
+
+@settings(max_examples=40)
+@given(p=st.floats(1.2, 4.5), q=st.floats(1.2, 4.5), k=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_ascent_never_decreases_lambda(p, q, k, seed):
+    # the polar step is monotone by Hoelder's inequality, on any polar subspace
+    rng = np.random.default_rng(seed)
+    dom, cod = Space.uniform(64, p), Space.uniform(64, q)
+    T = RecordingOp(hardy(dom, cod).dense(), dom, cod)
+    constraints = [Functional(rng.standard_normal(64), dom) for _ in range(k)]
+    project, B = _constraint_projector(T, constraints)
+    _ascent(T, project, B, constraints, rng.standard_normal(64), 1e-10, 0.0, 300)
+    lams = np.array(T.ratios)
+    assert len(lams) > 1
+    assert np.all(lams[1:] >= lams[:-1] * (1.0 - 1e-12))

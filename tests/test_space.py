@@ -73,6 +73,15 @@ def test_vec_length_mismatch():
         Functional(np.zeros(9), sp)
 
 
+def test_vec_and_functional_reject_non_finite_coefficients():
+    sp = Space.uniform(4, 2.0)
+    for bad in ([np.nan, 1.0, np.inf, 0.0], [0.0, 1.0, -np.inf, 0.0], [0.0, np.nan, 1.0, 0.0]):
+        with pytest.raises(GeometryError, match="finite"):
+            Vec(np.array(bad), sp)
+        with pytest.raises(GeometryError, match="finite"):
+            Functional(np.array(bad), sp)
+
+
 # ---------------------------------------------------------------- norms
 
 def test_norm_constant_is_one():
@@ -383,6 +392,19 @@ def test_lp_norm_neither_overflows_nor_underflows(p):
         assert np.isfinite(ns)
         assert abs(ns - s * nv) <= 1e-14 * s * nv
         assert np.any(space._jmap(s * v, sp.weights, p) != 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_duality_maps_neither_overflow_nor_underflow(p):
+    # J~ is homogeneous of degree 0 and J of degree 1 at every scale
+    sp = Space.uniform(64, p)
+    v = np.random.default_rng(37).standard_normal(64)
+    jt = space._jtilde(v, sp.weights, p)
+    jm = space._jmap(v, sp.weights, p)
+    for s in (1e300, 1e-300):
+        assert np.max(np.abs(space._jtilde(s * v, sp.weights, p) - jt)) <= 1e-14 * np.max(np.abs(jt))
+        assert np.max(np.abs(space._jmap(s * v, sp.weights, p) / s - jm)) <= 1e-14 * np.max(np.abs(jm))
 
 
 # ---------------------------------------------------------------- min-norm solver
