@@ -15,7 +15,10 @@ weighted l_{p'} distance from the gradient r - lambda J~_X x to that span,
 which reduces to the plain dual norm when no constraints are present.
 
 No global-optimality certificate exists for p != 2; seeded multi-start keeps
-the largest certified lambda.
+the largest certified lambda. The starts of a level step together, as the
+columns of one n x r block: one apply and one adjoint of T per step for all
+of them, with column-wise norms, duality maps and projector, and a column
+leaves the block once its start has finished.
 """
 
 from __future__ import annotations
@@ -128,16 +131,20 @@ def _constraint_qr(rows, mode):
 def _constraint_projector(T, constraints):
     """Projector v - B B^T (w v) onto the common kernel of the constraint
     functionals, orthogonal in the weighted pairing, and B: a basis of their
-    span, orthonormal in that pairing (None without constraints)."""
+    span, orthonormal in that pairing (None without constraints). The
+    projector takes an n x r block and projects it column by column, as one
+    batch of matrix-vector products, so that each column comes out bitwise
+    as it would alone."""
     if not constraints:
-        return (lambda v: v), None
+        return (lambda V: V), None
     w = T.dom.weights
     sw = np.sqrt(w)
     Q, rank = _constraint_qr([sw * f.coeffs for f in constraints], "economic")
     B = Q[:, :rank] / sw[:, None]
 
-    def project(v):
-        return v - B @ (B.T @ (w * v))
+    def project(V):
+        C = np.matmul(B.T, (w * V.T)[:, :, None])  # r x rank x 1
+        return V - np.matmul(B, C)[:, :, 0].T
 
     return project, B
 
@@ -151,8 +158,9 @@ def nullspace_basis(T, constraints):
     return Q[:, rank:]
 
 
-def _ascent(T, project, B, constraints, x0, tol, lam_tiny, max_iter, M=None):
-    """One start: maximize dist_Y(Tx, span M) / ||x||_X on the polar subspace.
+def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
+    """All starts at once: for each column x of the n x r block X0, maximize
+    dist_Y(Tx, span M) / ||x||_X on the polar subspace.
 
     With M None the distance is ||Tx||_Y, the primal problem; the quotient
     dual passes the adjoint as T and its representatives as the columns of
@@ -167,8 +175,17 @@ def _ascent(T, project, B, constraints, x0, tol, lam_tiny, max_iter, M=None):
     <r, x> = lambda, so lambda never decreases (Boyd's l_p power method).
     ||v - lambda J~_X x||_{p'} bounds the distance of r - lambda J~_X x to
     span(constraints) from above at no cost; once it is at most tol, that
-    distance certifies lambda. Returns None when the start projects to
-    zero, else (lambda, x, residual, certified).
+    distance certifies lambda.
+
+    The columns step together: one apply and one adjoint of the whole block
+    per step, and column-wise norms, duality maps and projector. The
+    best-approximation solves run column by column, each warm-started from
+    the coefficients of its own previous iterate; nothing is carried from
+    one column to another. A column leaves the block, with its result, when
+    it certifies, fails, reaches max_iter, steps to zero or finds lambda
+    below lam_tiny, so finished columns cost nothing more. Returns one entry
+    per column of X0: None when the start projects to zero, else
+    (lambda, x, residual, certified).
 
     The inner minimization leaves a residue of the constraints in x'. For
     p >= 2 project removes it; J~_X is Lipschitz there, and at p' = 2
@@ -179,56 +196,87 @@ def _ascent(T, project, B, constraints, x0, tol, lam_tiny, max_iter, M=None):
     sharpens the bound.
 
     Every iterate x is unit, so J~_X x is odd_power(x, p - 1), and J~_Y is
-    taken with the codomain norm already at hand. The best-approximation
-    coefficients of one iterate warm-start those of the next; nothing is
-    carried from one start to another.
+    taken with the codomain norm already at hand.
     """
     w_d, p, pp = T.dom.weights, T.dom.p, T.dom.pprime
     w_c, q = T.cod.weights, T.cod.p
-
-    def unit(v):
-        nv = _lp_norm(v, w_d, p)
-        return None if nv == 0.0 else v / nv
-
-    x = unit(project(np.asarray(x0, dtype=float)))
-    if x is None:
-        return None
-    c = mu = None  # best-approximation coefficients of the last iterate
+    out = [None] * X0.shape[1]
+    cs = [None] * len(out)   # best-approximation coefficients of each start's
+    mus = [None] * len(out)  # last iterate: quotient side, constraint side
+    X, kept = _unit_columns(project(np.asarray(X0, dtype=float)), w_d, p)
+    live = np.flatnonzero(kept)  # the start of each block column
+    if not live.size:
+        return out
     for it in range(max_iter + 1):
-        e = T.apply_coeffs(x)
-        try:
-            if M is None:
-                lam = _lp_norm(e, w_c, q)
-            else:
-                c, lam = min_norm_coeffs(e, M, w_c, q, c0=c)
-                e = e - M @ c
-            if lam < lam_tiny:
-                return (0.0, x, 0.0, True)
-            r = T.apply_adjoint_coeffs(_jtilde(e, w_c, q, lam))
-            if B is None:
-                v = r
-            elif pp == 2.0:
-                v = project(r)
-            else:
-                mu, _ = min_norm_coeffs(r, B, w_d, pp, c0=mu)
+        E = T.apply_coeffs(X)
+        stay = np.ones(live.size, dtype=bool)
+        if M is None:
+            lam = _lp_norm(E, w_c, q)
+        else:
+            lam = np.empty(live.size)
+            for j, s in enumerate(live):
+                try:
+                    cs[s], lam[j] = min_norm_coeffs(E[:, j], M, w_c, q, c0=cs[s])
+                except ConvergenceError:
+                    out[s], stay[j] = (np.nan, X[:, j], np.inf, False), False
+                    continue
+                E[:, j] -= M @ cs[s]
+        for j in np.flatnonzero(stay & (lam < lam_tiny)):
+            out[live[j]], stay[j] = (0.0, X[:, j], 0.0, True), False
+        if not stay.all():
+            live, X, E, lam = live[stay], X[:, stay], E[:, stay], lam[stay]
+            if not live.size:
+                break
+        R = T.apply_adjoint_coeffs(_jtilde(E, w_c, q, lam))
+        if B is None:
+            V = R
+        elif pp == 2.0:
+            V = project(R)
+        else:
+            V = np.empty_like(R)
+            for j, s in enumerate(live):
+                r = R[:, j]
+                try:
+                    mu, _ = min_norm_coeffs(r, B, w_d, pp, c0=mus[s])
+                except ConvergenceError:
+                    out[s], stay[j] = (np.nan, X[:, j], np.inf, False), False
+                    continue
                 v = r - B @ mu
                 if p < 2.0:  # Newton step on <f, odd_power(v, p' - 1)> = 0
                     h = (pp - 1.0) * w_d * np.abs(v) ** (pp - 2.0)
                     mu = mu + np.linalg.solve(B.T @ (h[:, None] * B),
                                               B.T @ (w_d * odd_power(v, pp - 1.0)))
                     v = r - B @ mu
-        except ConvergenceError:
-            return (np.nan, x, np.inf, False)
-        jx = lam * odd_power(x, p - 1.0)
-        if it == max_iter or _lp_norm(v - jx, w_d, pp) <= tol:
+                mus[s], V[:, j] = mu, v
+            if not stay.all():
+                live, X, lam, R, V = live[stay], X[:, stay], lam[stay], R[:, stay], V[:, stay]
+                if not live.size:
+                    break
+        JX = lam * odd_power(X, p - 1.0)
+        step = ~(_lp_norm(V - JX, w_d, pp) <= tol)
+        if it == max_iter:
+            step[:] = False
+        if step.any():
+            X_new = odd_power(V if step.all() else V[:, step], pp - 1.0)
+            X_new, moved = _unit_columns(X_new if p < 2.0 else project(X_new), w_d, p)
+            step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
+        for j in np.flatnonzero(~step):
+            res = functional_distance(Functional(R[:, j] - JX[:, j], T.dom), constraints)
+            out[live[j]] = (float(lam[j]), X[:, j], res, res <= tol)
+        if not step.any():
             break
-        x_new = odd_power(v, pp - 1.0)
-        x_new = unit(x_new if p < 2.0 else project(x_new))
-        if x_new is None:
-            break
-        x = x_new
-    res = functional_distance(Functional(r - jx, T.dom), constraints)
-    return (lam, x, res, res <= tol)
+        live, X = live[step], X_new
+    return out
+
+
+def _unit_columns(X, w, p):
+    """The nonzero columns of the block X scaled to unit norm, and the mask
+    of the columns kept."""
+    nx = _lp_norm(X, w, p)
+    keep = nx != 0.0
+    if keep.all():
+        return X / nx, keep
+    return X[:, keep] / nx[keep], keep
 
 
 def _canonical_sign(x):
@@ -241,19 +289,21 @@ def _canonical_sign(x):
 def _best_start(T, constraints, rng, restarts, tol, lam_tiny, max_iter=4600, M=None):
     """Largest certified lambda over the all-ones start and restarts - 1
     Gaussian starts drawn from rng, on the polar subspace of constraints.
-    Returns (lambda, x, residual) with x in canonical sign. Raises
-    DeflationExhausted when the constraints exhaust the domain, or when no
-    start certifies a positive lambda and some start finds T vanishing, and
-    ConvergenceError (with the best residual) when no start certifies."""
+    The starts are the columns of one n x r block, drawn in that order, and
+    _ascent steps them together; the first of equal certified lambdas in
+    start order wins. Returns (lambda, x, residual) with x in canonical
+    sign. Raises DeflationExhausted when the constraints exhaust the domain,
+    or when no start certifies a positive lambda and some start finds T
+    vanishing, and ConvergenceError (with the best residual) when no start
+    certifies."""
     project, B = _constraint_projector(T, constraints)
     n = T.dom.dim
-    starts = [np.ones(n)]
-    starts += [rng.standard_normal(n) for _ in range(max(restarts - 1, 0))]
+    # drawn as rows, so that each start is one contiguous column of X0
+    X0 = np.vstack([np.ones(n), rng.standard_normal((max(restarts - 1, 0), n))]).T
     best = None
     best_failed = None
     n_zero = 0
-    for x0 in starts:
-        out = _ascent(T, project, B, constraints, x0, tol, lam_tiny, max_iter, M)
+    for out in _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M):
         if out is None:
             continue
         lam, x, res, ok = out
@@ -355,7 +405,7 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
             break
         worst = 0.0
         for _ in range(mapping_checks):
-            v = project(rng.standard_normal(T.dom.dim))
+            v = project(rng.standard_normal(T.dom.dim)[:, None])[:, 0]
             nv = _lp_norm(v, w_d, p)
             if nv == 0.0:
                 continue

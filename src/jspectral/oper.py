@@ -200,7 +200,11 @@ def _half_cell_sum(w, x, reverse):
     cell counted half: sum_{j<i} w_j x_j + w_i x_i / 2 (j > i if reverse)."""
     u = _nodal(w, x) * x
     c = np.cumsum(u[::-1], axis=0)[::-1] if reverse else np.cumsum(u, axis=0)
-    return c - 0.5 * u
+    # in place: a fresh n x 8 temporary at n = 4096 is 256 KiB, which the
+    # allocator maps anew (page faults included) on every call
+    u *= 0.5
+    c -= u
+    return c
 
 
 def _volterra_pair(dom, cod, reverse):

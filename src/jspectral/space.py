@@ -175,18 +175,35 @@ class Functional:
 # array-level kernels (shared with the solvers; objects wrap these)
 
 def _lp_norm(coeffs, w, p):
-    """Weighted l_p norm, in one pass while the sum of p-th powers lies in
-    [1e-50, 1e50]. Outside it (overflow, which numpy warns about, underflow,
-    or a root s^(1/p) whose rounded exponent 1/p costs accuracy in
-    proportion to |ln s|) it is taken again as m ||coeffs / m|| with
-    m = max |coeffs|, the safe scaling of the Level 1 BLAS."""
-    s = float(w @ np.abs(coeffs) ** p)
-    if 1e-50 <= s <= 1e50:
-        return float(np.power(s, 1.0 / p))
-    m = float(np.max(np.abs(coeffs)))
-    if not 0.0 < m < np.inf:  # zero, or entries that are not finite
-        return float(np.power(s, 1.0 / p))
-    return m * float(np.power(w @ np.abs(coeffs / m) ** p, 1.0 / p))
+    """Weighted l_p norm of a vector (a float), or of each column of an
+    n x r block (an array of r norms).
+
+    One pass while the sum of p-th powers lies in [1e-50, 1e50]. Outside it
+    (overflow, which numpy warns about, underflow, or a root s^(1/p) whose
+    rounded exponent 1/p costs accuracy in proportion to |ln s|) the column
+    is taken again as m ||column / m|| with m = max |column|, the safe
+    scaling of the Level 1 BLAS; the other columns keep their one pass.
+    """
+    block = coeffs.reshape(len(coeffs), -1)
+    s = _power_sums(block, w, p)
+    nv = np.power(s, 1.0 / p)
+    if not (np.minimum.reduce(s) >= 1e-50 and np.maximum.reduce(s) <= 1e50):
+        redo = np.flatnonzero(~((s >= 1e-50) & (s <= 1e50)))
+        m = np.max(np.abs(block[:, redo]), axis=0)
+        ok = (m > 0.0) & (m < np.inf)  # else zero, or entries that are not finite
+        redo, m = redo[ok], m[ok]
+        nv[redo] = m * np.power(_power_sums(block[:, redo] / m, w, p), 1.0 / p)
+    return float(nv[0]) if coeffs.ndim == 1 else nv
+
+
+def _power_sums(block, w, p):
+    """sum_i w_i |block_ij|^p for each column j: one dot product per
+    contiguous column, so that a column of a block sums bitwise as it would
+    alone."""
+    a = np.abs(block) ** p
+    if not a.flags.f_contiguous:
+        a = np.asfortranarray(a)
+    return np.matmul(a.T[:, None, :], w)[:, 0]
 
 
 def _jmap(coeffs, w, p):
@@ -200,20 +217,23 @@ def _jmap(coeffs, w, p):
 def _jtilde(coeffs, w, p, nv=None):
     """Normalized duality map: unit dual norm, pairing equal to the norm.
 
-    nv, when given, is the norm of coeffs already at hand. Scaling by the
-    norm before the power keeps the entries finite and nonzero whatever the
-    scale of coeffs.
+    coeffs is a vector or an n x r block, mapped column by column. nv, when
+    given, is the norm of coeffs (or of each column) already at hand; a zero
+    norm belongs to a zero column, which maps to zero. Scaling by the norm
+    before the power keeps the entries finite and nonzero whatever the scale
+    of coeffs.
     """
     if nv is None:
         nv = _lp_norm(coeffs, w, p)
-    if nv == 0.0:
-        return np.zeros_like(coeffs)
-    return odd_power(coeffs / nv, p - 1.0)
+    return odd_power(coeffs / np.where(nv == 0.0, 1.0, nv), p - 1.0)
 
 
 def odd_power(v, r):
-    """Signed power sign(v)|v|^r, the odd continuation used by duality maps."""
-    return np.sign(v) * np.abs(v) ** r
+    """Signed power sign(v)|v|^r, the odd continuation used by duality maps.
+    Returns v itself for r = 1; callers do not write into the result."""
+    if r == 1.0:
+        return v
+    return np.copysign(np.abs(v) ** r, v)
 
 
 def sup_dev_up_to_sign(a, b):

@@ -250,7 +250,8 @@ def test_fixed_point_step_costs_one_apply_and_one_adjoint_quotient(hardy_l3_l2):
     project, B = _constraint_projector(S, [])
 
     def run(max_iter):
-        out = _ascent(S, project, B, [], np.ones(S.dom.dim), 1e-300, 0.0, max_iter, M)
+        out = _ascent(S, project, B, [], np.ones((S.dom.dim, 1)), 1e-300, 0.0, max_iter,
+                      M)[0]
         assert out is not None and not out[3]
 
     assert _applications_per_fixed_point_step(run, S) == (1, 1)
@@ -293,7 +294,7 @@ def test_ascent_cold_starts_best_approximation_once_per_start(hardy_l3_l2, monke
     monkeypatch.setattr(jspec, "min_norm_coeffs", counted)
     for x0 in (np.ones(S.dom.dim), np.random.default_rng(4).standard_normal(S.dom.dim)):
         cold.clear()
-        _ascent(S, project, B, [], x0, 1e-8, 0.0, 4600, M)
+        _ascent(S, project, B, [], x0[:, None], 1e-8, 0.0, 4600, M)
         assert len(cold) > 1
         assert cold[0] and not any(cold[1:])
 
@@ -313,7 +314,8 @@ def test_jspectrum_takes_one_frobenius_norm(hardy_l2, monkeypatch):
 
 
 class RecordingOp(LinOp):
-    """Dense operator that records ||Tx||_Y / ||x||_X at every application."""
+    """Dense operator that records ||Tx||_Y / ||x||_X of each column of a
+    block at every application."""
 
     __slots__ = ("ratios",)
 
@@ -338,7 +340,90 @@ def test_ascent_never_decreases_lambda(p, q, k, seed):
     T = RecordingOp(hardy(dom, cod).dense(), dom, cod)
     constraints = [Functional(rng.standard_normal(64), dom) for _ in range(k)]
     project, B = _constraint_projector(T, constraints)
-    _ascent(T, project, B, constraints, rng.standard_normal(64), 1e-10, 0.0, 300)
+    _ascent(T, project, B, constraints, rng.standard_normal(64)[:, None], 1e-10, 0.0,
+            300)
     lams = np.array(T.ratios)
     assert len(lams) > 1
     assert np.all(lams[1:] >= lams[:-1] * (1.0 - 1e-12))
+
+
+def test_block_step_costs_one_apply_one_adjoint_and_three_norms_for_all_starts(
+        hardy_l3_l2, monkeypatch):
+    # the starts of a level step as one n x r block, so a step costs the same
+    # number of kernel calls and norms for eight starts as for one
+    T = CountingOp(hardy_l3_l2.dense(), hardy_l3_l2.dom, hardy_l3_l2.cod)
+    norms = []
+
+    def counted(*args):
+        norms.append(args)
+        return _lp_norm(*args)
+
+    monkeypatch.setattr(space, "_lp_norm", counted)
+    monkeypatch.setattr(jspec, "_lp_norm", counted)
+    counts = []
+    for max_iter in (3, 4):
+        T.forward = T.backward = 0
+        norms.clear()
+        with pytest.raises(ConvergenceError):
+            extremal_pair(T, (), seed=0, tol=1e-300, restarts=8, max_iter=max_iter)
+        counts.append((T.forward, T.backward, len(norms)))
+    assert tuple(b - a for a, b in zip(*counts)) == (1, 1, 3)
+
+
+def _starts(n, r, rng):
+    return np.vstack([np.ones(n), rng.standard_normal((r - 1, n))]).T
+
+
+@pytest.mark.parametrize("p, q, k, quotient", [
+    (2.0, 2.0, 2, False),  # the projector is the whole step
+    (3.0, 2.0, 2, False),  # the projector corrects x
+    (1.5, 3.0, 2, False),  # the Newton step corrects v
+    (3.0, 2.0, 0, True),   # the quotient dual, with two representatives
+])
+def test_block_columns_match_single_starts(p, q, k, quotient):
+    # each column of a block run ends with the lambda, certificate and
+    # residual of its start run alone
+    n = 256
+    rng = np.random.default_rng(8)
+    T = hardy(Space.uniform(n, p), Space.uniform(n, q))
+    M = None
+    if quotient:
+        T = adjoint(T)
+        M = rng.standard_normal((n, 2))
+    constraints = [Functional(rng.standard_normal(n), T.dom) for _ in range(k)]
+    project, B = _constraint_projector(T, constraints)
+    X0 = _starts(n, 6, rng)
+    block = _ascent(T, project, B, constraints, X0, 1e-9, 0.0, 4600, M)
+    assert len(block) == 6
+    for j, got in enumerate(block):
+        lam, _, res, ok = _ascent(T, project, B, constraints, X0[:, j:j + 1], 1e-9, 0.0,
+                                  4600, M)[0]
+        assert ok and got[3] == ok
+        assert got[0] == pytest.approx(lam, rel=1e-12)
+        assert got[2] == pytest.approx(res, rel=1e-12)
+
+
+def test_finished_columns_leave_the_block(hardy_l3_l2):
+    # the columns applied over a block run add up to the steps of its starts
+    # run alone, so a column that has finished costs nothing more
+    columns = []
+    H = hardy_l3_l2
+
+    def forward(X):
+        columns.append(X.shape[1])
+        return H.apply_coeffs(X)
+
+    T = LinOp._from_kernels(H.dom, H.cod, forward, H.apply_adjoint_coeffs)
+    rng = np.random.default_rng(9)
+    constraints = [Functional(rng.standard_normal(T.dom.dim), T.dom) for _ in range(2)]
+    project, B = _constraint_projector(T, constraints)
+    X0 = _starts(T.dom.dim, 8, rng)
+    _ascent(T, project, B, constraints, X0, 1e-9, 0.0, 4600)
+    applied = sum(columns)
+    steps = []
+    for j in range(8):
+        columns.clear()
+        _ascent(T, project, B, constraints, X0[:, j:j + 1], 1e-9, 0.0, 4600)
+        steps.append(len(columns))
+    assert len(set(steps)) > 1  # the starts finish at different steps
+    assert applied == sum(steps)

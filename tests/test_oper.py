@@ -270,3 +270,16 @@ def test_scale_rejects_non_finite_factor():
     sp = Space.uniform(8, 2.0)
     with pytest.raises(GeometryError):
         scale(hardy(sp, sp), np.inf)
+
+
+def test_hardy_block_apply_equals_column_applies_bitwise():
+    n = 4096
+    widths = np.random.default_rng(12).uniform(0.5, 1.5, n)
+    nodes = np.cumsum(widths) - 0.5 * widths
+    sp = Space(nodes, widths, 2.0, float(widths.sum()))
+    X = np.random.default_rng(13).standard_normal((n, 8))
+    for T in (hardy(sp, sp), hardy_dual(sp, sp)):
+        for kernel in (T.apply_coeffs, T.apply_adjoint_coeffs):
+            block = kernel(X)
+            for j in range(8):
+                assert np.array_equal(block[:, j], kernel(X[:, j].copy()))

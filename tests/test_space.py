@@ -407,6 +407,44 @@ def test_duality_maps_neither_overflow_nor_underflow(p):
         assert np.max(np.abs(space._jmap(s * v, sp.weights, p) / s - jm)) <= 1e-14 * np.max(np.abs(jm))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_norm_of_a_block_is_the_norm_of_each_column(p):
+    # the scaled second pass runs only on the columns outside the window,
+    # and each column is summed as it would be alone
+    sp = Space.uniform(64, p)
+    v = np.random.default_rng(37).standard_normal(64)
+    cols = [1e150 * v, v, 1e-150 * v, np.zeros(64)]
+    got = space._lp_norm(np.column_stack(cols), sp.weights, p)
+    assert got.shape == (4,)
+    assert got.tolist() == [space._lp_norm(c, sp.weights, p) for c in cols]
+    assert got[3] == 0.0
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+def test_odd_power_matches_sign_times_power_bitwise(r):
+    v = np.random.default_rng(5).standard_normal(96)
+    v[::7] = 0.0
+    for a in (v, v.reshape(32, 3), v.reshape(12, 8).T):
+        want = np.sign(a) * np.abs(a) ** r
+        got = space.odd_power(a, r)
+        assert got.shape == a.shape
+        # zeros compare equal, every other entry has the same bits
+        assert np.array_equal(got, want)
+        nz = a != 0.0
+        assert np.array_equal(got[nz].view(np.int64), want[nz].view(np.int64))
+
+
+def test_jtilde_maps_a_block_column_by_column():
+    sp = Space.uniform(48, 3.0)
+    V = np.random.default_rng(6).standard_normal((48, 3))
+    V[:, 1] = 0.0
+    got = space._jtilde(V, sp.weights, 3.0)
+    for j in range(3):
+        assert np.array_equal(got[:, j], space._jtilde(V[:, j].copy(), sp.weights, 3.0))
+    assert not np.any(got[:, 1])
+
+
 # ---------------------------------------------------------------- min-norm solver
 
 def _lstsq_coeffs(target, B, w):
