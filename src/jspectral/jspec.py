@@ -134,7 +134,8 @@ def _constraint_projector(T, constraints):
     span, orthonormal in that pairing (None without constraints). The
     projector takes an n x r block and projects it column by column, as one
     batch of matrix-vector products, so that each column comes out bitwise
-    as it would alone."""
+    as it would alone, which the block run needs (see space._power_sums);
+    the plain B @ (B.T @ (w V)) is a matrix product and rounds otherwise."""
     if not constraints:
         return (lambda V: V), None
     w = T.dom.weights
@@ -183,7 +184,9 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
     the coefficients of its own previous iterate; nothing is carried from
     one column to another. A column leaves the block, with its result, when
     it certifies, fails, reaches max_iter, steps to zero or finds lambda
-    below lam_tiny, so finished columns cost nothing more. Returns one entry
+    below lam_tiny, so finished columns cost nothing more: each exit puts
+    the result in done, and _retire records it and drops the column from
+    every per-column array at hand. Returns one entry
     per column of X0: None when the start projects to zero, else
     (lambda, x, residual, certified).
 
@@ -203,30 +206,29 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
     out = [None] * X0.shape[1]
     cs = [None] * len(out)   # best-approximation coefficients of each start's
     mus = [None] * len(out)  # last iterate: quotient side, constraint side
+    done = {}  # block column -> result of its start, until _retire records it
     X, kept = _unit_columns(project(np.asarray(X0, dtype=float)), w_d, p)
     live = np.flatnonzero(kept)  # the start of each block column
-    if not live.size:
-        return out
     for it in range(max_iter + 1):
+        if not live.size:
+            break
         E = T.apply_coeffs(X)
-        stay = np.ones(live.size, dtype=bool)
         if M is None:
             lam = _lp_norm(E, w_c, q)
         else:
-            lam = np.empty(live.size)
+            lam = np.full(live.size, np.nan)
             for j, s in enumerate(live):
                 try:
                     cs[s], lam[j] = min_norm_coeffs(E[:, j], M, w_c, q, c0=cs[s])
                 except ConvergenceError:
-                    out[s], stay[j] = (np.nan, X[:, j], np.inf, False), False
+                    done[j] = (np.nan, X[:, j], np.inf, False)
                     continue
                 E[:, j] -= M @ cs[s]
-        for j in np.flatnonzero(stay & (lam < lam_tiny)):
-            out[live[j]], stay[j] = (0.0, X[:, j], 0.0, True), False
-        if not stay.all():
-            live, X, E, lam = live[stay], X[:, stay], E[:, stay], lam[stay]
-            if not live.size:
-                break
+        for j in np.flatnonzero(lam < lam_tiny):
+            done[j] = (0.0, X[:, j], 0.0, True)
+        live, X, E, lam = _retire(out, done, live, X, E, lam)
+        if not live.size:
+            break
         R = T.apply_adjoint_coeffs(_jtilde(E, w_c, q, lam))
         if B is None:
             V = R
@@ -239,7 +241,7 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
                 try:
                     mu, _ = min_norm_coeffs(r, B, w_d, pp, c0=mus[s])
                 except ConvergenceError:
-                    out[s], stay[j] = (np.nan, X[:, j], np.inf, False), False
+                    done[j] = (np.nan, X[:, j], np.inf, False)
                     continue
                 v = r - B @ mu
                 if p < 2.0:  # Newton step on <f, odd_power(v, p' - 1)> = 0
@@ -248,25 +250,34 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
                                               B.T @ (w_d * odd_power(v, pp - 1.0)))
                     v = r - B @ mu
                 mus[s], V[:, j] = mu, v
-            if not stay.all():
-                live, X, lam, R, V = live[stay], X[:, stay], lam[stay], R[:, stay], V[:, stay]
-                if not live.size:
-                    break
+            live, X, lam, R, V = _retire(out, done, live, X, lam, R, V)
+            if not live.size:
+                break
         JX = lam * odd_power(X, p - 1.0)
-        step = ~(_lp_norm(V - JX, w_d, pp) <= tol)
-        if it == max_iter:
-            step[:] = False
-        if step.any():
-            X_new = odd_power(V if step.all() else V[:, step], pp - 1.0)
-            X_new, moved = _unit_columns(X_new if p < 2.0 else project(X_new), w_d, p)
-            step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
+        step = ~(_lp_norm(V - JX, w_d, pp) <= tol) & (it < max_iter)
+        X_new = odd_power(V[:, step], pp - 1.0)
+        X_new, moved = _unit_columns(X_new if p < 2.0 else project(X_new), w_d, p)
+        step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
         for j in np.flatnonzero(~step):
             res = functional_distance(Functional(R[:, j] - JX[:, j], T.dom), constraints)
-            out[live[j]] = (float(lam[j]), X[:, j], res, res <= tol)
-        if not step.any():
-            break
-        live, X = live[step], X_new
+            done[j] = (float(lam[j]), X[:, j], res, res <= tol)
+        live, = _retire(out, done, live)
+        X = X_new
     return out
+
+
+def _retire(out, done, live, *blocks):
+    """Record the result of each finished block column j in done as out[live[j]],
+    empty done, and return live and each per-column array of blocks without
+    those columns."""
+    if not done:  # most steps finish no column: keep the blocks, uncopied
+        return (live, *blocks)
+    keep = np.ones(live.size, dtype=bool)
+    for j, result in done.items():
+        out[live[j]] = result
+        keep[j] = False
+    done.clear()
+    return (live[keep], *(a[..., keep] for a in blocks))
 
 
 def _unit_columns(X, w, p):
@@ -274,8 +285,6 @@ def _unit_columns(X, w, p):
     of the columns kept."""
     nx = _lp_norm(X, w, p)
     keep = nx != 0.0
-    if keep.all():
-        return X / nx, keep
     return X[:, keep] / nx[keep], keep
 
 

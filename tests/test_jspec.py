@@ -427,3 +427,35 @@ def test_finished_columns_leave_the_block(hardy_l3_l2):
         steps.append(len(columns))
     assert len(set(steps)) > 1  # the starts finish at different steps
     assert applied == sum(steps)
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_columns_leaving_before_the_adjoint_leave_the_others_stepping(quotient):
+    # T = I - mean vanishes on the all-ones start, which leaves the block at the
+    # first gate while the Gaussian starts go on through the constraint solve
+    # at p' != 2; the quotient side takes the same exit with representatives
+    n = 32
+    dom, cod = Space.uniform(n, 3.0), Space.uniform(n, 1.5 if quotient else 3.0)
+
+    def mean_free(X):  # x - mean(x), self-adjoint on a uniform grid; a running
+        return X - np.cumsum(X, axis=0)[-1] / n  # sum keeps each column exact
+
+    T = LinOp._from_kernels(dom, cod, mean_free, mean_free)
+    f = np.zeros(n)
+    f[0], f[1] = 1.0, -1.0
+    constraints = [Functional(f, dom)]
+    project, B = _constraint_projector(T, constraints)
+    rng = np.random.default_rng(10)
+    M = rng.standard_normal((n, 1)) if quotient else None
+    X0 = _starts(n, 6, rng)
+    block = _ascent(T, project, B, constraints, X0, 1e-9, 1e-12, 4600, M)
+    assert block[0][0] == 0.0 and block[0][3]
+    for j, got in enumerate(block[1:], start=1):
+        lam, _, res, ok = _ascent(T, project, B, constraints, X0[:, j:j + 1], 1e-9,
+                                  1e-12, 4600, M)[0]
+        assert ok and got[3] and lam > 0.0
+        assert got[0] == pytest.approx(lam, rel=1e-12)
+        assert got[2] == pytest.approx(res, rel=1e-12)
+    if not quotient:
+        lam, _, res = extremal_pair(T, constraints, seed=0, tol=1e-9, restarts=8)
+        assert lam > 0.0 and res <= 1e-9
