@@ -191,12 +191,12 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
     (lambda, x, residual, certified).
 
     The inner minimization leaves a residue of the constraints in x'. For
-    p >= 2 project removes it; J~_X is Lipschitz there, and at p' = 2
-    project is the whole step. For p < 2 a correction of 1e-16 at a sign
-    change of x' would move J~_X x' = odd_power(x', p - 1) by
-    (1e-16)^(p - 1), far above tol, so one Newton step on mu corrects v
-    instead (odd_power(v, p' - 1) is smooth in mu for p' > 2); it also
-    sharpens the bound.
+    p > 2 project removes it; J~_X is Lipschitz there. At p = p' = 2 the
+    step is v = project(r) and x' is parallel to v, so x' needs no second
+    projection. For p < 2 a correction of 1e-16 at a sign change of x'
+    would move J~_X x' = odd_power(x', p - 1) by (1e-16)^(p - 1), far above
+    tol, so one Newton step on mu corrects v instead (odd_power(v, p' - 1)
+    is smooth in mu for p' > 2); it also sharpens the bound.
 
     Every iterate x is unit, so J~_X x is odd_power(x, p - 1), and J~_Y is
     taken with the codomain norm already at hand.
@@ -256,7 +256,7 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
         JX = lam * odd_power(X, p - 1.0)
         step = ~(_lp_norm(V - JX, w_d, pp) <= tol) & (it < max_iter)
         X_new = odd_power(V[:, step], pp - 1.0)
-        X_new, moved = _unit_columns(X_new if p < 2.0 else project(X_new), w_d, p)
+        X_new, moved = _unit_columns(X_new if p <= 2.0 else project(X_new), w_d, p)
         step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
         for j in np.flatnonzero(~step):
             res = functional_distance(Functional(R[:, j] - JX[:, j], T.dom), constraints)
@@ -295,7 +295,7 @@ def _canonical_sign(x):
     return x
 
 
-def _best_start(T, constraints, rng, restarts, tol, lam_tiny, max_iter=4600, M=None):
+def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     """Largest certified lambda over the all-ones start and restarts - 1
     Gaussian starts drawn from rng, on the polar subspace of constraints.
     The starts are the columns of one n x r block, drawn in that order, and
@@ -304,11 +304,19 @@ def _best_start(T, constraints, rng, restarts, tol, lam_tiny, max_iter=4600, M=N
     sign. Raises DeflationExhausted when the constraints exhaust the domain,
     or when no start certifies a positive lambda and some start finds T
     vanishing, and ConvergenceError (with the best residual) when no start
-    certifies."""
+    certifies.
+
+    A start finds T vanishing when lambda falls below 1e-13 max(s, 1), with
+    s = max_j ||T x0_j||_Y / ||x0_j||_X over the columns of the start block
+    before projection (the plain codomain norm, also with M): a lower bound
+    on ||T|| for one block apply, not the n applies of a Frobenius norm."""
     project, B = _constraint_projector(T, constraints)
     n = T.dom.dim
     # drawn as rows, so that each start is one contiguous column of X0
     X0 = np.vstack([np.ones(n), rng.standard_normal((max(restarts - 1, 0), n))]).T
+    s = np.max(_lp_norm(T.apply_coeffs(X0), T.cod.weights, T.cod.p)
+               / _lp_norm(X0, T.dom.weights, T.dom.p))
+    lam_tiny = 1e-13 * max(float(s), 1.0)
     best = None
     best_failed = None
     n_zero = 0
@@ -344,21 +352,8 @@ def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
     on the subspace and ConvergenceError (with the best residual) when no
     start certifies.
     """
-    return _extremal(T, list(constraints_X), seed, tol, restarts, _lam_tiny(T),
-                     max_iter)
-
-
-def _lam_tiny(T):
-    """Value below which the solvers treat T as vanishing. One Frobenius
-    norm, which costs O(n^2) for a matrix-free operator, so a spectrum
-    takes it once for all its levels."""
-    return 1e-13 * max(T.frobenius_norm(), 1.0)
-
-
-def _extremal(T, constraints, seed, tol, restarts, lam_tiny, max_iter=4600):
-    """extremal_pair with the vanishing threshold lam_tiny at hand."""
-    lam, x, res = _best_start(T, constraints, np.random.default_rng(seed),
-                              restarts, tol, lam_tiny, max_iter)
+    lam, x, res = _best_start(T, list(constraints_X), np.random.default_rng(seed),
+                              restarts, tol, max_iter)
     return lam, Vec(x, T.dom), res
 
 
@@ -381,11 +376,9 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     w_c, q = T.cod.weights, T.cod.p
     js = JSpectrum([], [], [], [], [], [], [], [])
     rng = np.random.default_rng(seed + 7919)
-    lam_tiny = _lam_tiny(T)
     for level in range(n_levels):
         try:
-            lam, x, res = _extremal(T, js.defl_X, seed + 101 * level, tol, restarts,
-                                    lam_tiny)
+            lam, x, res = extremal_pair(T, js.defl_X, seed + 101 * level, tol, restarts)
         except DeflationExhausted:
             js.meta["terminated"] = f"restriction of T is zero after level {level}"
             break
@@ -455,13 +448,11 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     wC, pC = S.cod.weights, S.cod.p
     js = JSpectrum([], [], [], [], [], [], [], [])
     rng = np.random.default_rng(seed)
-    lam_tiny = _lam_tiny(S)
     xstars = []
     for level in range(n_levels):
         M_mat = np.column_stack([x.coeffs for x in xstars]) if xstars else None
         try:
-            lam, psi, res = _best_start(S, js.defl_X, rng, restarts, tol, lam_tiny,
-                                        M=M_mat)
+            lam, psi, res = _best_start(S, js.defl_X, rng, restarts, tol, M=M_mat)
         except DeflationExhausted:
             js.meta["terminated"] = f"restriction of T* is zero after level {level}"
             break

@@ -1,11 +1,11 @@
 """Linear operators between discretized L_p spaces.
 
 A LinOp is a small protocol: a domain and a codomain Space, the action on
-coefficient vectors (apply_coeffs) and the action of the adjoint on
-functional coefficients (apply_adjoint_coeffs), a dense() matrix made on
-demand and a Frobenius norm. Adjoints are taken with respect to the weighted
-pairings, A* = W_dom^-1 A^T W_cod, so the adjoint pairing identity holds
-algebraically rather than approximately.
+coefficient vectors (apply_coeffs), the action of the adjoint on functional
+coefficients (apply_adjoint_coeffs) and a dense() matrix made on demand.
+Adjoints are taken with respect to the weighted pairings, A* = W_dom^-1 A^T
+W_cod, so the adjoint pairing identity holds algebraically rather than
+approximately.
 
 LinOp(matrix, dom, cod) is the dense implementation. The Hardy pair is
 matrix-free: the half-cell lower-triangular weight matrix is a cumulative sum,
@@ -27,8 +27,6 @@ import json
 import numpy as np
 
 from .space import Functional, GeometryError, Space, Vec, _readonly
-
-_FRO_BLOCK = 64  # identity columns per kernel call when summing ||T e_j||^2
 
 
 def _nodal(w, x):
@@ -84,20 +82,6 @@ class LinOp:
         if self.matrix is not None:
             return self.matrix
         return self._fwd(np.eye(self.dom.dim))
-
-    def frobenius_norm(self):
-        """||matrix||_F. A matrix-free operator sums ||T e_j||^2 over blocks of
-        identity columns, in O(n * block) memory."""
-        if self.matrix is not None:
-            return float(np.linalg.norm(self.matrix))
-        n = self.dom.dim
-        total = 0.0
-        for j in range(0, n, _FRO_BLOCK):
-            # columns j, j+1, ... of the identity, stored column-major so that
-            # sums along the grid read contiguous memory
-            cols = self._fwd(np.eye(min(_FRO_BLOCK, n - j), n, j).T)
-            total += float(np.sum(cols * cols))
-        return float(np.sqrt(total))
 
     def __repr__(self):
         return f"LinOp({self.dom!r} -> {self.cod!r})"

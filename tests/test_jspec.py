@@ -22,6 +22,7 @@ from jspectral import (
 )
 from jspectral import jspec, space
 from jspectral.jspec import _ascent, _constraint_projector
+from jspectral.oper import scale
 from jspectral.space import _lp_norm
 
 
@@ -82,14 +83,32 @@ def test_jspectrum_hilbert_levels_match_singular_values(hardy_l2):
     assert np.allclose(js.nus, np.array(js.lambdas) ** 2)
 
 
-def test_jspectrum_rank_three_stops_after_three_levels():
+def _rank_three(c):
     sp = Space.sequence(6, 2.0)
     rng = np.random.default_rng(4)
     M = sum(np.outer(rng.standard_normal(6), rng.standard_normal(6)) for _ in range(3))
-    T = LinOp(M, sp, sp)
-    js = compute_jspectrum(T, 5, tol=1e-8, seed=0, restarts=6)
+    return LinOp(c * M, sp, sp)
+
+
+@pytest.mark.parametrize("c", [1e6, -1e6, 1e-6])
+def test_jspectrum_rank_three_stops_after_three_levels_at_any_scale(c):
+    # the vanishing floor scales with T, so the scale of T moves no level
+    js = compute_jspectrum(_rank_three(c), 5, tol=1e-8, seed=0, restarts=6)
     assert js.n_levels == 3
     assert "terminated" in js.meta
+
+
+def test_jspectrum_rank_three_stops_after_three_levels():
+    test_jspectrum_rank_three_stops_after_three_levels_at_any_scale(1.0)
+
+
+@pytest.mark.parametrize("spectrum", [compute_jspectrum, dual_jspectrum])
+def test_jspectrum_is_sign_invariant(hardy_l3_l2, spectrum):
+    # -T steps through the same iterates as T with the signs of Tx and of the
+    # quotient representatives flipped, so every lambda_k is the same number
+    lams = [spectrum(T, 4, tol=1e-9, seed=0, restarts=4).lambdas
+            for T in (hardy_l3_l2, scale(hardy_l3_l2, -1.0))]
+    assert lams[0] == lams[1]
 
 
 def test_jspectrum_semi_orthogonality_tables(hardy_l3_l2):
@@ -299,18 +318,29 @@ def test_ascent_cold_starts_best_approximation_once_per_start(hardy_l3_l2, monke
         assert cold[0] and not any(cold[1:])
 
 
-def test_jspectrum_takes_one_frobenius_norm(hardy_l2, monkeypatch):
-    calls = []
-    inner = LinOp.frobenius_norm
+def test_jspectrum_applies_T_only_to_start_blocks(hardy_l2):
+    # the vanishing floor takes its scale from the start block, so no apply is
+    # wider than the starts of a level: no O(n^2) pass over identity columns
+    widths = []
+    H = hardy_l2
 
-    def counted(self):
-        calls.append(1)
-        return inner(self)
+    def forward(X):
+        widths.append(1 if X.ndim == 1 else X.shape[1])
+        return H.apply_coeffs(X)
 
-    monkeypatch.setattr(LinOp, "frobenius_norm", counted)
-    js = compute_jspectrum(hardy_l2, 4, restarts=2)
+    T = LinOp._from_kernels(H.dom, H.cod, forward, H.apply_adjoint_coeffs)
+    js = compute_jspectrum(T, 4, restarts=2)
     assert js.n_levels == 4
-    assert len(calls) == 1
+    assert max(widths) <= 2
+
+
+def test_extremal_certifies_at_grid_2_16():
+    # no O(n^2) pass, so one certified extremal at n = 65536 is cheap
+    n = 2 ** 16
+    T = hardy(Space.uniform(n, 3.0), Space.uniform(n, 2.0))
+    lam, _, res = extremal_pair(T, (), restarts=1)
+    assert lam == pytest.approx(hardy_norm_formula(3.0), rel=1e-8)
+    assert res <= 1e-8
 
 
 class RecordingOp(LinOp):

@@ -230,7 +230,7 @@ def test_kernels_match_dense_on_random_grids(widths, b, c, k, seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(**_grids)
-def test_weighted_pairing_identity_and_frobenius_norm(widths, b, c, k, seed):
+def test_weighted_pairing_identity(widths, b, c, k, seed):
     rng = np.random.default_rng(seed)
     for name, T in _lazy_family(widths, b, c).items():
         D = T.dense()
@@ -240,15 +240,6 @@ def test_weighted_pairing_identity_and_frobenius_norm(widths, b, c, k, seed):
         rhs = T.dom.weights @ (v * T.apply_adjoint_coeffs(f))
         size = T.cod.weights @ ((np.abs(D) @ np.abs(v)) * np.abs(f))
         assert abs(lhs - rhs) <= 1e-13 * size, name
-        fro = np.linalg.norm(D)
-        assert abs(T.frobenius_norm() - fro) <= 1e-12 * fro, name
-
-
-def test_frobenius_norm_over_several_column_blocks():
-    widths = np.random.default_rng(11).uniform(0.1, 1.0, 150)
-    for T in _lazy_family(widths, 2.0, -1.5).values():
-        fro = np.linalg.norm(T.dense())
-        assert abs(T.frobenius_norm() - fro) <= 1e-12 * fro
 
 
 def test_hardy_allocates_no_square_matrix():
