@@ -82,46 +82,33 @@ def _cmd_dual(args):
 
 def _cmd_series(args):
     dom, cod = _space_pair(args)
-    T = hardy(dom, cod)
     tests = series.random_unit_vectors(dom, 20, seed=args.seed)
     ns = list(range(1, args.levels + 1))
+    solver = dict(tol=args.tol, seed=args.seed, restarts=args.restarts)
+    if args.kind in ("target", "source", "linearized"):
+        T = hardy(dom, cod)
+    else:  # factored through L2: T = B o A
+        mid = Space.uniform(args.grid_n, 2.0, args.b)
+        A = hardy(dom, mid)
+        B = hardy(mid, cod)
+        T = compose(B, A)
     if args.kind == "target":
-        js = jspec.compute_jspectrum(T, args.levels, tol=args.tol, seed=args.seed,
-                                     restarts=args.restarts)
-        rep = series.hilbert_target_series(T, js)
+        rep = series.hilbert_target_series(
+            T, jspec.compute_jspectrum(T, args.levels, **solver))
     elif args.kind == "source":
-        js = jspec.compute_jspectrum(T, args.levels, tol=args.tol, seed=args.seed,
-                                     restarts=args.restarts)
-        rep = series.hilbert_source_series(T, js)
+        rep = series.hilbert_source_series(
+            T, jspec.compute_jspectrum(T, args.levels, **solver))
     elif args.kind == "linearized":
-        rep = series.linearized_series(T, args.levels, tol=args.tol, seed=args.seed,
-                                       restarts=args.restarts)
+        rep = series.linearized_series(T, args.levels, **solver)
     elif args.kind == "hilbertian":
-        mid = Space.uniform(args.grid_n, 2.0, args.b)
-        A = hardy(dom, mid)
-        B = hardy(mid, cod)
-        T = compose(B, A)
-        js = jspec.compute_jspectrum(T, args.levels, tol=args.tol, seed=args.seed,
-                                     restarts=args.restarts)
-        rep = series.hilbertian_series(A, B, js)
+        rep = series.hilbertian_series(
+            A, B, jspec.compute_jspectrum(T, args.levels, **solver))
     elif args.kind == "double":
-        mid = Space.uniform(args.grid_n, 2.0, args.b)
-        A = hardy(dom, mid)
-        B = hardy(mid, cod)
-        T = compose(B, A)
-        rep = series.double_series(A, B, args.levels, tol=args.tol, seed=args.seed,
-                                   restarts=args.restarts)
+        rep = series.double_series(A, B, args.levels, **solver)
         ns = list(range(1, rep.n_terms + 1))
-    elif args.kind in ("half-direct", "half-dual"):
-        mid = Space.uniform(args.grid_n, 2.0, args.b)
-        A = hardy(dom, mid)
-        B = hardy(mid, cod)
-        T = compose(B, A)
-        rep = series.half_series(A, B, "A" if args.kind == "half-direct" else "B",
-                                 args.levels, tol=args.tol, seed=args.seed,
-                                 restarts=args.restarts)
     else:
-        raise SystemExit(2)
+        rep = series.half_series(A, B, "A" if args.kind == "half-direct" else "B",
+                                 args.levels, **solver)
     errors = rep.reconstruction_errors(T, tests, ns)
     doc = {
         "kind": rep.kind,
@@ -131,7 +118,7 @@ def _cmd_series(args):
         "grid_n": args.grid_n,
         "seed": args.seed,
     }
-    _emit(args, doc, rep.error_table_csv(T, tests, ns))
+    _emit(args, doc, series.SeriesRep.error_table_csv(errors))
 
 
 def _cmd_snum(args):

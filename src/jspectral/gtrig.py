@@ -61,7 +61,7 @@ def pi_pq(p: float, q: float) -> float:
 class GenTrig:
     """sin/cos pair for one (p, q); precomputes a monotone inversion table."""
 
-    def __init__(self, p, q, table_size=513):
+    def __init__(self, p, q):
         if not (p > 1 and q > 1):
             raise GeometryError("GenTrig needs p, q > 1")
         self.p = float(p)
@@ -75,7 +75,7 @@ class GenTrig:
                 "quadrature and Beta-function routes for pi_pq disagree",
                 residual=abs(self.pi_pq - ref),
             )
-        self._u_tab = np.linspace(0.0, 1.0, table_size)
+        self._u_tab = np.linspace(0.0, 1.0, 513)
         self._F_tab = [self._F(u) for u in self._u_tab]
 
     def _F(self, u):
@@ -114,19 +114,14 @@ class GenTrig:
         return 4 * half - r, -1.0, 1.0
 
     def sin(self, x, extend=False):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        half = self.pi_pq / 2.0
-        if not extend and (np.any(xs < -1e-15) or np.any(xs > half * (1 + 1e-15))):
-            raise GeometryError("x outside [0, pi_pq/2]; pass extend=True for the periodic extension")
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            t, ssign, _ = self._branch(xi) if extend else (min(max(xi, 0.0), half), 1.0, 1.0)
-            out[i] = ssign * self._sin_principal(t)
-        return float(out[0]) if scalar else out
+        return self._evaluate(x, extend, cosine=False)
 
     def cos(self, x, extend=False):
+        return self._evaluate(x, extend, cosine=True)
+
+    def _evaluate(self, x, extend, cosine):
+        """sin_pq or cos_pq at x (a scalar or an array), through the principal
+        sine of each point reduced to the first quarter period."""
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
@@ -135,9 +130,9 @@ class GenTrig:
             raise GeometryError("x outside [0, pi_pq/2]; pass extend=True for the periodic extension")
         out = np.empty_like(xs)
         for i, xi in enumerate(xs):
-            t, _, csign = self._branch(xi) if extend else (min(max(xi, 0.0), half), 1.0, 1.0)
+            t, ssign, csign = self._branch(xi) if extend else (min(max(xi, 0.0), half), 1.0, 1.0)
             s = self._sin_principal(t)
-            out[i] = csign * (1.0 - s ** self.q) ** (1.0 / self.p)
+            out[i] = csign * (1.0 - s ** self.q) ** (1.0 / self.p) if cosine else ssign * s
         return float(out[0]) if scalar else out
 
     def table_csv(self, xs):
@@ -191,7 +186,7 @@ def _endpoint_slope(xs, u, x0):
 
 
 def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
-                             kind: str, margin_frac: float = 0.05) -> dict:
+                             kind: str) -> dict:
     """Finite-difference residual of the stated eigenvalue ODE for (u, lam),
     split into the interior RMS and the boundary-condition part.
 
@@ -202,7 +197,7 @@ def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
 
     odd(v, r) = sign(v)|v|^r. u holds node values on the uniform midpoint
     grid of (0, b). The interior residual is an RMS over nodes at least
-    margin_frac*b away from the endpoints (the generalized sine has algebraic
+    0.05*b away from the endpoints (the generalized sine has algebraic
     endpoint behaviour that pollutes raw high-order stencils); boundary
     conditions enter through quadratically extrapolated endpoint values,
     whose own accuracy is limited by the endpoint smoothness of u (for the
@@ -249,7 +244,7 @@ def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
     else:
         raise GeometryError("kind must be '(p,2)', '(2,p')' or 'bilap'")
 
-    margin = margin_frac * b
+    margin = 0.05 * b
     keep = (inner_x >= margin) & (inner_x <= b - margin)
     if not keep.any():
         raise GeometryError("margin leaves no interior nodes; refine the grid")
@@ -258,10 +253,9 @@ def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
     return {"interior_rms": interior, "bc_abs": bc, "total": interior + bc}
 
 
-def laplacian_residual(u, p: float, q: float, lam: float, b: float, kind: str,
-                       margin_frac: float = 0.05) -> float:
+def laplacian_residual(u, p: float, q: float, lam: float, b: float, kind: str) -> float:
     """Total finite-difference residual; see laplacian_residual_parts."""
-    return laplacian_residual_parts(u, p, q, lam, b, kind, margin_frac)["total"]
+    return laplacian_residual_parts(u, p, q, lam, b, kind)["total"]
 
 
 def bilap_eigenvalue(p: float, b: float) -> float:
@@ -272,8 +266,7 @@ def bilap_eigenvalue(p: float, b: float) -> float:
 
 
 def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
-                      tol: float = 1e-8, seed: int = 42, restarts: int = 4,
-                      refinement_grids=(128, 256, 512)) -> dict:
+                      tol: float = 1e-8, seed: int = 42, restarts: int = 4) -> dict:
     """Extremal data of the discretized H*H against sin_{2,p'}(pi_{2,p'} x / 2b).
 
     H*H is assembled as the Hilbertian composition through L_2 (apply the
@@ -284,9 +277,9 @@ def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
     reported); the raw extremal's deviation is reported alongside.
 
     The ODE residual refinement study evaluates the analytic eigenfunction
-    on the given grid ladder. The fourth-order stencil amplifies function
-    evaluation noise by h^-4, so useful ladders stop near n = 512 in double
-    precision; grid_n itself only controls the extremal comparison.
+    on the grids n = 128, 256, 512. The fourth-order stencil amplifies
+    function evaluation noise by h^-4, so useful ladders stop near n = 512
+    in double precision; grid_n itself only controls the extremal comparison.
     """
     from .jspec import extremal_pair
 
@@ -312,12 +305,11 @@ def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
     dev_image = sup_dev(K.apply_coeffs(x1.coeffs))
 
     lam_ode = bilap_eigenvalue(p, b)
-    ladder = sorted(set(int(n) for n in refinement_grids))
+    ns = (128, 256, 512)
     ode_residuals = {}
-    for n in ladder:
+    for n in ns:
         xs = (np.arange(n) + 0.5) * (b / n)
         ode_residuals[n] = laplacian_residual(g.sin(omega * xs), p, pp, lam_ode, b, "bilap")
-    ns = sorted(ode_residuals)
     orders = [
         float(np.log(ode_residuals[ns[i]] / ode_residuals[ns[i + 1]])
               / np.log(ns[i + 1] / ns[i]))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -55,18 +56,25 @@ class DeflationExhausted(RuntimeError):
 class JSpectrum:
     """j-eigenvalues and j-eigenvectors with their deflation functionals.
 
-    nus stores lambda_k * mu(lambda_k) = lambda_k**2 for the gauge mu(t) = t.
+    nus holds lambda_k * mu(lambda_k) = lambda_k**2 for the gauge mu(t) = t.
+    A level that does not certify raises, so every stored level converged.
     """
 
-    lambdas: list[float]
-    nus: list[float]
-    xs: list[Vec]
-    ys: list[Vec]
-    defl_X: list[Functional]
-    defl_Y: list[Functional]
-    residuals: list[float]
-    converged: list[bool]
+    lambdas: list[float] = field(default_factory=list)
+    xs: list[Vec] = field(default_factory=list)
+    ys: list[Vec] = field(default_factory=list)
+    defl_X: list[Functional] = field(default_factory=list)
+    defl_Y: list[Functional] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    @property
+    def nus(self):
+        return [lam * lam for lam in self.lambdas]
+
+    @property
+    def converged(self):
+        return [True] * self.n_levels
 
     @property
     def n_levels(self):
@@ -363,8 +371,45 @@ def operator_norm(T: LinOp, tol: float = 1e-8, seed: int = 42, restarts: int = 4
     return lam
 
 
+def _deflate(S: LinOp, n_levels, tol, restarts, rngs, quotient):
+    """The deflation flag of S: level k certifies x_k on the polar subspace
+    of J_X x_j (j < k), with starts from the k-th generator of rngs, and
+    stores y_k = S x_k / lambda_k, J_X x_k and J_Y(S x_k). With quotient, S
+    is an adjoint measured by the distance to span{y_j : j < k}, the
+    quotient norm of the dual problem. Stops once S vanishes; raises
+    ConvergenceError, naming the level, when a level fails to certify or
+    exceeds the one before."""
+    name, where = ("T*", "dual level") if quotient else ("T", "level")
+    js = JSpectrum()
+    for level, rng in zip(range(n_levels), rngs):
+        M = np.column_stack([y.coeffs for y in js.ys]) if quotient and js.ys else None
+        try:
+            lam, x, res = _best_start(S, js.defl_X, rng, restarts, tol, M=M)
+        except DeflationExhausted:
+            js.meta["terminated"] = f"restriction of {name} is zero after level {level}"
+            break
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{where} {level + 1}: {exc}",
+                                   residual=exc.residual) from exc
+        if js.lambdas and lam > js.lambdas[-1] * (1.0 + 10.0 * tol):
+            raise ConvergenceError(
+                f"monotonicity violated at {where} {level + 1}: "
+                f"{lam:.6e} > {js.lambdas[-1]:.6e}; earlier level under-shot",
+                residual=res,
+            )
+        x = Vec(x, S.dom)
+        Sx = S.apply_coeffs(x.coeffs)
+        js.lambdas.append(lam)
+        js.xs.append(x)
+        js.ys.append(Vec(Sx / lam, S.cod))
+        js.residuals.append(res)
+        js.defl_X.append(Functional(_jmap(x.coeffs, S.dom.weights, S.dom.p), S.dom))
+        js.defl_Y.append(Functional(_jmap(Sx, S.cod.weights, S.cod.p), S.cod))
+    return js
+
+
 def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
-                      restarts: int = 8, mapping_checks: int = 3) -> JSpectrum:
+                      restarts: int = 8) -> JSpectrum:
     """Deflate through polar subspaces and emit the j-spectrum.
 
     Appends J_X x_k to the constraint set after each level; stops early when
@@ -372,33 +417,13 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     deflated subspace into the corresponding codomain subspace on sampled
     constrained vectors (recorded in meta["mapping_check"]).
     """
-    w_d, p = T.dom.weights, T.dom.p
-    w_c, q = T.cod.weights, T.cod.p
-    js = JSpectrum([], [], [], [], [], [], [], [])
-    rng = np.random.default_rng(seed + 7919)
-    for level in range(n_levels):
-        try:
-            lam, x, res = extremal_pair(T, js.defl_X, seed + 101 * level, tol, restarts)
-        except DeflationExhausted:
-            js.meta["terminated"] = f"restriction of T is zero after level {level}"
-            break
-        if js.lambdas and lam > js.lambdas[-1] * (1.0 + 10.0 * tol):
-            raise ConvergenceError(
-                f"monotonicity violated at level {level + 1}: "
-                f"{lam:.6e} > {js.lambdas[-1]:.6e}; earlier level under-shot",
-                residual=res,
-            )
-        y = Vec(T.apply_coeffs(x.coeffs) / lam, T.cod)
-        js.lambdas.append(lam)
-        js.nus.append(lam * lam)
-        js.xs.append(x)
-        js.ys.append(y)
-        js.residuals.append(res)
-        js.converged.append(True)
-        js.defl_X.append(Functional(_jmap(x.coeffs, w_d, p), T.dom))
-        js.defl_Y.append(Functional(_jmap(T.apply_coeffs(x.coeffs), w_c, q), T.cod))
+    rngs = (np.random.default_rng(seed + 101 * level) for level in range(n_levels))
+    js = _deflate(T, n_levels, tol, restarts, rngs, quotient=False)
 
     # sampled check that T maps X_{k+1} numerically into Y_{k+1}
+    w_d, p = T.dom.weights, T.dom.p
+    w_c, q = T.cod.weights, T.cod.p
+    rng = np.random.default_rng(seed + 7919)
     checks = []
     for k in range(js.n_levels):
         try:
@@ -406,7 +431,7 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
         except DeflationExhausted:
             break
         worst = 0.0
-        for _ in range(mapping_checks):
+        for _ in range(3):
             v = project(rng.standard_normal(T.dom.dim)[:, None])[:, 0]
             nv = _lp_norm(v, w_d, p)
             if nv == 0.0:
@@ -438,40 +463,15 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     In the returned spectrum, xs are the dual extremals psi_k (unit in Y*)
     and ys are the representatives x*_k = T* psi_k / lambda_k* (unit
     quotient norm: their distance to the accumulated span is 1; full dual
-    norms may exceed 1). The deflation functionals are J_{Y*} psi_k and
-    J_{X*}(lambda_k* x*_k). Cross-checks stored in meta: lambda_i* against
-    the supplied primal spectrum (or a fresh first level) and the first dual
-    extremal against J_Y(T x_1)/lambda_1.
+    norms may exceed 1; as full images they carry the biorthogonality that
+    makes the linearized series exact). The deflation functionals are
+    J_{Y*} psi_k and J_{X*}(T* psi_k); all levels draw from one generator.
+    Cross-checks stored in meta: lambda_i* against the supplied primal
+    spectrum (or a fresh first level) and the first dual extremal against
+    J_Y(T x_1)/lambda_1.
     """
-    S = adjoint(T)
-    wD, pD = S.dom.weights, S.dom.p
-    wC, pC = S.cod.weights, S.cod.p
-    js = JSpectrum([], [], [], [], [], [], [], [])
-    rng = np.random.default_rng(seed)
-    xstars = []
-    for level in range(n_levels):
-        M_mat = np.column_stack([x.coeffs for x in xstars]) if xstars else None
-        try:
-            lam, psi, res = _best_start(S, js.defl_X, rng, restarts, tol, M=M_mat)
-        except DeflationExhausted:
-            js.meta["terminated"] = f"restriction of T* is zero after level {level}"
-            break
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"dual level {level + 1}: {exc}",
-                                   residual=exc.residual) from exc
-        # representative: the full image T* psi / lambda*. Its distance to the
-        # accumulated span is 1 (unit quotient norm) and it carries the
-        # biorthogonality that makes the linearized series exact.
-        xstar = S.apply_coeffs(psi) / lam
-        js.lambdas.append(lam)
-        js.nus.append(lam * lam)
-        js.xs.append(Vec(psi, S.dom))
-        js.ys.append(Vec(xstar, S.cod))
-        js.residuals.append(res)
-        js.converged.append(True)
-        js.defl_X.append(Functional(_jmap(psi, wD, pD), S.dom))
-        js.defl_Y.append(Functional(_jmap(lam * xstar, wC, pC), S.cod))
-        xstars.append(Vec(xstar, S.cod))
+    js = _deflate(adjoint(T), n_levels, tol, restarts,
+                  itertools.repeat(np.random.default_rng(seed)), quotient=True)
 
     if primal is None:
         lam1, x1, _ = extremal_pair(T, (), seed=seed, tol=tol, restarts=restarts)

@@ -82,8 +82,7 @@ def _conjugate(q):
 
 
 def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
-                     n_samples: int = 100, seed: int = 0,
-                     safety: float = 1.05) -> Cover:
+                     n_samples: int = 100, seed: int = 0) -> Cover:
     """Cover of T(unit ball of span(basis)) from a biorthogonal expansion.
 
     Coefficients are recovered through the weighted Gram system. The global
@@ -91,7 +90,7 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
     the span) moves into the vectors x_n = M T g_n so that witness
     coefficients satisfy sum |alpha_n|^{q'} <= 1. For a Hilbert domain with
     q' = 2 the factor is computed exactly as a largest singular value;
-    otherwise it is calibrated on seeded samples with a safety margin. The
+    otherwise it is calibrated on seeded samples with a 5 % safety margin. The
     reported coeff_bound always comes from a fresh sample batch.
     """
     if not target_q > 1:
@@ -125,7 +124,7 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
         m_kind = "exact"
     else:
         M = max((_lq_seq(a, qq) for a in sample_coeffs(n_samples)), default=1.0)
-        M *= safety
+        M *= 1.05
         m_kind = "sampled"
 
     images = [T.apply_coeffs(g.coeffs) for g in basis]

@@ -69,11 +69,15 @@ class SeriesRep:
         if not x.space.same_grid(self.dom):
             raise GeometryError("vector does not live on the series domain grid")
         n = self.n_terms if n_terms is None else min(n_terms, self.n_terms)
+        return self._sum_terms(x, range(n))
+
+    def _sum_terms(self, x: Vec, terms) -> Vec:
+        """sum lambda_k <x, phi_k> v_k over the term indices k, in their order."""
         out = np.zeros(self.cod.dim)
         w = self.dom.weights
-        for i in range(n):
-            coef = self.lambdas[i] * float(w @ (x.coeffs * self.coeff_functionals[i].coeffs))
-            out += coef * self.left_vectors[i].coeffs
+        for k in terms:
+            coef = self.lambdas[k] * float(w @ (x.coeffs * self.coeff_functionals[k].coeffs))
+            out += coef * self.left_vectors[k].coeffs
         return Vec(out, self.cod)
 
     def reconstruction_errors(self, T: LinOp, test_vectors, ns) -> list[tuple[int, float]]:
@@ -87,11 +91,13 @@ class SeriesRep:
             rows.append((int(n), worst))
         return rows
 
-    def error_table_csv(self, T, test_vectors, ns):
+    @staticmethod
+    def error_table_csv(errors):
+        """CSV table of the (N, error) rows of reconstruction_errors."""
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["N", "error"])
-        for n, e in self.reconstruction_errors(T, test_vectors, ns):
+        for n, e in errors:
             writer.writerow([n, repr(float(e))])
         return buf.getvalue()
 
@@ -133,7 +139,7 @@ def _check_orthonormal(vectors, space, tol, what):
     return dev
 
 
-def hilbert_target_series(T: LinOp, js: JSpectrum, ortho_tol: float = 1e-6) -> SeriesRep:
+def hilbert_target_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """Expansion Tx = sum lambda_i xi_i(x) h_i for a Hilbert codomain.
 
     h_i = T x_i / lambda_i are orthonormal in the weighted 2-inner product
@@ -141,7 +147,7 @@ def hilbert_target_series(T: LinOp, js: JSpectrum, ortho_tol: float = 1e-6) -> S
     """
     if T.cod.p != 2.0:
         raise GeometryError("hilbert_target_series needs codomain exponent 2")
-    dev = _check_orthonormal(js.ys, T.cod, ortho_tol, "target-side vectors h_i")
+    dev = _check_orthonormal(js.ys, T.cod, 1e-6, "target-side vectors h_i")
     funcs = [
         Functional(T.apply_adjoint_coeffs(h.coeffs) / lam, T.dom)
         for h, lam in zip(js.ys, js.lambdas)
@@ -152,7 +158,7 @@ def hilbert_target_series(T: LinOp, js: JSpectrum, ortho_tol: float = 1e-6) -> S
     )
 
 
-def hilbert_source_series(T: LinOp, js: JSpectrum, ortho_tol: float = 1e-6) -> SeriesRep:
+def hilbert_source_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """Expansion Th = sum lambda_i (h, h_i)_H y_i for a Hilbert domain.
 
     h_i = x_i are orthonormal in H; emits the Gram condition number of the
@@ -160,7 +166,7 @@ def hilbert_source_series(T: LinOp, js: JSpectrum, ortho_tol: float = 1e-6) -> S
     """
     if T.dom.p != 2.0:
         raise GeometryError("hilbert_source_series needs domain exponent 2")
-    dev = _check_orthonormal(js.xs, T.dom, ortho_tol, "source-side vectors h_i")
+    dev = _check_orthonormal(js.xs, T.dom, 1e-6, "source-side vectors h_i")
     funcs = [Functional(x.coeffs, T.dom) for x in js.xs]
     G = _weighted_gram(js.ys, T.cod)
     cond = float(np.linalg.cond(G)) if G.size else 1.0
@@ -285,8 +291,7 @@ def flag_biorthogonal_series(T: LinOp, js: JSpectrum) -> SeriesRep:
 
 
 def check_decay_condition(js: JSpectrum, mode: str = "lambda",
-                          T: LinOp | None = None, n_test: int = 20,
-                          seed: int = 0) -> dict:
+                          T: LinOp | None = None, seed: int = 0) -> dict:
     """Check the fast-decay conditions and build the series when they hold.
 
     mode "lambda":  lambda_n <= 2^(1-n)
@@ -332,7 +337,7 @@ def check_decay_condition(js: JSpectrum, mode: str = "lambda",
     report["series"] = None
     if mode in ("lambda", "lp") and report["first_violation"] is None and T is not None:
         rep = flag_biorthogonal_series(T, js)
-        tests = random_unit_vectors(T.dom, n_test, seed=seed)
+        tests = random_unit_vectors(T.dom, 20, seed=seed)
         report["series"] = rep
         report["errors"] = rep.reconstruction_errors(T, tests, list(range(1, n + 1)))
     return report
@@ -390,19 +395,19 @@ def alpha_p_report(p: float, grid: int = 10_000) -> dict:
 # ---------------------------------------------------------------------------
 # Hilbertian factorizations
 
-def _scaled_orth(M, w, rtol=1e-10):
-    """Orthonormal basis (weighted-2) of the column space of M."""
+def _scaled_orth(M, w):
+    """Orthonormal basis (weighted-2) of the column space of M, to rank 1e-10
+    relative."""
     D = np.sqrt(w)
     U, s, _ = svd(D[:, None] * M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[0], 0))
-    r = int(np.sum(s > rtol * s[0]))
+    r = int(np.sum(s > 1e-10 * s[0]))
     return U[:, :r]
 
 
 def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
-                      n_terms: int | None = None, rank_rtol: float = 1e-10,
-                      check_seed: int = 5, norm_tol: float = 1e-6) -> SeriesRep:
+                      n_terms: int | None = None) -> SeriesRep:
     """Orthogonal-complement series for T = B o A factored through a Hilbert
     space: T_n x = sum lambda_i* y_i* <x, x_i'*> with h_i* the unit vector of
     H_i = A(X_i) orthogonal to H_{i+1}, x_i'* = A*(h_i*)/||.||, y_i* =
@@ -414,7 +419,7 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     One orthonormal basis of the deepest image H_n is therefore extended,
     level by level upwards, by the part of A x_i orthogonal to it, which is
     h_i*. The factored subspace dimension must drop by exactly one per level:
-    an A x_i that lies in H_{i+1} to rank_rtol raises DegenerateDeflationError.
+    an A x_i that lies in H_{i+1} to 1e-10 relative raises DegenerateDeflationError.
     """
     if A.cod.p != 2.0:
         raise GeometryError("the factorization must pass through exponent 2")
@@ -429,14 +434,14 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
         Z = nullspace_basis(T, js_T.defl_X[:n])
     except DeflationExhausted:
         Z = np.zeros((A.dom.dim, 0))
-    U = _scaled_orth(A.apply_coeffs(Z), wH, rank_rtol)
+    U = _scaled_orth(A.apply_coeffs(Z), wH)
 
     hs = []
     for i in reversed(range(n)):
         g = D * A.apply_coeffs(js_T.xs[i].coeffs)
         v = g - U @ (U.T @ g)
         nv = float(np.linalg.norm(v))
-        if nv <= rank_rtol * float(np.linalg.norm(g)):
+        if nv <= 1e-10 * float(np.linalg.norm(g)):
             raise DegenerateDeflationError(
                 f"A x_{i+1} lies in A(X_{i+2}): "
                 f"dim A(X_{i+1}) - dim A(X_{i+2}) = 0, expected 1"
@@ -459,14 +464,14 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     hG = _weighted_gram(hs, A.cod)
     h_gram_dev = float(np.max(np.abs(hG - np.eye(n)))) if n else 0.0
     try:
-        bound = operator_norm(A, tol=norm_tol, restarts=2) * operator_norm(B, tol=norm_tol, restarts=2)
+        bound = operator_norm(A, tol=1e-6, restarts=2) * operator_norm(B, tol=1e-6, restarts=2)
     except ConvergenceError:
         bound = float("nan")
 
     rep = SeriesRep("hilbertian_perp", lambdas, lefts, funcs, A.dom, B.cod)
 
     # sampled check: T - T_n maps into the deflated codomain subspaces
-    rng = np.random.default_rng(check_seed)
+    rng = np.random.default_rng(5)
     tail_dev = 0.0
     for _ in range(3):
         x = rng.standard_normal(A.dom.dim)
@@ -553,8 +558,6 @@ def double_series_apply(rep: SeriesRep, x: Vec, n_i: int, n_j: int,
     """Apply the I x J block of a double series in row- or column-major order."""
     if rep.kind != "double":
         raise GeometryError("double_series_apply needs a double series")
-    out = np.zeros(rep.cod.dim)
-    w = rep.dom.weights
     pairs = rep.meta["order"]
     items = [
         (k, i, j) for k, (i, j) in enumerate(pairs) if i < n_i and j < n_j
@@ -565,10 +568,7 @@ def double_series_apply(rep: SeriesRep, x: Vec, n_i: int, n_j: int,
         items.sort(key=lambda t: (t[2], t[1]))
     else:
         raise GeometryError("order must be 'row' or 'col'")
-    for k, _, _ in items:
-        coef = rep.lambdas[k] * float(w @ (x.coeffs * rep.coeff_functionals[k].coeffs))
-        out += coef * rep.left_vectors[k].coeffs
-    return Vec(out, rep.cod)
+    return rep._sum_terms(x, [k for k, _, _ in items])
 
 
 def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,

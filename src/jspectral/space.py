@@ -306,7 +306,7 @@ def is_j_orthogonal(x: Vec, y: Vec, tol: float = 1e-10) -> bool:
     return abs(semi_inner(x, y)) <= tol * nx * ny
 
 
-def min_norm_coeffs(target, basis, w, p, gtol=1e-10, max_iter=10_000, c0=None):
+def min_norm_coeffs(target, basis, w, p, max_iter=10_000, c0=None):
     """argmin_c ||target - basis @ c||_{w,p}, a small smooth convex problem.
 
     The iteration starts at c0 when given, else at the weighted
@@ -318,7 +318,7 @@ def min_norm_coeffs(target, basis, w, p, gtol=1e-10, max_iter=10_000, c0=None):
     quadratically near the minimizer. It keeps the lower value of the two
     and halves the step only if neither decreases it. For p > 2 it is
     ridge-damped Newton with backtracking. Stops when the gradient falls
-    below gtol relative to its scale at c = 0 or the value stagnates at
+    below 1e-10 relative to its scale at c = 0 or the value stagnates at
     machine precision. Returns (c, residual_norm); raises with the achieved
     residual if the iteration limit is hit first. Any c bounds the distance
     from above, so the returned norm never understates it.
@@ -361,7 +361,7 @@ def min_norm_coeffs(target, basis, w, p, gtol=1e-10, max_iter=10_000, c0=None):
     for _ in range(max_iter):
         g = grad(v)
         gn = float(np.linalg.norm(g))
-        if gn <= gtol * gscale:
+        if gn <= 1e-10 * gscale:
             return c, _lp_norm(v, w, p)
         absv = np.maximum(np.abs(v), vfloor)
         hd = w * absv ** (p - 2.0)

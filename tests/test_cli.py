@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from jspectral import series
 from jspectral.cli import main
 
 
@@ -71,6 +72,22 @@ def test_series_command(capsys):
     doc = json.loads(out)
     errs = [e for _, e in doc["errors"]]
     assert errs[-1] <= errs[0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_series_command_reconstructs_once(capsys, monkeypatch, fmt):
+    calls = []
+    inner = series.SeriesRep.reconstruction_errors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(series.SeriesRep, "reconstruction_errors", counted)
+    code, out = run_cli(capsys, "--format", fmt, "series", "--kind", "target",
+                        "--levels", "2", "--grid-n", "64", "--restarts", "2")
+    assert code == 0 and out
+    assert len(calls) == 1
 
 
 def test_snum_command(capsys):

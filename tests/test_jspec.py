@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from jspectral import (
     ConvergenceError,
     DeflationExhausted,
     Functional,
+    JSpectrum,
     LinOp,
     Space,
     Vec,
@@ -222,6 +225,54 @@ def test_jspectrum_export_formats(hardy_l2):
     table = js.to_csv()
     assert table.splitlines()[0] == "level,lambda,residual"
     assert len(table.splitlines()) == 3
+
+
+def test_empty_jspectrum_and_derived_fields():
+    js = JSpectrum()
+    assert (js.n_levels, js.lambdas, js.nus, js.converged, js.meta) == (0, [], [], [], {})
+    assert JSpectrum(lambdas=[0.5, 0.25]).nus == [0.25, 0.0625]
+
+
+def test_jspectrum_nus_converged_and_json_keys(hardy_l3_l2):
+    js = compute_jspectrum(hardy_l3_l2, 3, tol=1e-9, seed=0, restarts=2)
+    assert js.nus == [lam * lam for lam in js.lambdas]
+    assert js.converged == [True] * 3
+    doc = json.loads(js.to_json())
+    assert set(doc) == {"lambdas", "nus", "residuals", "converged", "xs", "ys", "meta"}
+    assert doc["nus"] == js.nus and doc["converged"] == js.converged
+
+
+def _scripted_levels(monkeypatch, outcomes):
+    """Make _best_start return (or raise) the given outcomes, one per level,
+    with a constant unit vector as the extremal."""
+    outcomes = iter(outcomes)
+
+    def scripted(S, constraints, rng, restarts, tol, max_iter=4600, M=None):
+        out = next(outcomes)
+        if isinstance(out, Exception):
+            raise out
+        x = np.ones(S.dom.dim)
+        return out, x / _lp_norm(x, S.dom.weights, S.dom.p), 0.0
+
+    monkeypatch.setattr(jspec, "_best_start", scripted)
+
+
+@pytest.mark.parametrize("spectrum, where", [(compute_jspectrum, "level"),
+                                             (dual_jspectrum, "dual level")])
+def test_deflation_rejects_a_level_above_the_one_before(hardy_l3_l2, monkeypatch,
+                                                        spectrum, where):
+    _scripted_levels(monkeypatch, [1.0, 2.0])
+    with pytest.raises(ConvergenceError, match=f"^monotonicity violated at {where} 2: "):
+        spectrum(hardy_l3_l2, 2, restarts=1)
+
+
+@pytest.mark.parametrize("spectrum, where", [(compute_jspectrum, "level"),
+                                             (dual_jspectrum, "dual level")])
+def test_deflation_names_the_level_that_fails(hardy_l3_l2, monkeypatch, spectrum, where):
+    _scripted_levels(monkeypatch, [1.0, ConvergenceError("no start", residual=0.5)])
+    with pytest.raises(ConvergenceError, match=f"^{where} 2: no start$") as err:
+        spectrum(hardy_l3_l2, 3, restarts=1)
+    assert err.value.residual == 0.5
 
 
 class CountingOp(LinOp):

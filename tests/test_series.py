@@ -392,7 +392,7 @@ def test_series_export(hardy_l2, l2_256):
     js = compute_jspectrum(hardy_l2, 2, tol=1e-9, seed=0, restarts=2)
     rep = hilbert_target_series(hardy_l2, js)
     tests = random_unit_vectors(l2_256, 3, seed=15)
-    csv_text = rep.error_table_csv(hardy_l2, tests, [1, 2])
+    csv_text = rep.error_table_csv(rep.reconstruction_errors(hardy_l2, tests, [1, 2]))
     assert csv_text.splitlines()[0] == "N,error"
     doc = rep.to_json(hardy_l2, tests, [1, 2])
     assert '"errors"' in doc
