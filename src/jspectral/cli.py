@@ -30,11 +30,12 @@ def _space_pair(args, q=None):
     return dom, cod
 
 
-def _emit(args, doc, csv_text=None):
+def _emit(args, doc, to_csv=None):
+    """Write doc as JSON, or the text of to_csv() under --format csv."""
     if args.out_format == "csv":
-        if csv_text is None:
+        if to_csv is None:
             raise SystemExit("this command has no CSV form")
-        payload = csv_text
+        payload = to_csv()
     else:
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -66,7 +67,7 @@ def _cmd_jspec(args):
     T = hardy(dom, cod)
     js = jspec.compute_jspectrum(T, args.levels, tol=args.tol, seed=args.seed,
                                  restarts=args.restarts)
-    _emit(args, _js_doc(js, args), js.to_csv())
+    _emit(args, _js_doc(js, args), js.to_csv)
 
 
 def _cmd_dual(args):
@@ -77,7 +78,7 @@ def _cmd_dual(args):
     doc = _js_doc(js, args)
     doc["lambda_match"] = js.meta.get("lambda_match")
     doc["first_dual_vector_dev"] = js.meta.get("first_dual_vector_dev")
-    _emit(args, doc, js.to_csv())
+    _emit(args, doc, js.to_csv)
 
 
 def _cmd_series(args):
@@ -118,7 +119,7 @@ def _cmd_series(args):
         "grid_n": args.grid_n,
         "seed": args.seed,
     }
-    _emit(args, doc, series.SeriesRep.error_table_csv(errors))
+    _emit(args, doc, lambda: series.SeriesRep.error_table_csv(errors))
 
 
 def _cmd_snum(args):
@@ -139,23 +140,22 @@ def _cmd_snum(args):
         "tol": args.tol,
         "grid_n": args.grid_n,
     }
-    _emit(args, doc, table.to_csv())
+    _emit(args, doc, table.to_csv)
 
 
 def _cmd_gtrig(args):
     g = gtrig.GenTrig(args.p, args.q)
     xs = np.linspace(0.0, g.pi_pq / 2.0, args.samples)
+    sins, coss = g.sin(xs), g.cos(xs)
     doc = {
         "p": args.p,
         "q": args.q,
         "pi_pq": g.pi_pq,
-        "pi_cross_check_rtol": 1e-10,
-        "inversion_xtol": 1e-15,
         "x": xs.tolist(),
-        "sin_pq": [g.sin(x) for x in xs],
-        "cos_pq": [g.cos(x) for x in xs],
+        "sin_pq": sins.tolist(),
+        "cos_pq": coss.tolist(),
     }
-    _emit(args, doc, g.table_csv(xs))
+    _emit(args, doc, lambda: gtrig._table_csv(xs, sins, coss))
 
 
 def _cmd_pcompact(args):
@@ -163,11 +163,11 @@ def _cmd_pcompact(args):
         cover, report = pcpt.hardy_qcompact_demo(
             args.p, args.q, n_terms=args.terms, grid_n=args.grid_n, seed=args.seed
         )
-        _emit(args, report, cover.to_csv())
+        _emit(args, report, cover.to_csv)
     elif args.demo == "sobolev":
         cover, report = pcpt.sobolev_embedding_demo(args.terms, grid_n=args.grid_n,
                                                     seed=args.seed)
-        _emit(args, report, cover.to_csv())
+        _emit(args, report, cover.to_csv)
     else:
         report = pcpt.ideal_inclusion_demo(grid_n=args.grid_n, seed=args.seed)
         _emit(args, report)
@@ -220,14 +220,20 @@ def build_parser():
                     default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp_, q_default=2.0):
-        sp_.add_argument("--p", type=float, default=2.0)
-        sp_.add_argument("--q", type=float, default=q_default)
-        sp_.add_argument("--b", type=float, default=1.0)
-        sp_.add_argument("--grid-n", type=int, default=1024)
-        sp_.add_argument("--tol", type=float, default=1e-8)
-        sp_.add_argument("--seed", type=int, default=42)
-        sp_.add_argument("--restarts", type=int, default=8)
+    flags = {
+        "--p": dict(type=float, default=2.0),
+        "--q": dict(type=float, default=2.0),
+        "--b": dict(type=float, default=1.0),
+        "--grid-n": dict(type=int, default=1024),
+        "--tol": dict(type=float, default=1e-8),
+        "--seed": dict(type=int, default=42),
+        "--restarts": dict(type=int, default=8),
+    }
+
+    def common(sp_, *names):
+        """Add the named shared flags to sp_; all of them when none is named."""
+        for name in names or flags:
+            sp_.add_argument(name, **flags[name])
 
     s = sub.add_parser("jspec", help="deflation j-spectrum of the Hardy operator")
     common(s)
@@ -252,12 +258,12 @@ def build_parser():
     s.set_defaults(func=_cmd_snum)
 
     s = sub.add_parser("gtrig", help="generalized sine/cosine table")
-    common(s)
+    common(s, "--p", "--q")
     s.add_argument("--samples", type=int, default=50)
     s.set_defaults(func=_cmd_gtrig)
 
     s = sub.add_parser("pcompact", help="p-compactness demonstrations")
-    common(s)
+    common(s, "--p", "--q", "--grid-n", "--seed")
     s.add_argument("--demo", choices=("hardy", "sobolev", "ideal"), default="hardy")
     s.add_argument("--terms", type=int, default=64)
     s.set_defaults(func=_cmd_pcompact)
@@ -267,14 +273,14 @@ def build_parser():
     s.set_defaults(func=_cmd_alphap)
 
     s = sub.add_parser("konig", help="lambda_n(T^k)^(1/k) sequences")
-    common(s)
+    common(s, "--b", "--grid-n", "--tol", "--seed")
     s.add_argument("--case", choices=("jordan", "diag", "hardy"), default="jordan")
     s.add_argument("--n", type=int, default=1)
     s.add_argument("--k-max", type=int, default=20)
     s.set_defaults(func=_cmd_konig)
 
     s = sub.add_parser("bilap", help="bi-Laplacian extremal check for H*H")
-    common(s)
+    common(s, "--p", "--b", "--grid-n", "--tol", "--seed")
     s.set_defaults(func=_cmd_bilap)
 
     s = sub.add_parser("hardy-norm", help="closed-form Hardy operator norm")

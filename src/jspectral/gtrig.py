@@ -3,115 +3,63 @@ pi_{p,q}, closed-form Hardy-operator norms, and finite-difference residual
 checks for the associated Laplacian and bi-Laplacian eigenvalue problems.
 
 sin_{p,q} is the inverse of F(u) = integral_0^u (1 - t^q)^(-1/p) dt on
-[0, pi_{p,q}/2] and cos_{p,q} = sin_{p,q}' = (1 - sin^q)^(1/p). The defining
-integral has an algebraic endpoint singularity; both endpoints are removed
-by power substitutions before adaptive quadrature, and the Beta-function
-form pi_{p,q} = (2/q) B(1/p', 1/q) cross-checks the quadrature route.
+[0, pi_{p,q}/2] and cos_{p,q} = sin_{p,q}' = (1 - sin^q)^(1/p). Substituting
+s = t^q gives F(u) = (1/q) B(1/q, 1/p'; u^q), so 2F/pi_{p,q} is the
+regularised incomplete Beta function I(u^q; 1/q, 1/p') and
+
+    sin_{p,q}(x) = I^{-1}(2x/pi_{p,q}; 1/q, 1/p')^(1/q),
+    cos_{p,q}(x) = I^{-1}(1 - 2x/pi_{p,q}; 1/p', 1/q)^(1/p),
+    pi_{p,q} = (2/q) B(1/p', 1/q)
+
+(Edmunds-Lang, Eigenvalues, Embeddings and Generalised Trigonometric
+Functions, 2016). The cosine is taken from the complementary inverse, which
+keeps its relative accuracy where cos_{p,q} vanishes.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
+from scipy.special import betaincinv
 
 from .oper import compose, hardy, hardy_dual
-from .space import ConvergenceError, GeometryError, Space, odd_power, sup_dev_up_to_sign
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+from .space import GeometryError, Space, odd_power, sup_dev_up_to_sign
 
 
-def _beta_low(a, bb, z):
-    """integral_0^z s^(a-1)(1-s)^(bb-1) ds for z <= 1/2, via s = r^(1/a)."""
-    if z <= 0.0:
-        return 0.0
-    val, _ = quad(lambda r: (1.0 - r ** (1.0 / a)) ** (bb - 1.0), 0.0, z ** a, **_QUAD_OPTS)
-    return val / a
-
-
-def _beta_high(a, bb, zl, zu):
-    """integral_zl^zu with zl >= 1/2, via 1 - s = rho^(1/bb)."""
-    if zu <= zl:
-        return 0.0
-    lo = (1.0 - zu) ** bb
-    hi = (1.0 - zl) ** bb
-    val, _ = quad(lambda r: (1.0 - r ** (1.0 / bb)) ** (a - 1.0), lo, hi, **_QUAD_OPTS)
-    return val / bb
-
-
-def _beta_incomplete(a, bb, z):
-    if z <= 0.5:
-        return _beta_low(a, bb, z)
-    return _beta_low(a, bb, 0.5) + _beta_high(a, bb, 0.5, z)
+def _check_exponents(p, q, who):
+    if not (1 < p < np.inf and 1 < q < np.inf):
+        raise GeometryError(f"{who} needs p, q in (1, inf)")
 
 
 def pi_pq(p: float, q: float) -> float:
-    """pi_{p,q} = 2 integral_0^1 (1 - t^q)^(-1/p) dt by adaptive quadrature."""
-    if not (p > 1 and q > 1):
-        raise GeometryError("pi_pq needs p, q > 1")
-    pp = p / (p - 1.0)
-    return (2.0 / q) * _beta_incomplete(1.0 / q, 1.0 / pp, 1.0)
+    """pi_{p,q} = 2 integral_0^1 (1 - t^q)^(-1/p) dt = (2/q) B(1/p', 1/q)."""
+    _check_exponents(p, q, "pi_pq")
+    return float((2.0 / q) * beta_fn((p - 1.0) / p, 1.0 / q))
 
 
 class GenTrig:
-    """sin/cos pair for one (p, q); precomputes a monotone inversion table."""
+    """sin/cos pair for one (p, q), evaluated through the inverse regularised
+    incomplete Beta function."""
 
     def __init__(self, p, q):
-        if not (p > 1 and q > 1):
-            raise GeometryError("GenTrig needs p, q > 1")
+        _check_exponents(p, q, "GenTrig")
         self.p = float(p)
         self.q = float(q)
         self._a = 1.0 / self.q
-        self._bb = (p - 1.0) / p  # = 1/p'
-        self.pi_pq = (2.0 / self.q) * _beta_incomplete(self._a, self._bb, 1.0)
-        ref = (2.0 / self.q) * beta_fn(self._bb, self._a)
-        if abs(self.pi_pq - ref) > 1e-10 * ref:
-            raise ConvergenceError(
-                "quadrature and Beta-function routes for pi_pq disagree",
-                residual=abs(self.pi_pq - ref),
-            )
-        self._u_tab = np.linspace(0.0, 1.0, 513)
-        self._F_tab = [self._F(u) for u in self._u_tab]
+        self._bb = (self.p - 1.0) / self.p  # = 1/p'
+        self.pi_pq = pi_pq(self.p, self.q)
 
-    def _F(self, u):
-        """F(u) = integral_0^u (1 - t^q)^(-1/p) dt on [0, 1]."""
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return self.pi_pq / 2.0
-        return _beta_incomplete(self._a, self._bb, u ** self.q) / self.q
-
-    def _sin_principal(self, x):
-        """Inverse of F on [0, pi_pq/2] by bracketed root-finding."""
+    def _branch(self, xs):
+        """Reduce to the principal branch: returns (t, sin_sign, cos_sign).
+        A point on a quadrant boundary belongs to the lower quadrant."""
         half = self.pi_pq / 2.0
-        if x <= 0.0:
-            return 0.0
-        if x >= half:
-            return 1.0
-        i = bisect.bisect_right(self._F_tab, x)
-        lo = self._u_tab[max(i - 1, 0)]
-        hi = self._u_tab[min(i, len(self._u_tab) - 1)]
-        if lo >= hi:
-            lo, hi = 0.0, 1.0
-        return brentq(lambda u: self._F(u) - x, lo, hi, xtol=1e-15, rtol=8.9e-16)
-
-    def _branch(self, x):
-        """Reduce to the principal branch: returns (t, sin_sign, cos_sign)."""
-        period = 2.0 * self.pi_pq
-        r = float(np.mod(x, period))
-        half = self.pi_pq / 2.0
-        if r <= half:
-            return r, 1.0, 1.0
-        if r <= 2 * half:
-            return 2 * half - r, 1.0, -1.0
-        if r <= 3 * half:
-            return r - 2 * half, -1.0, -1.0
-        return 4 * half - r, -1.0, 1.0
+        r = np.mod(xs, 2.0 * self.pi_pq)
+        k = np.searchsorted(half * np.arange(1, 4), r)  # quadrant, 0..3
+        t = np.where(k % 2 == 0, r - k * half, (k + 1) * half - r)
+        return t, np.where(k < 2, 1.0, -1.0), np.where((k == 1) | (k == 2), -1.0, 1.0)
 
     def sin(self, x, extend=False):
         return self._evaluate(x, extend, cosine=False)
@@ -120,29 +68,38 @@ class GenTrig:
         return self._evaluate(x, extend, cosine=True)
 
     def _evaluate(self, x, extend, cosine):
-        """sin_pq or cos_pq at x (a scalar or an array), through the principal
-        sine of each point reduced to the first quarter period."""
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
+        """sin_pq or cos_pq at x (a scalar or an array), through the point
+        reduced to the first quarter period."""
+        # a scalar runs through the array kernel too, so that it gets the
+        # same bits as the array element (numpy's scalar pow may differ)
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
         half = self.pi_pq / 2.0
-        if not extend and (np.any(xs < -1e-15) or np.any(xs > half * (1 + 1e-15))):
+        if extend:
+            t, ssign, csign = self._branch(xs)
+        elif np.all((xs >= -1e-15) & (xs <= half * (1 + 1e-15))):
+            t, ssign, csign = xs, 1.0, 1.0
+        else:
             raise GeometryError("x outside [0, pi_pq/2]; pass extend=True for the periodic extension")
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            t, ssign, csign = self._branch(xi) if extend else (min(max(xi, 0.0), half), 1.0, 1.0)
-            s = self._sin_principal(t)
-            out[i] = csign * (1.0 - s ** self.q) ** (1.0 / self.p) if cosine else ssign * s
-        return float(out[0]) if scalar else out
+        t = np.clip(t, 0.0, half)  # the reduction may overshoot by an ulp
+        if cosine:  # half - t is exact where cos_pq is small
+            out = csign * betaincinv(self._bb, self._a, (half - t) / half) ** (1.0 / self.p)
+        else:
+            out = ssign * betaincinv(self._a, self._bb, t / half) ** (1.0 / self.q)
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def table_csv(self, xs):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["x", "sin_pq", "cos_pq"])
-        for xi in xs:
-            writer.writerow([repr(float(xi)), repr(self.sin(xi, extend=True)),
-                             repr(self.cos(xi, extend=True))])
-        return buf.getvalue()
+        xs = np.asarray(xs, dtype=float)
+        return _table_csv(xs, self.sin(xs, extend=True), self.cos(xs, extend=True))
+
+
+def _table_csv(xs, sins, coss):
+    """CSV rows x, sin_pq, cos_pq from sampled arrays."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["x", "sin_pq", "cos_pq"])
+    for row in zip(xs, sins, coss):
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
 
 
 def hardy_norm_formula(p: float, b: float = 1.0, direction: str = "forward") -> float:

@@ -18,8 +18,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import svdvals
+from scipy.special import beta as beta_fn
 
 from .gtrig import GenTrig
 from .oper import LinOp, compose, hardy
@@ -149,12 +149,6 @@ def _fit_power_law(ns, values):
     return float(slope), r2
 
 
-def _sin_arch_integral(q):
-    """integral_0^pi sin(t)^q dt, shared by all cosine-image norms."""
-    val, _ = quad(lambda t: np.sin(t) ** q, 0.0, np.pi, epsabs=1e-13, epsrel=1e-12)
-    return val
-
-
 def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
                         n_terms: int = 64, grid_n: int = 1024,
                         target_q: float = 2.0, n_samples: int = 100,
@@ -164,8 +158,9 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
 
     For p_dom = 2 the basis is f_1 = 1, f_n = cos(n pi t) for n > 1, whose
     images s and sin(n pi s)/(n pi) are known analytically; the reported
-    image norms use quadrature of the analytic images (one smooth arch
-    integral, exact periodic reduction), with the grid route alongside.
+    image norms are those of the analytic images, in closed form through
+    integral_0^pi sin(t)^q dt = B(1/2, (q+1)/2) and the exact periodic
+    reduction, with the grid route alongside.
     For p_dom != 2 the generalized cosines cos_{p,p'}(n pi_{p,p'} t) are used,
     restricted to the configured basis window.
     """
@@ -178,7 +173,7 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
     if p_dom == 2.0:
         basis = [Vec(np.ones(grid_n), dom)]
         basis += [Vec(np.cos(n * np.pi * t), dom) for n in ns[1:]]
-        arch = _sin_arch_integral(q_cod)
+        arch = beta_fn(0.5, (q_cod + 1.0) / 2.0)  # integral_0^pi sin(t)^q dt
         # ||sin(n pi .)/(n pi)||_q^q = n (n pi)^(-1-q) * arch for integer n
         image_norms = [(1.0 / (q_cod + 1.0)) ** (1.0 / q_cod)]
         image_norms += [

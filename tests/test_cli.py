@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jspectral import series
+from jspectral import gtrig, jspec, series
 from jspectral.cli import main
 
 
@@ -107,6 +107,32 @@ def test_gtrig_command(capsys):
     assert doc["sin_pq"][-1] == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_gtrig_command_evaluates_each_function_once(capsys, monkeypatch, fmt):
+    calls = []
+    inner = gtrig.GenTrig._evaluate
+
+    def counted(self, x, extend, cosine):
+        calls.append(cosine)
+        return inner(self, x, extend, cosine)
+
+    monkeypatch.setattr(gtrig.GenTrig, "_evaluate", counted)
+    code, out = run_cli(capsys, "--format", fmt, "gtrig", "--p", "3", "--q", "1.5")
+    assert code == 0 and out
+    assert sorted(calls) == [False, True]
+
+
+def test_json_output_builds_no_csv(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("CSV built for JSON output")
+
+    monkeypatch.setattr(jspec.JSpectrum, "to_csv", refuse)
+    code, out = run_cli(capsys, "jspec", "--levels", "1", "--grid-n", "64",
+                        "--restarts", "2")
+    assert code == 0
+    assert len(json.loads(out)["lambdas"]) == 1
+
+
 def test_pcompact_command(capsys):
     code, out = run_cli(capsys, "pcompact", "--demo", "hardy", "--terms", "16",
                         "--grid-n", "128")
@@ -127,8 +153,7 @@ def test_konig_command(capsys):
 
 
 def test_bilap_command(capsys):
-    code, out = run_cli(capsys, "bilap", "--p", "2", "--grid-n", "128",
-                        "--restarts", "2")
+    code, out = run_cli(capsys, "bilap", "--p", "2", "--grid-n", "128")
     assert code == 0
     doc = json.loads(out)
     assert doc["sup_dev_eigenfunction"] <= 1e-3
@@ -137,6 +162,20 @@ def test_bilap_command(capsys):
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["jspec", "--nonsense", "1"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gtrig", "--grid-n", "64"],
+    ["gtrig", "--restarts", "2"],
+    ["pcompact", "--tol", "1e-6"],
+    ["konig", "--p", "3"],
+    ["bilap", "--q", "2"],
+    ["bilap", "--restarts", "2"],
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
     assert err.value.code == 2
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import svdvals
 from scipy.special import beta as beta_fn
 
@@ -83,6 +84,40 @@ def test_table_csv():
     table = g.table_csv(np.linspace(0, 1, 5))
     assert table.splitlines()[0] == "x,sin_pq,cos_pq"
     assert len(table.splitlines()) == 6
+
+
+def test_exponents_must_be_finite_and_above_one():
+    for p, q in ((np.inf, 2.0), (2.0, np.inf), (np.nan, 2.0), (2.0, 1.0)):
+        with pytest.raises(GeometryError, match=r"p, q in \(1, inf\)"):
+            pi_pq(p, q)
+        with pytest.raises(GeometryError, match=r"p, q in \(1, inf\)"):
+            GenTrig(p, q)
+
+
+def test_cos_keeps_relative_accuracy_near_its_zero():
+    g = GenTrig(2.0, 2.0)
+    for k in range(2, 7):
+        x = (np.pi / 2) * (1.0 - 10.0 ** -k)
+        assert g.cos(x) == pytest.approx(np.cos(x), rel=1e-8)
+
+
+def test_sin_inverts_the_defining_integral():
+    # independent oracle: quadrature of F(u) = integral_0^u (1 - t^q)^(-1/p) dt
+    for p, q in ((3.0, 1.5), (1.5, 3.0), (2.0, 1.5), (4.0, 2.0)):
+        g = GenTrig(p, q)
+        for x in np.linspace(0.05, 0.9, 7) * g.pi_pq / 2:
+            F, _ = quad(lambda t: (1.0 - t ** q) ** (-1.0 / p), 0.0, g.sin(x),
+                        epsabs=1e-13, epsrel=1e-13)
+            assert F == pytest.approx(x, abs=1e-12)
+
+
+def test_array_evaluation_matches_scalar_evaluation():
+    g = GenTrig(1.2, 6.0)
+    xs = np.linspace(-2.0 * g.pi_pq, 2.0 * g.pi_pq, 401)
+    for fn in (g.sin, g.cos):
+        values = fn(xs, extend=True)
+        assert np.all(np.isfinite(values))
+        assert values.tolist() == [fn(x, extend=True) for x in xs]
 
 
 # ------------------------------------------------------------ Hardy norms

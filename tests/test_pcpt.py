@@ -97,6 +97,15 @@ def test_hardy_demo_into_l15_quadrature_route():
     assert report["image_norms"][n - 1] == pytest.approx(oracle, rel=1e-8)
 
 
+def test_hardy_demo_arch_integral_matches_quadrature():
+    # image n = 2 has norm^q = 2 (2 pi)^(-1-q) integral_0^pi sin(t)^q dt
+    for q in (1.5, 2.0, 3.0):
+        _, report = hardy_qcompact_demo(2.0, q, n_terms=4, grid_n=64, seed=0)
+        arch = report["image_norms"][1] ** q * (2 * np.pi) ** (1 + q) / 2
+        oracle = quad(lambda t: np.sin(t) ** q, 0.0, np.pi, epsabs=1e-13, epsrel=1e-13)[0]
+        assert arch == pytest.approx(oracle, rel=1e-12)
+
+
 def test_hardy_demo_generalized_cosines_inside_window():
     cover, report = hardy_qcompact_demo(3.0, 2.0, n_terms=12, grid_n=256, seed=0)
     assert abs(report["fit_exponent"] + 1.0) <= 0.1
