@@ -21,7 +21,11 @@ import numpy as np
 
 from . import gtrig, jspec, pcpt, series, snum
 from .oper import compose, hardy
-from .space import ConvergenceError, Space
+from .space import ConvergenceError, GeometryError, Space
+
+
+class _InvalidArguments(ValueError):
+    """Arguments that parse but that the command cannot serve."""
 
 
 def _space_pair(args, q=None):
@@ -34,7 +38,7 @@ def _emit(args, doc, to_csv=None):
     """Write doc as JSON, or the text of to_csv() under --format csv."""
     if args.out_format == "csv":
         if to_csv is None:
-            raise SystemExit("this command has no CSV form")
+            raise _InvalidArguments("this command has no CSV form")
         payload = to_csv()
     else:
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -295,6 +299,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         args.func(args)
+    except (GeometryError, _InvalidArguments) as exc:
+        print(f"error: invalid arguments: {exc}", file=sys.stderr)
+        return 2
     except ConvergenceError as exc:
         res = "" if exc.residual is None else f" (best residual {exc.residual:.3e})"
         print(f"error: numerical non-convergence: {exc}{res}", file=sys.stderr)

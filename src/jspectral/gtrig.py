@@ -18,15 +18,12 @@ keeps its relative accuracy where cos_{p,q} vanishes.
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betaincinv
 
 from .oper import compose, hardy, hardy_dual
-from .space import GeometryError, Space, odd_power, sup_dev_up_to_sign
+from .space import GeometryError, Space, _csv_text, odd_power, sup_dev_up_to_sign
 
 
 def _check_exponents(p, q, who):
@@ -94,12 +91,7 @@ class GenTrig:
 
 def _table_csv(xs, sins, coss):
     """CSV rows x, sin_pq, cos_pq from sampled arrays."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", "sin_pq", "cos_pq"])
-    for row in zip(xs, sins, coss):
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    return _csv_text(zip(xs, sins, coss), ("x", "sin_pq", "cos_pq"))
 
 
 def hardy_norm_formula(p: float, b: float = 1.0, direction: str = "forward") -> float:

@@ -23,8 +23,6 @@ leaves the block once its start has finished.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -38,6 +36,7 @@ from .space import (
     Functional,
     GeometryError,
     Vec,
+    _csv_text,
     _jmap,
     _jtilde,
     _lp_norm,
@@ -107,12 +106,8 @@ class JSpectrum:
         )
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["level", "lambda", "residual"])
-        for k, (lam, res) in enumerate(zip(self.lambdas, self.residuals), start=1):
-            writer.writerow([k, repr(float(lam)), repr(float(res))])
-        return buf.getvalue()
+        return _csv_text(zip(itertools.count(1), self.lambdas, self.residuals),
+                         ("level", "lambda", "residual"))
 
 
 def _json_safe(v):

@@ -26,7 +26,7 @@ import json
 
 import numpy as np
 
-from .space import Functional, GeometryError, Space, Vec, _readonly
+from .space import Functional, GeometryError, Space, Vec, _csv_text, _readonly
 
 
 def _nodal(w, x):
@@ -87,11 +87,7 @@ class LinOp:
         return f"LinOp({self.dom!r} -> {self.cod!r})"
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in self.dense():
-            writer.writerow([repr(float(v)) for v in row])
-        return buf.getvalue()
+        return _csv_text(self.dense())
 
     def to_json(self):
         return json.dumps(
@@ -161,7 +157,8 @@ def identity(dom: Space, cod: Space | None = None) -> LinOp:
     cod = dom if cod is None else cod
     if not dom.same_grid(cod):
         raise GeometryError("identity embedding needs a common grid")
-    return LinOp(np.eye(dom.dim), dom, cod)
+    # matrix-free; both kernels copy, since callers may write into the result
+    return LinOp._from_kernels(dom, cod, np.copy, np.copy)
 
 
 def scale(T: LinOp, c: float) -> LinOp:

@@ -12,8 +12,6 @@ asserted from grid data.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -23,7 +21,7 @@ from scipy.special import beta as beta_fn
 
 from .gtrig import GenTrig
 from .oper import LinOp, compose, hardy
-from .space import GeometryError, Space, Vec, _lp_norm
+from .space import GeometryError, Space, Vec, _csv_text, _lp_norm
 
 # configurable window in which the generalized-cosine family is treated as a
 # basis of L_p; conservative desk-scale default, not a literature constant
@@ -58,12 +56,7 @@ class Cover:
         return json.dumps(doc, sort_keys=True)
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "norm"])
-        for n, v in enumerate(self.norms, start=1):
-            writer.writerow([n, repr(float(v))])
-        return buf.getvalue()
+        return _csv_text(enumerate(self.norms, 1), ("n", "norm"))
 
 
 def _lq_seq(values, q):

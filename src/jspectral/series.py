@@ -13,9 +13,8 @@ and is checked by reconstruction error against the operator it represents.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from .space import (
     GeometryError,
     Space,
     Vec,
+    _csv_text,
     _jmap,
     _lp_norm,
     duality_map,
@@ -94,12 +94,7 @@ class SeriesRep:
     @staticmethod
     def error_table_csv(errors):
         """CSV table of the (N, error) rows of reconstruction_errors."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["N", "error"])
-        for n, e in errors:
-            writer.writerow([n, repr(float(e))])
-        return buf.getvalue()
+        return _csv_text(errors, ("N", "error"))
 
     def to_json(self, T=None, test_vectors=None, ns=None):
         doc = {
@@ -127,9 +122,15 @@ def _weighted_gram(vectors, space):
     return (V * space.weights[:, None]).T @ V
 
 
+def _gram_dev(vectors, space):
+    """max |G - I| of the weighted Gram matrix G of vectors; 0.0 for none."""
+    if not vectors:
+        return 0.0
+    return float(np.max(np.abs(_weighted_gram(vectors, space) - np.eye(len(vectors)))))
+
+
 def _check_orthonormal(vectors, space, tol, what):
-    G = _weighted_gram(vectors, space)
-    dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
+    dev = _gram_dev(vectors, space)
     if dev > tol:
         raise ConvergenceError(
             f"{what} are not orthonormal to {tol:g} (deviation {dev:.3e}); "
@@ -395,6 +396,22 @@ def alpha_p_report(p: float, grid: int = 10_000) -> dict:
 # ---------------------------------------------------------------------------
 # Hilbertian factorizations
 
+def _check_factors(A, B, who):
+    """T = B o A must factor through the exponent-2 codomain grid of A."""
+    if not A.cod.same_grid(B.dom) or A.cod.p != 2.0:
+        raise GeometryError(f"{who} factors through the exponent-2 grid of A.cod")
+
+
+def _norm_bound(values, *ops):
+    """Product of the certified norms of ops and whether every value lies
+    under it to 1e-6 relative; (nan, None) when a norm does not certify."""
+    try:
+        bound = math.prod(operator_norm(op, tol=1e-6, restarts=2) for op in ops)
+    except ConvergenceError:
+        return float("nan"), None
+    return bound, bool(np.all(np.asarray(values) <= bound * (1 + 1e-6)))
+
+
 def _scaled_orth(M, w):
     """Orthonormal basis (weighted-2) of the column space of M, to rank 1e-10
     relative."""
@@ -421,10 +438,7 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     h_i*. The factored subspace dimension must drop by exactly one per level:
     an A x_i that lies in H_{i+1} to 1e-10 relative raises DegenerateDeflationError.
     """
-    if A.cod.p != 2.0:
-        raise GeometryError("the factorization must pass through exponent 2")
-    if not A.cod.same_grid(B.dom):
-        raise GeometryError("factor grids do not match")
+    _check_factors(A, B, "hilbertian_series")
     T = compose(B, A)
     n = js_T.n_levels if n_terms is None else min(n_terms, js_T.n_levels)
     wH = A.cod.weights
@@ -461,23 +475,14 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
         lefts.append(Vec(bh / nb, B.cod))
         funcs.append(Functional(astar / na, A.dom))
 
-    hG = _weighted_gram(hs, A.cod)
-    h_gram_dev = float(np.max(np.abs(hG - np.eye(n)))) if n else 0.0
-    try:
-        bound = operator_norm(A, tol=1e-6, restarts=2) * operator_norm(B, tol=1e-6, restarts=2)
-    except ConvergenceError:
-        bound = float("nan")
+    bound, bounded = _norm_bound(lambdas, A, B)
 
     rep = SeriesRep("hilbertian_perp", lambdas, lefts, funcs, A.dom, B.cod)
 
     # sampled check: T - T_n maps into the deflated codomain subspaces
-    rng = np.random.default_rng(5)
     tail_dev = 0.0
-    for _ in range(3):
-        x = rng.standard_normal(A.dom.dim)
-        x /= _lp_norm(x, A.dom.weights, A.dom.p)
-        xv = Vec(x, A.dom)
-        u = T.apply_coeffs(x) - rep.apply_truncated(xv, n).coeffs
+    for xv in random_unit_vectors(A.dom, 3, seed=5):
+        u = T.apply_coeffs(xv.coeffs) - rep.apply_truncated(xv, n).coeffs
         nu = _lp_norm(u, B.cod.weights, B.cod.p)
         if nu == 0.0:
             continue
@@ -485,10 +490,9 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
             val = abs(B.cod.weights @ (u * js_T.defl_Y[j].coeffs)) / nu
             tail_dev = max(tail_dev, val)
     rep.meta = {
-        "h_gram_dev": h_gram_dev,
+        "h_gram_dev": _gram_dev(hs, A.cod),
         "lambda_bound": bound,
-        "lambda_bounded": bool(np.all(np.asarray(lambdas) <= bound * (1 + 1e-6)))
-        if np.isfinite(bound) else None,
+        "lambda_bounded": bounded,
         "tail_maps_into_flag_dev": tail_dev,
     }
     return rep
@@ -521,8 +525,7 @@ def double_series(A: LinOp, B: LinOp, terms: int, tol: float = 1e-8,
     the (i, j) grid for order-swap experiments and the square-summability
     heuristic for both lambda sequences.
     """
-    if not A.cod.same_grid(B.dom) or A.cod.p != 2.0:
-        raise GeometryError("double_series factors through the exponent-2 grid of A.cod")
+    _check_factors(A, B, "double_series")
     js_a = compute_jspectrum(adjoint(A), terms, tol=tol, seed=seed, restarts=restarts)
     js_b = compute_jspectrum(B, terms, tol=tol, seed=seed + 1, restarts=restarts)
     I, J = js_a.n_levels, js_b.n_levels
@@ -580,8 +583,7 @@ def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,
     with C_j(x) = <A x, h_j^B>_H normalized through the duality map; the
     lambda_j^C stay bounded by ||A|| (recorded in meta).
     """
-    if not A.cod.same_grid(B.dom) or A.cod.p != 2.0:
-        raise GeometryError("half_series factors through the exponent-2 grid of A.cod")
+    _check_factors(A, B, "half_series")
     if which_compact == "A":
         js_a = compute_jspectrum(adjoint(A), terms, tol=tol, seed=seed, restarts=restarts)
         lambdas, lefts, funcs = [], [], []
@@ -609,15 +611,11 @@ def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,
             lefts.append(Vec(js_b.ys[j].coeffs, B.cod))
             funcs.append(Functional(cj / nc, A.dom))
         rep = SeriesRep("half_dual", lambdas, lefts, funcs, A.dom, B.cod)
-        try:
-            na = operator_norm(A, tol=1e-6, restarts=2)
-        except ConvergenceError:
-            na = float("nan")
+        na, bounded = _norm_bound(lam_c, A)
         rep.meta = {
             "lambda_C": lam_c,
             "lambda_C_bound": na,
-            "lambda_C_bounded": bool(np.all(np.asarray(lam_c) <= na * (1 + 1e-6)))
-            if np.isfinite(na) else None,
+            "lambda_C_bounded": bounded,
             "lambda_B": list(js_b.lambdas),
         }
         return rep

@@ -11,8 +11,6 @@ report always states which regime produced the values.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -21,8 +19,8 @@ from scipy.linalg import svd, svdvals
 
 from .jspec import DeflationExhausted, JSpectrum, compute_jspectrum, extremal_pair
 from .oper import LinOp
-from .series import hilbert_source_series, hilbert_target_series, _weighted_gram
-from .space import ConvergenceError, GeometryError, _lp_norm
+from .series import _gram_dev, hilbert_source_series, hilbert_target_series
+from .space import ConvergenceError, GeometryError, _csv_text, _lp_norm
 
 
 @dataclass
@@ -39,13 +37,9 @@ class SNumberReport:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "lower", "a_n", "upper", "slack"])
-        for n, (lo, a, up) in enumerate(zip(self.lower, self.approx, self.upper), start=1):
-            writer.writerow([n, repr(float(lo)), repr(float(a)), repr(float(up)),
-                             repr(float(min(a - lo, up - a)))])
-        return buf.getvalue()
+        rows = ((n, lo, a, up, min(a - lo, up - a))
+                for n, (lo, a, up) in enumerate(zip(self.lower, self.approx, self.upper), 1))
+        return _csv_text(rows, ("n", "lower", "a_n", "upper", "slack"))
 
     def to_json(self):
         return json.dumps(
@@ -61,14 +55,6 @@ def _scaled_matrix(T):
     return (np.sqrt(T.cod.weights)[:, None] * T.dense()) / np.sqrt(T.dom.weights)[None, :]
 
 
-def exact_hilbert_approx_numbers(T: LinOp, n_max: int) -> list[float]:
-    """Singular values of the scaled matrix; exact when both exponents are 2."""
-    sv = svdvals(_scaled_matrix(T))
-    out = sv[:n_max].tolist()
-    out += [0.0] * (n_max - len(out))
-    return out
-
-
 def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
                           tol: float = 1e-8, seed: int = 42,
                           restarts: int = 4) -> dict:
@@ -82,8 +68,9 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
     numerically zero (the solver finds T - F vanishing) counts with norm 0.
     """
     both = T.dom.p == 2.0 and T.cod.p == 2.0
-    if both:
-        vals = exact_hilbert_approx_numbers(T, n_max)
+    if both:  # singular values of the scaled matrix
+        vals = svdvals(_scaled_matrix(T))[:n_max].tolist()
+        vals += [0.0] * (n_max - len(vals))
         return {"values": vals, "kind": "exact", "n_max": n_max, "tol": 0.0}
     if T.dom.p != 2.0 and T.cod.p != 2.0:
         raise GeometryError(
@@ -175,8 +162,6 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
     if T.dom.p != 2.0:
         raise GeometryError("eigenvector_bound_check needs a Hilbert domain")
     n = js.n_levels if n_max is None else min(n_max, js.n_levels)
-    G = _weighted_gram(js.xs[:n], T.dom)
-    gram_dev = float(np.max(np.abs(G - np.eye(n)))) if n else 0.0
     if a_values is None:
         a_values = approx_numbers(T, n, js=js, **kw)
     th = [
@@ -190,6 +175,6 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
         "lambdas": list(js.lambdas[:n]),
         "slacks": slacks,
         "passed": [s >= -tol for s in slacks],
-        "h_gram_dev": gram_dev,
+        "h_gram_dev": _gram_dev(js.xs[:n], T.dom),
         "tol": tol,
     }

@@ -10,6 +10,8 @@ weighted l_{p'} norm with 1/p + 1/p' = 1.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -430,3 +432,19 @@ def functional_distance(f: Functional, basis: list[Functional]) -> float:
     except ConvergenceError as exc:
         d = exc.residual
     return d
+
+
+# ---------------------------------------------------------------------------
+# report tables
+
+def _csv_text(rows, header=()):
+    """CSV text (csv module dialect, \r\n line ends) of an optional header
+    and the rows. Integer cells are written as they are and every other cell
+    as repr(float(v)), the shortest text that parses back to the same float."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(header)
+    writer.writerows([v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
+                     for row in rows)
+    return buf.getvalue()

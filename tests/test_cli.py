@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from jspectral import gtrig, jspec, series
+from jspectral import LinOp, Space, gtrig, jspec, series
 from jspectral.cli import main
+from jspectral.pcpt import Cover
+from jspectral.snum import SNumberReport
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +185,56 @@ def test_missing_command_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["series", "--kind", "source", "--p", "3", "--grid-n", "64", "--levels", "2",
+      "--restarts", "2"], "hilbert_source_series needs domain exponent 2"),
+    (["--format", "csv", "alphap", "--p", "3"], "this command has no CSV form"),
+    (["gtrig", "--p", "1"], "GenTrig needs p, q in (1, inf)"),
+    (["jspec", "--grid-n", "1"], "a Space needs at least 2 nodes"),
+])
+def test_invalid_input_exits_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid arguments: {message}\n"
+
+
+def test_csv_cells_parse_back_to_the_floats_given():
+    vals = [0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -2.5e-17,
+            float(np.nextafter(1.0, 2.0))]
+    vals = [np.float64(v) for v in vals]
+
+    def cells(text):
+        lines = text.split("\r\n")
+        assert lines[-1] == "" and all("\n" not in line for line in lines)
+        return [line.split(",") for line in lines[:-1]]
+
+    def floats_of(text, skip_header=True, cols=slice(1, None)):
+        rows = cells(text)[1:] if skip_header else cells(text)
+        return [[float(c) for c in row[cols]] for row in rows]
+
+    js = jspec.JSpectrum(lambdas=vals, residuals=vals[::-1])
+    assert floats_of(js.to_csv()) == [list(r) for r in zip(vals, vals[::-1])]
+    errors = list(enumerate(vals, 1))
+    assert floats_of(series.SeriesRep.error_table_csv(errors)) == [[e] for _, e in errors]
+    assert [int(r[0]) for r in cells(series.SeriesRep.error_table_csv(errors))[1:]] == [
+        n for n, _ in errors]
+    lo, a, up = vals[:3], vals[1:4], vals[2:5]
+    rep = SNumberReport(a, lo, up, [], [], [], "sandwich")
+    assert floats_of(rep.to_csv()) == [
+        [l_, a_, u_, min(a_ - l_, u_ - a_)] for l_, a_, u_ in zip(lo, a, up)]
+    cover = Cover([], vals, 2.0, 1.0, 1.0)
+    assert floats_of(cover.to_csv()) == [[v] for v in vals]
+    g = gtrig.GenTrig(3.0, 1.5)
+    xs = np.array(vals[:3] + [1.0, 2.0, 10.0])
+    assert floats_of(g.table_csv(xs), cols=slice(None)) == [
+        list(r) for r in zip(xs, g.sin(xs, extend=True), g.cos(xs, extend=True))]
+    sp = Space.sequence(len(vals), 2.0)
+    M = np.outer(vals, [1.0, -0.5, 1.0 / 3.0, 0.1, -1.0, 0.25])
+    assert floats_of(LinOp(M, sp, sp).to_csv(), skip_header=False,
+                     cols=slice(None)) == M.tolist()
 
 
 def test_nonconvergence_exit_code(capsys):

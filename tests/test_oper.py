@@ -118,6 +118,18 @@ def test_adjoint_pairing_identity_random():
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
+def test_identity_is_matrix_free_and_copies():
+    sp = Space.uniform(4096, 2.0)
+    I = identity(sp)
+    assert I.matrix is None
+    assert np.array_equal(I.dense(), np.eye(4096))
+    # callers write into the blocks an operator returns
+    x = np.arange(4096.0)
+    for kernel in (I.apply_coeffs, I.apply_adjoint_coeffs):
+        y = kernel(x)
+        assert np.array_equal(y, x) and not np.shares_memory(y, x)
+
+
 def test_compose_identity_and_power_rules():
     sp = Space.uniform(32, 2.0)
     rng = np.random.default_rng(5)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -150,30 +150,28 @@ def test_duality_map_single_node_p4():
     assert np.count_nonzero(jv.coeffs) == 1
 
 
-def test_duality_map_identities_random():
-    # defining identities <v,Jv> = ||v||^2 and ||Jv||_{p'} = ||v||_p
-    rng = np.random.default_rng(7)
-    for p in (1.5, 2.0, 3.0, 4.0):
-        sp = Space.uniform(48, p)
-        for _ in range(10):
-            v = Vec(rng.standard_normal(48) * rng.uniform(0.1, 10), sp)
-            jv = duality_map(v)
-            nv = norm(v)
-            assert abs(pairing(v, jv) - nv ** 2) <= 1e-10 * nv ** 2
-            assert abs(jv.norm() - nv) <= 1e-10 * nv
-            jt = normalized_duality_map(v)
-            assert jt.norm() == pytest.approx(1.0, rel=1e-12)
-            assert pairing(v, jt) == pytest.approx(nv, rel=1e-12)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300)
+@given(n=st.integers(2, 64), p=st.floats(1.1, 8.0), e=st.floats(-100.0, 100.0),
+       uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=48, p=2.0, e=0.0, uniform=True, seed=7)  # J is the identity
+def test_duality_map_identities_random(n, p, e, uniform, seed):
+    # defining identities <v,Jv> = ||v||^2 and ||Jv||_{p'} = ||v||_p, and the
+    # round trip J^-1 J v = v, at every scale
+    sp = Space.uniform(n, p) if uniform else Space.sequence(n, p)
+    v = Vec(np.random.default_rng(seed).standard_normal(n) * 10.0 ** e, sp)
+    jv = duality_map(v)
+    nv = norm(v)
+    assert abs(pairing(v, jv) - nv ** 2) <= 1e-12 * nv ** 2
+    assert abs(jv.norm() - nv) <= 1e-12 * nv
+    back = inverse_duality_map(jv)
+    assert np.max(np.abs(back.coeffs - v.coeffs)) <= 1e-12 * np.max(np.abs(v.coeffs))
+    jt = normalized_duality_map(v)
+    assert jt.norm() == pytest.approx(1.0, rel=1e-12)
+    assert pairing(v, jt) == pytest.approx(nv, rel=1e-12)
 
 
 def test_inverse_duality_roundtrip():
-    rng = np.random.default_rng(11)
-    for p in (1.5, 2.0, 3.0, 4.0):
-        sp = Space.uniform(40, p)
-        for _ in range(5):
-            v = Vec(rng.standard_normal(40), sp)
-            back = inverse_duality_map(duality_map(v))
-            assert np.max(np.abs(back.coeffs - v.coeffs)) <= 1e-10 * np.max(np.abs(v.coeffs))
     sp = Space.uniform(16, 3.0)
     assert np.all(inverse_duality_map(Functional(np.zeros(16), sp)).coeffs == 0.0)
     # p = 2: identity
