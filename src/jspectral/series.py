@@ -117,8 +117,15 @@ def random_unit_vectors(space: Space, count: int, seed: int = 0) -> list[Vec]:
     return out
 
 
+def _columns(vectors, space):
+    """The coefficients of vectors as the columns of a dim x len(vectors) array."""
+    if not vectors:
+        return np.zeros((space.dim, 0))
+    return np.column_stack([v.coeffs for v in vectors])
+
+
 def _weighted_gram(vectors, space):
-    V = np.column_stack([v.coeffs for v in vectors])
+    V = _columns(vectors, space)
     return (V * space.weights[:, None]).T @ V
 
 
@@ -209,7 +216,7 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     # primal-side representative of the level-k quotient class: the element
     # of J~_X x_i + span{J_X x_j, j < i} biorthogonal to the x_j (the unique
     # coefficient family of an expansion along the orthonormal h_i)
-    w = T.dom.weights
+    S = js_p.semi_orth_table("x")  # S[k, j] = <x_j, J x_k>
     psis: list[Functional] = []
     zrep: list[Vec] = []
     for i in range(m):
@@ -217,10 +224,7 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
         if i == 0:
             psi = ji
         else:
-            Bm = np.array([[w @ (js_p.xs[j].coeffs * js_p.defl_X[k].coeffs)
-                            for k in range(i)] for j in range(i)])
-            rhs = np.array([w @ (js_p.xs[j].coeffs * ji) for j in range(i)])
-            coef = np.linalg.solve(Bm, rhs)
+            coef = np.linalg.solve(S[:i, :i].T, S[i, :i])
             psi = ji - sum(c * js_p.defl_X[k].coeffs for k, c in enumerate(coef))
         f = Functional(psi, T.dom)
         psis.append(f)
@@ -273,12 +277,8 @@ def flag_biorthogonal_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     nested deflation flags; reproduces the Hilbert-case coefficients exactly.
     """
     n = js.n_levels
-    w_c = T.cod.weights
-    M = np.zeros((n, n))
-    jys = [_jmap(y.coeffs, w_c, T.cod.p) for y in js.ys]
-    for j in range(n):
-        for i in range(n):
-            M[j, i] = w_c @ (js.ys[i].coeffs * jys[j])
+    M = js.semi_orth_table("y")  # M[j, i] = <y_i, J y_j>
+    jys = [_jmap(y.coeffs, T.cod.weights, T.cod.p) for y in js.ys]
     Minv = np.linalg.inv(M)
     funcs = []
     adj_rows = [T.apply_adjoint_coeffs(jy) for jy in jys]

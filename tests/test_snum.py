@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
@@ -14,8 +18,13 @@ from jspectral import (
     eigenvector_bound_check,
     sandwich_check,
 )
+import jspectral
 from jspectral import snum
 from jspectral.oper import scale
+
+
+def _hardy(n, p, q):
+    return hardy(Space.uniform(n, p), Space.uniform(n, q))
 
 
 def test_approx_numbers_hilbert_case_are_singular_values(hardy_l2):
@@ -135,3 +144,69 @@ def test_eigenvector_bound_needs_hilbert_domain():
     js = compute_jspectrum(T, 2, tol=1e-8, seed=0, restarts=2)
     with pytest.raises(GeometryError):
         eigenvector_bound_check(T, js)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (3.0, 2.0)])
+def test_approx_numbers_of_zero_operator_vanish(p, q):
+    T = LinOp(np.zeros((16, 16)), Space.uniform(16, p), Space.uniform(16, q))
+    assert approx_numbers(T, 2) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.5), (3.0, 2.0), (2.0, 2.0)])
+def test_approx_numbers_never_densify(monkeypatch, p, q):
+    def refuse(self):
+        raise AssertionError("dense() called")
+
+    monkeypatch.setattr(LinOp, "dense", refuse)
+    rep = approx_numbers_report(_hardy(256, p, q), 3, seed=0)
+    assert len(rep["values"]) == 3
+
+
+def test_exact_approx_numbers_at_grid_2_14():
+    n = 2**14
+    a = np.array(approx_numbers(_hardy(n, 2.0, 2.0), 6))
+    k = np.arange(1, 7)
+    ref = 1.0 / (2 * n * np.tan((2 * k - 1) * np.pi / (4 * n)))
+    assert np.max(np.abs(a - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, cols, n_max", [(5, 7, 5), (7, 5, 5), (6, 6, 8)])
+def test_exact_approx_numbers_of_dense_operators(rows, cols, n_max):
+    M = np.random.default_rng(rows * cols).standard_normal((rows, cols))
+    a = approx_numbers(LinOp(M, Space.sequence(cols, 2.0), Space.sequence(rows, 2.0)), n_max)
+    ref = np.zeros(n_max)
+    sv = svdvals(M)[:n_max]
+    ref[: len(sv)] = sv
+    assert len(a) == n_max
+    assert np.max(np.abs(np.array(a) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [
+    _hardy(64, 2.0, 1.5),
+    LinOp(np.random.default_rng(1).standard_normal((7, 5)),
+          Space.sequence(5, 2.0), Space.sequence(7, 3.0)),
+], ids=["hardy", "dense-7x5"])
+def test_minus_terms_weighted_pairing_identity(T):
+    rng = np.random.default_rng(0)
+    lam = rng.uniform(0.5, 2.0, 3)
+    V = rng.standard_normal((T.cod.dim, 3))
+    Phi = rng.standard_normal((T.dom.dim, 3))
+    R = snum._minus_terms(T, lam, V, Phi)
+    D = R.dense()
+    v = rng.standard_normal(T.dom.dim)
+    f = rng.standard_normal(T.cod.dim)
+    assert np.allclose(R.apply_coeffs(v),
+                       T.apply_coeffs(v) - V @ (lam * (Phi.T @ (T.dom.weights * v))))
+    lhs = T.cod.weights @ (R.apply_coeffs(v) * f)
+    rhs = T.dom.weights @ (v * R.apply_adjoint_coeffs(f))
+    size = T.cod.weights @ ((np.abs(D) @ np.abs(v)) * np.abs(f))
+    assert abs(lhs - rhs) <= 1e-13 * size
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # svds is imported inside snum._scaled_svd, not with the package
+    code = "import sys, jspectral.cli; print('scipy.sparse.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(jspectral.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"
