@@ -229,6 +229,8 @@ def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
     on the grids n = 128, 256, 512. The fourth-order stencil amplifies
     function evaluation noise by h^-4, so useful ladders stop near n = 512
     in double precision; grid_n itself only controls the extremal comparison.
+    A step of the ladder whose residual does not fall by more than that noise
+    reports its order as None and is flagged in orders_noise_limited.
     """
     from .jspec import extremal_pair
 
@@ -259,11 +261,16 @@ def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
     for n in ns:
         xs = (np.arange(n) + 0.5) * (b / n)
         ode_residuals[n] = laplacian_residual(g.sin(omega * xs), p, pp, lam_ode, b, "bilap")
-    orders = [
-        float(np.log(ode_residuals[ns[i]] / ode_residuals[ns[i + 1]])
-              / np.log(ns[i + 1] / ns[i]))
-        for i in range(len(ns) - 1)
-    ]
+    # a step is a rate only where the residual falls by more than the noise
+    # sqrt(70) eps h^-4 that the stencil [1, -4, 6, -4, 1] / h^4 makes of
+    # rounding errors eps in unit-amplitude u on the finer grid; the other
+    # steps are flagged and get no order
+    noise_limited = [not ode_residuals[m] - ode_residuals[n]
+                     > np.sqrt(70.0) * np.finfo(float).eps * (n / b) ** 4
+                     for m, n in zip(ns, ns[1:])]
+    orders = [None if flag else float(np.log(ode_residuals[m] / ode_residuals[n])
+                                      / np.log(n / m))
+              for m, n, flag in zip(ns, ns[1:], noise_limited)]
     return {
         "p": p,
         "b": b,
@@ -277,4 +284,5 @@ def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
         "ode_lambda": lam_ode,
         "ode_residuals": {str(k): v for k, v in ode_residuals.items()},
         "observed_orders": orders,
+        "orders_noise_limited": noise_limited,
     }

@@ -491,6 +491,8 @@ def konig_report(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42
     ("values"), plus the dense-eigenvalue reference |lambda_hat_n|."""
     if not T.dom.same_grid(T.cod) or T.dom.p != T.cod.p:
         raise GeometryError("the eigenvalue comparison needs T acting on one space")
+    if not 1 <= n <= T.dom.dim:
+        raise GeometryError(f"level n = {n} is outside 1..{T.dom.dim}, the dimension of T")
     from .oper import power as _power
 
     vals = []

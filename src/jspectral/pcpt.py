@@ -157,6 +157,9 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
     For p_dom != 2 the generalized cosines cos_{p,p'}(n pi_{p,p'} t) are used,
     restricted to the configured basis window.
     """
+    if n_terms < 3:
+        raise GeometryError("n_terms must be at least 3: the decay fit skips the first "
+                            "term and needs two more")
     dom = Space.uniform(grid_n, p_dom)
     cod = Space.uniform(grid_n, q_cod)
     T = hardy(dom, cod)

@@ -36,11 +36,9 @@ from .space import (
     Space,
     Vec,
     _csv_text,
-    _jmap,
+    _jtilde,
     _lp_norm,
-    duality_map,
     functional_distance,
-    inverse_duality_map,
     sup_dev_up_to_sign,
 )
 
@@ -51,12 +49,17 @@ class DegenerateDeflationError(GeometryError):
 
 @dataclass
 class SeriesRep:
-    """Truncatable series T_N x = sum lambda_i <x, phi_i> v_i."""
+    """Truncatable series T_N x = sum lambda_i <x, phi_i> v_i.
+
+    The v_i are the columns of V (cod.dim x k), the phi_i those of Phi
+    (dom.dim x k); left_vectors and coeff_functionals view them as Vec and
+    Functional lists.
+    """
 
     kind: str
     lambdas: list[float]
-    left_vectors: list[Vec]
-    coeff_functionals: list[Functional]
+    V: np.ndarray
+    Phi: np.ndarray
     dom: Space
     cod: Space
     meta: dict = field(default_factory=dict)
@@ -65,30 +68,50 @@ class SeriesRep:
     def n_terms(self):
         return len(self.lambdas)
 
+    @property
+    def left_vectors(self) -> list[Vec]:
+        return [Vec(v, self.cod) for v in self.V.T]
+
+    @property
+    def coeff_functionals(self) -> list[Functional]:
+        return [Functional(f, self.dom) for f in self.Phi.T]
+
+    def _partial(self, terms):
+        """Kernels of the partial sum over the term indices terms (a slice or
+        a list): x -> sum lambda_k <x, phi_k> v_k and its adjoint f -> sum
+        lambda_k <v_k, f> phi_k, for a vector or a block of columns; O(n k)."""
+        lam = np.asarray(self.lambdas)[terms]
+        V, Phi = self.V[:, terms], self.Phi[:, terms]
+        B = self.dom.weights[:, None] * Phi * lam
+        C = self.cod.weights[:, None] * V * lam
+        return (lambda x: V @ (B.T @ x)), (lambda f: Phi @ (C.T @ f))
+
+    def _sum_terms(self, x, terms=slice(None)):
+        """sum lambda_k <x, phi_k> v_k over the term indices terms."""
+        fwd, _ = self._partial(terms)
+        return fwd(x)
+
     def apply_truncated(self, x: Vec, n_terms: int | None = None) -> Vec:
         if not x.space.same_grid(self.dom):
             raise GeometryError("vector does not live on the series domain grid")
-        n = self.n_terms if n_terms is None else min(n_terms, self.n_terms)
-        return self._sum_terms(x, range(n))
+        return Vec(self._sum_terms(x.coeffs, slice(n_terms)), self.cod)
 
-    def _sum_terms(self, x: Vec, terms) -> Vec:
-        """sum lambda_k <x, phi_k> v_k over the term indices k, in their order."""
-        out = np.zeros(self.cod.dim)
-        w = self.dom.weights
-        for k in terms:
-            coef = self.lambdas[k] * float(w @ (x.coeffs * self.coeff_functionals[k].coeffs))
-            out += coef * self.left_vectors[k].coeffs
-        return Vec(out, self.cod)
+    def remainder(self, T: LinOp, n: int) -> LinOp:
+        """Lazy T - T_n, applied in O(n k) beside T."""
+        fwd, adj = self._partial(slice(n))
+        return LinOp._from_kernels(T.dom, T.cod, lambda x: T.apply_coeffs(x) - fwd(x),
+                                   lambda f: T.apply_adjoint_coeffs(f) - adj(f))
 
     def reconstruction_errors(self, T: LinOp, test_vectors, ns) -> list[tuple[int, float]]:
-        """Max over the test set of ||Tx - T_N x||_cod for each N."""
+        """Max over the test set of ||Tx - T_N x||_cod for each N; the test
+        set goes through each remainder T - T_N as one block."""
+        if not all(x.space.same_grid(self.dom) for x in test_vectors):
+            raise GeometryError("vector does not live on the series domain grid")
+        X = _columns(test_vectors, self.dom)
         rows = []
         for n in ns:
-            worst = 0.0
-            for x in test_vectors:
-                err = T.apply_coeffs(x.coeffs) - self.apply_truncated(x, n).coeffs
-                worst = max(worst, _lp_norm(err, self.cod.weights, self.cod.p))
-            rows.append((int(n), worst))
+            errs = _lp_norm(self.remainder(T, n).apply_coeffs(X), self.cod.weights, self.cod.p)
+            rows.append((int(n), float(np.max(errs, initial=0.0))))
         return rows
 
     @staticmethod
@@ -100,8 +123,8 @@ class SeriesRep:
         doc = {
             "kind": self.kind,
             "lambdas": self.lambdas,
-            "left_vectors": [v.coeffs.tolist() for v in self.left_vectors],
-            "coeff_functionals": [f.coeffs.tolist() for f in self.coeff_functionals],
+            "left_vectors": self.V.T.tolist(),
+            "coeff_functionals": self.Phi.T.tolist(),
         }
         if T is not None and test_vectors is not None and ns is not None:
             doc["errors"] = self.reconstruction_errors(T, test_vectors, ns)
@@ -124,20 +147,23 @@ def _columns(vectors, space):
     return np.column_stack([v.coeffs for v in vectors])
 
 
-def _weighted_gram(vectors, space):
-    V = _columns(vectors, space)
+def _jmap_columns(M, w, p):
+    """The duality map J of each column of M."""
+    nv = _lp_norm(M, w, p)
+    return _jtilde(M, w, p, nv) * nv
+
+
+def _weighted_gram(V, space):
     return (V * space.weights[:, None]).T @ V
 
 
-def _gram_dev(vectors, space):
-    """max |G - I| of the weighted Gram matrix G of vectors; 0.0 for none."""
-    if not vectors:
-        return 0.0
-    return float(np.max(np.abs(_weighted_gram(vectors, space) - np.eye(len(vectors)))))
+def _gram_dev(V, space):
+    """max |G - I| of the weighted Gram matrix G of the columns of V; 0.0 for none."""
+    return float(np.max(np.abs(_weighted_gram(V, space) - np.eye(V.shape[1])), initial=0.0))
 
 
-def _check_orthonormal(vectors, space, tol, what):
-    dev = _gram_dev(vectors, space)
+def _check_orthonormal(V, space, tol, what):
+    dev = _gram_dev(V, space)
     if dev > tol:
         raise ConvergenceError(
             f"{what} are not orthonormal to {tol:g} (deviation {dev:.3e}); "
@@ -155,13 +181,11 @@ def hilbert_target_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """
     if T.cod.p != 2.0:
         raise GeometryError("hilbert_target_series needs codomain exponent 2")
-    dev = _check_orthonormal(js.ys, T.cod, 1e-6, "target-side vectors h_i")
-    funcs = [
-        Functional(T.apply_adjoint_coeffs(h.coeffs) / lam, T.dom)
-        for h, lam in zip(js.ys, js.lambdas)
-    ]
+    H = _columns(js.ys, T.cod)
+    dev = _check_orthonormal(H, T.cod, 1e-6, "target-side vectors h_i")
     return SeriesRep(
-        "hilbert_target", list(js.lambdas), list(js.ys), funcs, T.dom, T.cod,
+        "hilbert_target", list(js.lambdas), H,
+        T.apply_adjoint_coeffs(H) / np.asarray(js.lambdas), T.dom, T.cod,
         meta={"h_gram_dev": dev, "residuals": list(js.residuals)},
     )
 
@@ -174,12 +198,13 @@ def hilbert_source_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """
     if T.dom.p != 2.0:
         raise GeometryError("hilbert_source_series needs domain exponent 2")
-    dev = _check_orthonormal(js.xs, T.dom, 1e-6, "source-side vectors h_i")
-    funcs = [Functional(x.coeffs, T.dom) for x in js.xs]
-    G = _weighted_gram(js.ys, T.cod)
+    H = _columns(js.xs, T.dom)
+    dev = _check_orthonormal(H, T.dom, 1e-6, "source-side vectors h_i")
+    Y = _columns(js.ys, T.cod)
+    G = _weighted_gram(Y, T.cod)
     cond = float(np.linalg.cond(G)) if G.size else 1.0
     return SeriesRep(
-        "hilbert_source", list(js.lambdas), list(js.ys), funcs, T.dom, T.cod,
+        "hilbert_source", list(js.lambdas), Y, H, T.dom, T.cod,
         meta={"h_gram_dev": dev, "y_gram_cond": cond, "residuals": list(js.residuals)},
     )
 
@@ -203,57 +228,42 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
                           primal=js_p)
     m = min(js_d.n_levels, js_p.n_levels)
 
-    h_star = [Vec(v.coeffs, T.cod) for v in js_d.xs[:m]]
-    x_star = [Functional(f.coeffs, T.dom) for f in js_d.ys[:m]]
     lam_star = list(js_d.lambdas[:m])
-
+    w = T.dom.weights
+    h_star = _columns(js_d.xs[:m], T.cod)
+    x_star = _columns(js_d.ys[:m], T.dom)
     rep_a = SeriesRep("linearized", lam_star, h_star, x_star, T.dom, T.cod)
 
-    zs = [inverse_duality_map(f) for f in x_star]
-    funcs_b = [duality_map(z) for z in zs]
-    rep_b = SeriesRep("linearized", lam_star, h_star, funcs_b, T.dom, T.cod)
+    Z = _jmap_columns(x_star, w, T.dom.pprime)  # J_X z_i = x_i*
+    rep_b = SeriesRep("linearized", lam_star, h_star, _jmap_columns(Z, w, T.dom.p),
+                      T.dom, T.cod)
 
     # primal-side representative of the level-k quotient class: the element
     # of J~_X x_i + span{J_X x_j, j < i} biorthogonal to the x_j (the unique
     # coefficient family of an expansion along the orthonormal h_i)
     S = js_p.semi_orth_table("x")  # S[k, j] = <x_j, J x_k>
-    psis: list[Functional] = []
-    zrep: list[Vec] = []
-    for i in range(m):
-        ji = js_p.defl_X[i].coeffs
-        if i == 0:
-            psi = ji
-        else:
-            coef = np.linalg.solve(S[:i, :i].T, S[i, :i])
-            psi = ji - sum(c * js_p.defl_X[k].coeffs for k, c in enumerate(coef))
-        f = Functional(psi, T.dom)
-        psis.append(f)
-        zrep.append(inverse_duality_map(f))
-    rep_c = SeriesRep("linearized", list(js_p.lambdas[:m]), list(js_p.ys[:m]), psis,
-                      T.dom, T.cod)
+    J = _columns(js_p.defl_X[:m], T.dom)
+    Psi = J.copy()
+    for i in range(1, m):
+        Psi[:, i] -= J[:, :i] @ np.linalg.solve(S[:i, :i].T, S[i, :i])
+    rep_c = SeriesRep("linearized", list(js_p.lambdas[:m]), _columns(js_p.ys[:m], T.cod),
+                      Psi, T.dom, T.cod)
 
     lam_dev = [abs(js_p.lambdas[i] - lam_star[i]) for i in range(m)]
-    h_dev = [sup_dev_up_to_sign(js_p.ys[i].coeffs, h_star[i].coeffs) for i in range(m)]
-    z1_dev = sup_dev_up_to_sign(zs[0].coeffs, js_p.xs[0].coeffs) if m else 0.0
+    h_dev = [sup_dev_up_to_sign(js_p.ys[i].coeffs, h_star[:, i]) for i in range(m)]
+    z1_dev = sup_dev_up_to_sign(Z[:, 0], js_p.xs[0].coeffs) if m else 0.0
     # unit quotient norm of the representatives: dist to the earlier span
-    psi_norm_dev = [
-        abs(functional_distance(psis[i], [Functional(f.coeffs, T.dom)
-                                          for f in js_p.defl_X[:i]]) - 1.0)
-        for i in range(m)
-    ]
+    psi_norm_dev = [abs(functional_distance(f, js_p.defl_X[:i]) - 1.0)
+                    for i, f in enumerate(rep_c.coeff_functionals)]
 
-    tests = random_unit_vectors(T.dom, n_check, seed=seed + 17)
+    X = _columns(random_unit_vectors(T.dom, n_check, seed=seed + 17), T.dom)
     scale = max(lam_star[0], 1e-300) if lam_star else 1.0
+    ra, rb, rc = (rep._sum_terms(X) for rep in (rep_a, rep_b, rep_c))
 
-    def recon(rep, x):
-        return rep.apply_truncated(x, m).coeffs
+    def gap(r, s):
+        return float(np.max(_lp_norm(r - s, T.cod.weights, 2.0), initial=0.0)) / scale
 
-    agree = {"ab": 0.0, "ac": 0.0, "bc": 0.0}
-    for x in tests:
-        ra, rb, rc = recon(rep_a, x), recon(rep_b, x), recon(rep_c, x)
-        agree["ab"] = max(agree["ab"], _lp_norm(ra - rb, T.cod.weights, 2.0) / scale)
-        agree["ac"] = max(agree["ac"], _lp_norm(ra - rc, T.cod.weights, 2.0) / scale)
-        agree["bc"] = max(agree["bc"], _lp_norm(rb - rc, T.cod.weights, 2.0) / scale)
+    agree = {"ab": gap(ra, rb), "ac": gap(ra, rc), "bc": gap(rb, rc)}
 
     rep_a.meta = {
         "variants": {"via_z": rep_b, "via_primal": rep_c},
@@ -276,17 +286,12 @@ def flag_biorthogonal_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     Solves the triangular system xi_i(y_j) = delta_ij restricted to the
     nested deflation flags; reproduces the Hilbert-case coefficients exactly.
     """
-    n = js.n_levels
     M = js.semi_orth_table("y")  # M[j, i] = <y_i, J y_j>
-    jys = [_jmap(y.coeffs, T.cod.weights, T.cod.p) for y in js.ys]
-    Minv = np.linalg.inv(M)
-    funcs = []
-    adj_rows = [T.apply_adjoint_coeffs(jy) for jy in jys]
-    for i in range(n):
-        coeffs = sum(Minv[i, j] * adj_rows[j] for j in range(n)) / js.lambdas[i]
-        funcs.append(Functional(coeffs, T.dom))
+    Y = _columns(js.ys, T.cod)
+    adj = T.apply_adjoint_coeffs(_jmap_columns(Y, T.cod.weights, T.cod.p))
     return SeriesRep(
-        "general_decay", list(js.lambdas), list(js.ys), funcs, T.dom, T.cod,
+        "general_decay", list(js.lambdas), Y,
+        adj @ np.linalg.inv(M).T / np.asarray(js.lambdas), T.dom, T.cod,
         meta={"flag_gram": M.tolist()},
     )
 
@@ -321,8 +326,12 @@ def check_decay_condition(js: JSpectrum, mode: str = "lambda",
         report["status"] = status
         holds = np.array([s == "holds" for s in status])
     elif mode == "lp":
-        dom = js.xs[0].space
-        cod = js.ys[0].space
+        if T is not None:
+            dom, cod = T.dom, T.cod
+        elif n:
+            dom, cod = js.xs[0].space, js.ys[0].space
+        else:
+            raise GeometryError("the lp decay mode needs T or a level for its exponents")
         if dom.p != cod.p:
             raise GeometryError("the lp decay mode needs equal domain/codomain exponents")
         a = alpha_p(dom.p)
@@ -450,9 +459,10 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
         Z = np.zeros((A.dom.dim, 0))
     U = _scaled_orth(A.apply_coeffs(Z), wH)
 
-    hs = []
+    G = D[:, None] * A.apply_coeffs(_columns(js_T.xs[:n], A.dom))
+    H = np.zeros((A.cod.dim, n))
     for i in reversed(range(n)):
-        g = D * A.apply_coeffs(js_T.xs[i].coeffs)
+        g = G[:, i]
         v = g - U @ (U.T @ g)
         nv = float(np.linalg.norm(v))
         if nv <= 1e-10 * float(np.linalg.norm(g)):
@@ -462,38 +472,30 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
             )
         u = v / nv
         U = np.column_stack([U, u])
-        hs.append(Vec(u / D, A.cod))
-    hs.reverse()
+        H[:, i] = u / D
 
-    lambdas, lefts, funcs = [], [], []
-    for h in hs:
-        astar = A.apply_adjoint_coeffs(h.coeffs)
-        na = _lp_norm(astar, A.dom.weights, A.dom.pprime)
-        bh = B.apply_coeffs(h.coeffs)
-        nb = _lp_norm(bh, B.cod.weights, B.cod.p)
-        lambdas.append(na * nb)
-        lefts.append(Vec(bh / nb, B.cod))
-        funcs.append(Functional(astar / na, A.dom))
-
+    Astar = A.apply_adjoint_coeffs(H)
+    na = _lp_norm(Astar, A.dom.weights, A.dom.pprime)
+    BH = B.apply_coeffs(H)
+    nb = _lp_norm(BH, B.cod.weights, B.cod.p)
+    lambdas = (na * nb).tolist()
     bound, bounded = _norm_bound(lambdas, A, B)
 
-    rep = SeriesRep("hilbertian_perp", lambdas, lefts, funcs, A.dom, B.cod)
+    rep = SeriesRep("hilbertian_perp", lambdas, BH / nb, Astar / na, A.dom, B.cod)
 
-    # sampled check: T - T_n maps into the deflated codomain subspaces
-    tail_dev = 0.0
-    for xv in random_unit_vectors(A.dom, 3, seed=5):
-        u = T.apply_coeffs(xv.coeffs) - rep.apply_truncated(xv, n).coeffs
-        nu = _lp_norm(u, B.cod.weights, B.cod.p)
-        if nu == 0.0:
-            continue
-        for j in range(n):
-            val = abs(B.cod.weights @ (u * js_T.defl_Y[j].coeffs)) / nu
-            tail_dev = max(tail_dev, val)
+    # sampled check: T - T_n maps into the deflated codomain subspaces, on
+    # which the codomain deflation functionals vanish
+    X = _columns(random_unit_vectors(A.dom, 3, seed=5), A.dom)
+    R = rep.remainder(T, n).apply_coeffs(X)
+    nu = _lp_norm(R, B.cod.weights, B.cod.p)
+    ok = nu > 0.0
+    pairings = (B.cod.weights[:, None] * R[:, ok]).T @ _columns(js_T.defl_Y[:n], B.cod)
     rep.meta = {
-        "h_gram_dev": _gram_dev(hs, A.cod),
+        "h_gram_dev": _gram_dev(H, A.cod),
         "lambda_bound": bound,
         "lambda_bounded": bounded,
-        "tail_maps_into_flag_dev": tail_dev,
+        "tail_maps_into_flag_dev": float(np.max(np.abs(pairings) / nu[ok, None],
+                                                initial=0.0)),
     }
     return rep
 
@@ -530,23 +532,17 @@ def double_series(A: LinOp, B: LinOp, terms: int, tol: float = 1e-8,
     js_b = compute_jspectrum(B, terms, tol=tol, seed=seed + 1, restarts=restarts)
     I, J = js_a.n_levels, js_b.n_levels
     wH = A.cod.weights
-    cross = np.zeros((I, J))
-    for i in range(I):
-        for j in range(J):
-            cross[i, j] = wH @ (js_a.xs[i].coeffs * js_b.xs[j].coeffs)
-    entries = []
-    for i in range(I):
-        for j in range(J):
-            lam = js_b.lambdas[j] * js_a.lambdas[i] * cross[i, j]
-            entries.append((abs(lam), lam, i, j))
-    entries.sort(key=lambda t: -t[0])
-    lambdas = [e[1] for e in entries]
-    funcs = [Functional(js_a.ys[e[2]].coeffs, A.dom) for e in entries]
-    lefts = [Vec(js_b.ys[e[3]].coeffs, B.cod) for e in entries]
-    rep = SeriesRep("double", lambdas, lefts, funcs, A.dom, B.cod)
+    cross = np.array([[wH @ (a * b) for b in _columns(js_b.xs, A.cod).T]
+                      for a in _columns(js_a.xs, A.cod).T]).reshape(I, J)
+    lam = np.outer(js_a.lambdas, js_b.lambdas) * cross
+    # by decreasing weight; ties keep the row-major (i, j) order
+    order = np.argsort(-np.abs(lam), axis=None, kind="stable")
+    ii, jj = np.unravel_index(order, (I, J))
+    rep = SeriesRep("double", lam.ravel()[order].tolist(), _columns(js_b.ys, B.cod)[:, jj],
+                    _columns(js_a.ys, A.dom)[:, ii], A.dom, B.cod)
     rep.meta = {
         "shape": (I, J),
-        "order": [(e[2], e[3]) for e in entries],
+        "order": list(zip(ii.tolist(), jj.tolist())),
         "cross_gram": cross.tolist(),
         "l2_heuristic_A_star": _l2_tail_heuristic(js_a.lambdas),
         "l2_heuristic_B": _l2_tail_heuristic(js_b.lambdas),
@@ -571,7 +567,7 @@ def double_series_apply(rep: SeriesRep, x: Vec, n_i: int, n_j: int,
         items.sort(key=lambda t: (t[2], t[1]))
     else:
         raise GeometryError("order must be 'row' or 'col'")
-    return rep._sum_terms(x, [k for k, _, _ in items])
+    return Vec(rep._sum_terms(x.coeffs, [k for k, _, _ in items]), rep.cod)
 
 
 def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,
@@ -586,34 +582,25 @@ def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,
     _check_factors(A, B, "half_series")
     if which_compact == "A":
         js_a = compute_jspectrum(adjoint(A), terms, tol=tol, seed=seed, restarts=restarts)
-        lambdas, lefts, funcs = [], [], []
-        for i in range(js_a.n_levels):
-            bh = B.apply_coeffs(js_a.xs[i].coeffs)
-            nb = _lp_norm(bh, B.cod.weights, B.cod.p)
-            if nb == 0.0:
-                continue
-            lambdas.append(js_a.lambdas[i] * nb)
-            lefts.append(Vec(bh / nb, B.cod))
-            funcs.append(Functional(js_a.ys[i].coeffs, A.dom))
-        rep = SeriesRep("half_direct", lambdas, lefts, funcs, A.dom, B.cod)
+        BH = B.apply_coeffs(_columns(js_a.xs, A.cod))
+        nb = _lp_norm(BH, B.cod.weights, B.cod.p)
+        keep = nb != 0.0
+        rep = SeriesRep("half_direct", (np.asarray(js_a.lambdas) * nb)[keep].tolist(),
+                        BH[:, keep] / nb[keep], _columns(js_a.ys, A.dom)[:, keep],
+                        A.dom, B.cod)
         rep.meta = {"lambda_A_star": list(js_a.lambdas)}
         return rep
     if which_compact == "B":
         js_b = compute_jspectrum(B, terms, tol=tol, seed=seed, restarts=restarts)
-        lambdas, lefts, funcs, lam_c = [], [], [], []
-        for j in range(js_b.n_levels):
-            cj = A.apply_adjoint_coeffs(js_b.xs[j].coeffs)
-            nc = _lp_norm(cj, A.dom.weights, A.dom.pprime)
-            lam_c.append(nc)
-            if nc == 0.0:
-                continue
-            lambdas.append(nc * js_b.lambdas[j])
-            lefts.append(Vec(js_b.ys[j].coeffs, B.cod))
-            funcs.append(Functional(cj / nc, A.dom))
-        rep = SeriesRep("half_dual", lambdas, lefts, funcs, A.dom, B.cod)
-        na, bounded = _norm_bound(lam_c, A)
+        C = A.apply_adjoint_coeffs(_columns(js_b.xs, B.dom))
+        nc = _lp_norm(C, A.dom.weights, A.dom.pprime)
+        keep = nc != 0.0
+        rep = SeriesRep("half_dual", (nc * np.asarray(js_b.lambdas))[keep].tolist(),
+                        _columns(js_b.ys, B.cod)[:, keep], C[:, keep] / nc[keep],
+                        A.dom, B.cod)
+        na, bounded = _norm_bound(nc, A)
         rep.meta = {
-            "lambda_C": lam_c,
+            "lambda_C": nc.tolist(),
             "lambda_C_bound": na,
             "lambda_C_bounded": bounded,
             "lambda_B": list(js_b.lambdas),

@@ -17,7 +17,8 @@ import numpy as np
 
 from .jspec import DeflationExhausted, JSpectrum, compute_jspectrum, extremal_pair
 from .oper import LinOp
-from .series import _columns, _gram_dev, hilbert_source_series, hilbert_target_series
+from .series import (SeriesRep, _columns, _gram_dev, hilbert_source_series,
+                     hilbert_target_series)
 from .space import ConvergenceError, GeometryError, _csv_text, _lp_norm
 
 
@@ -51,6 +52,8 @@ class SNumberReport:
 def _scaled_svd(T, k):
     """Top-k singular triplets (U, s, V) of D_cod T D_dom^-1, D = sqrt(weights), from T's
     kernels; T_k = U diag(s) V^T W_dom. PROPACK, unlike ARPACK, serves k = min(shape)."""
+    if k < 1:  # svds takes k >= 1
+        return np.zeros((T.cod.dim, 0)), np.zeros(0), np.zeros((T.dom.dim, 0))
     # imported here: at module level it adds ~2.5 MB and ~30 ms to every package import
     from scipy.sparse.linalg import LinearOperator, svds
 
@@ -60,15 +63,6 @@ def _scaled_svd(T, k):
                         rmatvec=lambda y: dd * T.apply_adjoint_coeffs(np.ravel(y) / dc))
     U, s, Vt = svds(op, k, solver="propack", tol=0, v0=np.ones(T.cod.dim))
     return U[:, ::-1] / dc[:, None], s[::-1], Vt[::-1].T / dd[:, None]
-
-
-def _minus_terms(T, lam, V, Phi):
-    """Lazy T - sum_i lam_i v_i <., phi_i> over the columns of V and Phi; O(nk) per apply."""
-    B = T.dom.weights[:, None] * Phi * lam
-    C = T.cod.weights[:, None] * V * lam
-    return LinOp._from_kernels(T.dom, T.cod,
-                               lambda x: T.apply_coeffs(x) - V @ (B.T @ x),
-                               lambda f: T.apply_adjoint_coeffs(f) - Phi @ (C.T @ f))
 
 
 def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
@@ -96,9 +90,7 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         js = compute_jspectrum(T, n_max, tol=tol, seed=seed, restarts=restarts)
     rep = (hilbert_source_series(T, js) if T.dom.p == 2.0
            else hilbert_target_series(T, js))
-    triples = {"series": (np.array(rep.lambdas), _columns(rep.left_vectors, T.cod),
-                          _columns(rep.coeff_functionals, T.dom)),
-               "svd": (s, U, V)}
+    candidates = {"series": rep, "svd": SeriesRep("svd", s.tolist(), U, V, T.dom, T.cod)}
     values = []
     details = []
     for n in range(1, n_max + 1):
@@ -106,11 +98,10 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         best = np.inf
         best_name = None
         residuals = []
-        for name, (lam, Vk, Phi) in triples.items():
-            diff = _minus_terms(T, lam[:k], Vk[:, :k], Phi[:, :k])
+        for name, cand in candidates.items():
             try:
-                norm, _, _ = extremal_pair(diff, (), seed=seed, tol=max(tol, 1e-9),
-                                           restarts=restarts)
+                norm, _, _ = extremal_pair(cand.remainder(T, k), (), seed=seed,
+                                           tol=max(tol, 1e-9), restarts=restarts)
             except DeflationExhausted:
                 norm = 0.0  # T - F vanishes to the solver's floor
             except ConvergenceError as exc:
@@ -177,6 +168,6 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
         "lambdas": list(js.lambdas[:n]),
         "slacks": slacks,
         "passed": [s >= -tol for s in slacks],
-        "h_gram_dev": _gram_dev(js.xs[:n], T.dom),
+        "h_gram_dev": _gram_dev(_columns(js.xs[:n], T.dom), T.dom),
         "tol": tol,
     }

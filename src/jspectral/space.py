@@ -370,7 +370,7 @@ def min_norm_coeffs(target, basis, w, p, max_iter=10_000, c0=None):
         if p > 2.0:
             hd = hd * (p - 1.0)
         H = B.T @ (hd[:, None] * B)
-        H[np.diag_indices(k)] += 1e-13 * max(np.trace(H) / k, 1e-300)
+        H.flat[:: k + 1] += 1e-13 * max(np.trace(H) / k, 1e-300)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:

@@ -193,12 +193,27 @@ def test_missing_command_exits_2(capsys):
     (["--format", "csv", "alphap", "--p", "3"], "this command has no CSV form"),
     (["gtrig", "--p", "1"], "GenTrig needs p, q in (1, inf)"),
     (["jspec", "--grid-n", "1"], "a Space needs at least 2 nodes"),
+    (["pcompact", "--demo", "hardy", "--grid-n", "64", "--terms", "1"],
+     "n_terms must be at least 3: the decay fit skips the first term and needs two more"),
+    (["pcompact", "--demo", "hardy", "--grid-n", "64", "--terms", "2"],
+     "n_terms must be at least 3: the decay fit skips the first term and needs two more"),
+    (["konig", "--case", "diag", "--n", "4"],
+     "level n = 4 is outside 1..3, the dimension of T"),
 ])
 def test_invalid_input_exits_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: invalid arguments: {message}\n"
+
+
+def test_snum_with_no_levels_gives_empty_values(capsys):
+    # as jspec --levels 0 does; svds itself takes no k = 0
+    code, out = run_cli(capsys, "snum", "--grid-n", "64", "--n-max", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["approx"] == doc["lambdas"] == doc["passed"] == []
+    assert doc["kind"] == "exact"
 
 
 def test_csv_cells_parse_back_to_the_floats_given():

@@ -263,6 +263,15 @@ def test_bilaplacian_check_p3():
     assert rep["sup_dev_extremal_raw"] > 0.1
 
 
+def test_bilaplacian_check_p2_flags_the_noise_limited_order():
+    # at p = 2 the n = 512 residual is stencil noise (it read an order of -0.36
+    # or 0.38 from the same mathematics): that step gets no order
+    rep = bilaplacian_check(2.0, grid_n=128, tol=1e-9, seed=0, restarts=2)
+    assert rep["orders_noise_limited"] == [False, True]
+    assert rep["observed_orders"][0] >= 1.5
+    assert rep["observed_orders"][1] is None
+
+
 def test_bilaplacian_scale_invariance():
     # doubling b rescales the discrete problem exactly; profiles coincide
     r1 = bilaplacian_check(3.0, b=1.0, grid_n=128, tol=1e-9, seed=0, restarts=2)

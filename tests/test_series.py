@@ -1,11 +1,15 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from jspectral import (
     DegenerateDeflationError,
+    GeometryError,
     LinOp,
     Space,
     Vec,
@@ -178,6 +182,18 @@ def test_decay_condition_lp_mode_builds_series(hardy_l2, l2_256):
     errs = dict(report["errors"])
     sv = svdvals(hardy_l2.dense())
     assert errs[5] <= sv[5] + 1e-8
+
+
+def test_decay_condition_lp_mode_on_an_empty_spectrum(l3_256):
+    # a zero operator has no levels; the exponents come from T
+    T = scale(hardy(l3_256, l3_256), 0.0)
+    js = compute_jspectrum(T, 3, tol=1e-8, seed=0, restarts=2)
+    assert js.n_levels == 0
+    report = check_decay_condition(js, "lp", T=T)
+    assert report["first_violation"] is None
+    assert report["series"].n_terms == 0 and report["errors"] == []
+    with pytest.raises(GeometryError):
+        check_decay_condition(js, "lp")
 
 
 def test_decay_condition_lp_mode_needs_equal_exponents(hardy_l3_l2):
@@ -386,6 +402,48 @@ def test_truncation_error_nonincreasing_on_fixed_test_set(hardy_l3_l2, l3_256):
     tests = random_unit_vectors(l3_256, 50, seed=14)
     errs = [e for _, e in rep.reconstruction_errors(hardy_l3_l2, tests, range(1, 7))]
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(5))
+
+
+@functools.lru_cache(maxsize=None)
+def _series_of_kind(kind):
+    """(T, series of T) on grid 64, built once per kind."""
+    l3, l2, l15 = (Space.uniform(64, p) for p in (3.0, 2.0, 1.5))
+    if kind == "target":
+        T = hardy(l3, l2)
+        return T, hilbert_target_series(T, compute_jspectrum(T, 5, tol=1e-9, seed=0,
+                                                             restarts=2))
+    A, B = hardy(l3, l2), hardy(l2, l15)
+    T = compose(B, A)
+    if kind == "hilbertian":
+        return T, hilbertian_series(A, B, compute_jspectrum(T, 4, tol=1e-9, seed=0,
+                                                            restarts=2))
+    return T, double_series(A, B, 3, tol=1e-9, seed=0, restarts=2)
+
+
+def _term_by_term(rep, x, n):
+    """sum_{k < n} lambda_k <x, phi_k> v_k, one term at a time."""
+    out = np.zeros(rep.cod.dim)
+    for lam, v, f in list(zip(rep.lambdas, rep.left_vectors, rep.coeff_functionals))[:n]:
+        out += lam * float(rep.dom.weights @ (x.coeffs * f.coeffs)) * v.coeffs
+    return out
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(["target", "hilbertian", "double"]),
+       count=st.integers(1, 4), n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_block_evaluation_matches_the_term_by_term_sum(kind, count, n, seed):
+    T, rep = _series_of_kind(kind)
+    tests = random_unit_vectors(rep.dom, count, seed=seed)
+    want = 0.0
+    for x in tests:
+        ref = _term_by_term(rep, x, n)
+        out = rep.apply_truncated(x, n).coeffs
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref), initial=0.0)
+        want = max(want, _lp_norm(T.apply_coeffs(x.coeffs) - ref, rep.cod.weights,
+                                  rep.cod.p))
+    [(n_got, err)] = rep.reconstruction_errors(T, tests, [n])
+    assert n_got == n
+    assert abs(err - want) <= 1e-13 * want
 
 
 def test_series_export(hardy_l2, l2_256):

@@ -10,6 +10,7 @@ from jspectral import (
     ConvergenceError,
     GeometryError,
     LinOp,
+    SeriesRep,
     Space,
     approx_numbers,
     approx_numbers_report,
@@ -191,7 +192,7 @@ def test_minus_terms_weighted_pairing_identity(T):
     lam = rng.uniform(0.5, 2.0, 3)
     V = rng.standard_normal((T.cod.dim, 3))
     Phi = rng.standard_normal((T.dom.dim, 3))
-    R = snum._minus_terms(T, lam, V, Phi)
+    R = SeriesRep("test", lam.tolist(), V, Phi, T.dom, T.cod).remainder(T, 3)
     D = R.dense()
     v = rng.standard_normal(T.dom.dim)
     f = rng.standard_normal(T.cod.dim)
