@@ -148,6 +148,8 @@ def _cmd_snum(args):
 
 
 def _cmd_gtrig(args):
+    if args.samples < 0:
+        raise _InvalidArguments(f"--samples must be at least 0, got {args.samples}")
     g = gtrig.GenTrig(args.p, args.q)
     xs = np.linspace(0.0, g.pi_pq / 2.0, args.samples)
     sins, coss = g.sin(xs), g.cos(xs)

@@ -100,8 +100,8 @@ def hardy_norm_formula(p: float, b: float = 1.0, direction: str = "forward") -> 
     direction "forward" evaluates the L_p -> L_2 expression, "dual" the
     L_2 -> L_{p'} one; the two expressions are identical term by term.
     """
-    if not (1 < p < np.inf) or b <= 0:
-        raise GeometryError("hardy_norm_formula needs p in (1, inf), b > 0")
+    if not (1 < p < np.inf and 0 < b < np.inf):
+        raise GeometryError("hardy_norm_formula needs p in (1, inf), b in (0, inf)")
     pp = p / (p - 1.0)
     if direction == "forward":
         return (b ** (1 - 1 / p + 0.5) * (pp + 2) ** (1 - 1 / pp - 0.5)

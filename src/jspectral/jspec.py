@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ from .space import (
     ConvergenceError,
     Functional,
     GeometryError,
+    Space,
     Vec,
     _csv_text,
     _jmap,
@@ -55,17 +57,30 @@ class DeflationExhausted(RuntimeError):
 class JSpectrum:
     """j-eigenvalues and j-eigenvectors with their deflation functionals.
 
+    Level k is column k of X (x_k, on dom), Y (y_k = T x_k / lambda_k, on
+    cod), JX (J_X x_k) and JY (J_Y(T x_k)); xs and ys view X and Y as Vecs.
+
     nus holds lambda_k * mu(lambda_k) = lambda_k**2 for the gauge mu(t) = t.
     A level that does not certify raises, so every stored level converged.
     """
 
     lambdas: list[float] = field(default_factory=list)
-    xs: list[Vec] = field(default_factory=list)
-    ys: list[Vec] = field(default_factory=list)
-    defl_X: list[Functional] = field(default_factory=list)
-    defl_Y: list[Functional] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
+    X: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    Y: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    JX: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    JY: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    dom: Space | None = None
+    cod: Space | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def xs(self) -> list[Vec]:
+        return [Vec(x, self.dom) for x in self.X.T]
+
+    @property
+    def ys(self) -> list[Vec]:
+        return [Vec(y, self.cod) for y in self.Y.T]
 
     @property
     def nus(self):
@@ -81,15 +96,10 @@ class JSpectrum:
 
     def semi_orth_table(self, side="x"):
         """Matrix of semi-inner products (v_r, v_s); delta_{rs} expected for r <= s."""
-        vs = self.xs if side == "x" else self.ys
-        n = len(vs)
-        S = np.zeros((n, n))
-        for r in range(n):
-            sp = vs[r].space
-            jr = _jmap(vs[r].coeffs, sp.weights, sp.p)
-            for s in range(n):
-                S[r, s] = sp.weights @ (vs[s].coeffs * jr)
-        return S
+        if not self.n_levels:
+            return np.zeros((0, 0))
+        V, sp = (self.X, self.dom) if side == "x" else (self.Y, self.cod)
+        return (sp.weights[:, None] * _jmap(V, sp.weights, sp.p)).T @ V
 
     def to_json(self):
         return json.dumps(
@@ -98,8 +108,8 @@ class JSpectrum:
                 "nus": self.nus,
                 "residuals": self.residuals,
                 "converged": self.converged,
-                "xs": [x.coeffs.tolist() for x in self.xs],
-                "ys": [y.coeffs.tolist() for y in self.ys],
+                "xs": self.X.T.tolist(),
+                "ys": self.Y.T.tolist(),
                 "meta": {k: v for k, v in self.meta.items() if _json_safe(v)},
             },
             sort_keys=True,
@@ -118,32 +128,31 @@ def _json_safe(v):
         return False
 
 
-def _constraint_qr(rows, mode):
-    """Pivoted QR of the constraint rows (taken as columns) and their
-    numerical rank; raises DeflationExhausted when they span the whole
-    domain."""
-    C = np.array(rows)
-    Q, R, _ = qr(C.T, mode=mode, pivoting=True)
+def _constraint_qr(C, mode):
+    """Pivoted QR of the columns of C and their numerical rank; raises
+    DeflationExhausted when they span the whole domain."""
+    Q, R, _ = qr(C, mode=mode, pivoting=True)
     d = np.abs(np.diag(R))
     rank = int(np.sum(d > 1e-13 * max(float(d.max(initial=0.0)), 1e-300)))
-    if C.shape[1] - rank <= 0:
+    if C.shape[0] - rank <= 0:
         raise DeflationExhausted("constraints exhaust the domain")
     return Q, rank
 
 
 def _constraint_projector(T, constraints):
     """Projector v - B B^T (w v) onto the common kernel of the constraint
-    functionals, orthogonal in the weighted pairing, and B: a basis of their
-    span, orthonormal in that pairing (None without constraints). The
-    projector takes an n x r block and projects it column by column, as one
-    batch of matrix-vector products, so that each column comes out bitwise
-    as it would alone, which the block run needs (see space._power_sums);
-    the plain B @ (B.T @ (w V)) is a matrix product and rounds otherwise."""
-    if not constraints:
+    functionals, the columns of the dim x k array constraints, orthogonal in
+    the weighted pairing, and B: a basis of their span, orthonormal in that
+    pairing (None without constraints). The projector takes an n x r block
+    and projects it column by column, as one batch of matrix-vector
+    products, so that each column comes out bitwise as it would alone, which
+    the block run needs (see space._power_sums); the plain
+    B @ (B.T @ (w V)) is a matrix product and rounds otherwise."""
+    if not np.size(constraints):
         return (lambda V: V), None
     w = T.dom.weights
     sw = np.sqrt(w)
-    Q, rank = _constraint_qr([sw * f.coeffs for f in constraints], "economic")
+    Q, rank = _constraint_qr(sw[:, None] * constraints, "economic")
     B = Q[:, :rank] / sw[:, None]
 
     def project(V):
@@ -154,11 +163,12 @@ def _constraint_projector(T, constraints):
 
 
 def nullspace_basis(T, constraints):
-    """Explicit orthonormal basis of the constraint kernel (for subspace
-    constructions; quadratic memory, intended for moderate grids)."""
-    if not constraints:
+    """Explicit orthonormal basis of the common kernel of the columns of the
+    dim x k array constraints (for subspace constructions; quadratic
+    memory, intended for moderate grids)."""
+    if not np.size(constraints):
         return np.eye(T.dom.dim)
-    Q, rank = _constraint_qr([T.dom.weights * f.coeffs for f in constraints], "full")
+    Q, rank = _constraint_qr(T.dom.weights[:, None] * constraints, "full")
     return Q[:, rank:]
 
 
@@ -168,7 +178,8 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
 
     With M None the distance is ||Tx||_Y, the primal problem; the quotient
     dual passes the adjoint as T and its representatives as the columns of
-    M. At unit x, with lambda = dist_Y(Tx, span M) and c the
+    M, and constraints is the dim x k array of the deflation functionals
+    (k may be 0). At unit x, with lambda = dist_Y(Tx, span M) and c the
     best-approximation coefficients, r = T* J~_Y(Tx - Mc) pairs with x to
     lambda, and the eigenvalue equation says r - lambda J~_X x lies in
     span(constraints) = span B. Each step takes v = r - B mu, with B mu the
@@ -262,7 +273,7 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
         X_new, moved = _unit_columns(X_new if p <= 2.0 else project(X_new), w_d, p)
         step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
         for j in np.flatnonzero(~step):
-            res = functional_distance(Functional(R[:, j] - JX[:, j], T.dom), constraints)
+            res = functional_distance(R[:, j] - JX[:, j], constraints, T.dom)
             done[j] = (float(lam[j]), X[:, j], res, res <= tol)
         live, = _retire(out, done, live)
         X = X_new
@@ -300,23 +311,29 @@ def _canonical_sign(x):
 
 def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     """Largest certified lambda over the all-ones start and restarts - 1
-    Gaussian starts drawn from rng, on the polar subspace of constraints.
+    Gaussian starts drawn from rng, on the polar subspace of the columns of
+    the dim x k array constraints.
     The starts are the columns of one n x r block, drawn in that order, and
     _ascent steps them together; the first of equal certified lambdas in
     start order wins. Returns (lambda, x, residual) with x in canonical
     sign. Raises DeflationExhausted when the constraints exhaust the domain,
     or when no start certifies a positive lambda and some start finds T
     vanishing, and ConvergenceError (with the best residual) when no start
-    certifies.
+    certifies. Raises GeometryError unless tol is finite and positive and
+    restarts is at least 1.
 
     A start finds T vanishing when lambda falls below 1e-13 max(s, 1), with
     s = max_j ||T x0_j||_Y / ||x0_j||_X over the columns of the start block
     before projection (the plain codomain norm, also with M): a lower bound
     on ||T|| for one block apply, not the n applies of a Frobenius norm."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise GeometryError(f"tol must be finite and positive, got {tol:g}")
+    if restarts < 1:
+        raise GeometryError(f"restarts must be at least 1, got {restarts}")
     project, B = _constraint_projector(T, constraints)
     n = T.dom.dim
     # drawn as rows, so that each start is one contiguous column of X0
-    X0 = np.vstack([np.ones(n), rng.standard_normal((max(restarts - 1, 0), n))]).T
+    X0 = np.vstack([np.ones(n), rng.standard_normal((restarts - 1, n))]).T
     s = np.max(_lp_norm(T.apply_coeffs(X0), T.cod.weights, T.cod.p)
                / _lp_norm(X0, T.dom.weights, T.dom.p))
     lam_tiny = 1e-13 * max(float(s), 1.0)
@@ -339,24 +356,28 @@ def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
             raise DeflationExhausted("operator vanishes on the constrained subspace")
         res = best_failed[2] if best_failed else np.inf
         raise ConvergenceError(
-            f"no start reached residual tolerance {tol:g} (best residual {res:.3e})",
+            f"no start reached residual tolerance {tol:g}",
             residual=res,
         )
     lam, x, res = best
     return lam, _canonical_sign(x), res
 
 
-def extremal_pair(T: LinOp, constraints_X=(), seed: int = 42, tol: float = 1e-8,
-                  restarts: int = 8, max_iter: int = 4600):
-    """Largest certified extremal of S_T on the constrained subspace.
+def extremal_pair(T: LinOp, constraints_X: Sequence[Functional] = (), seed: int = 42,
+                  tol: float = 1e-8, restarts: int = 8, max_iter: int = 4600):
+    """Largest certified extremal of S_T on the common kernel of the
+    functionals constraints_X, which live on the grid of T.dom.
 
     Returns (lambda, x, residual) with ||x||_X = 1, lambda = ||Tx||_Y and the
-    certified residual at most tol. Raises DeflationExhausted when T vanishes
-    on the subspace and ConvergenceError (with the best residual) when no
-    start certifies.
+    certified residual at most tol. Raises GeometryError for a constraint
+    off that grid, DeflationExhausted when T vanishes on the subspace and
+    ConvergenceError (with the best residual) when no start certifies.
     """
-    lam, x, res = _best_start(T, list(constraints_X), np.random.default_rng(seed),
-                              restarts, tol, max_iter)
+    fs = list(constraints_X)
+    if not all(f.space.same_grid(T.dom) for f in fs):
+        raise GeometryError("constraint functionals must live on the grid of T.dom")
+    C = np.column_stack([np.zeros((T.dom.dim, 0)), *(f.coeffs for f in fs)])
+    lam, x, res = _best_start(T, C, np.random.default_rng(seed), restarts, tol, max_iter)
     return lam, Vec(x, T.dom), res
 
 
@@ -368,18 +389,22 @@ def operator_norm(T: LinOp, tol: float = 1e-8, seed: int = 42, restarts: int = 4
 
 def _deflate(S: LinOp, n_levels, tol, restarts, rngs, quotient):
     """The deflation flag of S: level k certifies x_k on the polar subspace
-    of J_X x_j (j < k), with starts from the k-th generator of rngs, and
-    stores y_k = S x_k / lambda_k, J_X x_k and J_Y(S x_k). With quotient, S
-    is an adjoint measured by the distance to span{y_j : j < k}, the
-    quotient norm of the dual problem. Stops once S vanishes; raises
-    ConvergenceError, naming the level, when a level fails to certify or
-    exceeds the one before."""
+    of the columns J_X x_j (j < k) of js.JX, with starts from the k-th
+    generator of rngs, and appends x_k, y_k = S x_k / lambda_k, J_X x_k and
+    J_Y(S x_k) to js.X, js.Y, js.JX and js.JY. With quotient, S is an
+    adjoint measured by the distance to the span of js.Y, the quotient norm
+    of the dual problem. Stops once S vanishes; raises ConvergenceError,
+    naming the level, when a level fails to certify or exceeds the one
+    before, and GeometryError for a negative n_levels."""
+    if n_levels < 0:
+        raise GeometryError(f"the number of levels must be at least 0, got {n_levels}")
     name, where = ("T*", "dual level") if quotient else ("T", "level")
-    js = JSpectrum()
+    empty_d, empty_c = np.zeros((S.dom.dim, 0)), np.zeros((S.cod.dim, 0))
+    js = JSpectrum(X=empty_d, Y=empty_c, JX=empty_d, JY=empty_c, dom=S.dom, cod=S.cod)
     for level, rng in zip(range(n_levels), rngs):
-        M = np.column_stack([y.coeffs for y in js.ys]) if quotient and js.ys else None
         try:
-            lam, x, res = _best_start(S, js.defl_X, rng, restarts, tol, M=M)
+            lam, x, res = _best_start(S, js.JX, rng, restarts, tol,
+                                      M=js.Y if quotient and js.n_levels else None)
         except DeflationExhausted:
             js.meta["terminated"] = f"restriction of {name} is zero after level {level}"
             break
@@ -392,14 +417,15 @@ def _deflate(S: LinOp, n_levels, tol, restarts, rngs, quotient):
                 f"{lam:.6e} > {js.lambdas[-1]:.6e}; earlier level under-shot",
                 residual=res,
             )
-        x = Vec(x, S.dom)
-        Sx = S.apply_coeffs(x.coeffs)
+        x = np.array(x)  # a contiguous copy of the winning column of the block
+        Sx = S.apply_coeffs(x)
         js.lambdas.append(lam)
-        js.xs.append(x)
-        js.ys.append(Vec(Sx / lam, S.cod))
         js.residuals.append(res)
-        js.defl_X.append(Functional(_jmap(x.coeffs, S.dom.weights, S.dom.p), S.dom))
-        js.defl_Y.append(Functional(_jmap(Sx, S.cod.weights, S.cod.p), S.cod))
+        # column_stack keeps the arrays C-ordered: later levels round in that layout
+        js.X = np.column_stack([js.X, x])
+        js.Y = np.column_stack([js.Y, Sx / lam])
+        js.JX = np.column_stack([js.JX, _jmap(x, S.dom.weights, S.dom.p)])
+        js.JY = np.column_stack([js.JY, _jmap(Sx, S.cod.weights, S.cod.p)])
     return js
 
 
@@ -422,7 +448,7 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     checks = []
     for k in range(js.n_levels):
         try:
-            project, _ = _constraint_projector(T, js.defl_X[: k + 1])
+            project, _ = _constraint_projector(T, js.JX[:, : k + 1])
         except DeflationExhausted:
             break
         worst = 0.0
@@ -435,7 +461,7 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
             ntv = _lp_norm(tv, w_c, q)
             if ntv == 0.0:
                 continue
-            val = abs(w_c @ (tv * js.defl_Y[k].coeffs)) / ntv
+            val = abs(w_c @ (tv * js.JY[:, k])) / ntv
             worst = max(worst, val)
         checks.append(worst)
     js.meta["mapping_check"] = checks
@@ -459,8 +485,8 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     and ys are the representatives x*_k = T* psi_k / lambda_k* (unit
     quotient norm: their distance to the accumulated span is 1; full dual
     norms may exceed 1; as full images they carry the biorthogonality that
-    makes the linearized series exact). The deflation functionals are
-    J_{Y*} psi_k and J_{X*}(T* psi_k); all levels draw from one generator.
+    makes the linearized series exact), the columns of X and Y. JX and JY
+    hold J_{Y*} psi_k and J_{X*}(T* psi_k); all levels draw from one generator.
     Cross-checks stored in meta: lambda_i* against the supplied primal
     spectrum (or a fresh first level) and the first dual extremal against
     J_Y(T x_1)/lambda_1.
@@ -471,16 +497,16 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     if primal is None:
         lam1, x1, _ = extremal_pair(T, (), seed=seed, tol=tol, restarts=restarts)
         prim_lams = [lam1]
-        prim_x1 = x1
+        prim_x1 = x1.coeffs
     else:
         prim_lams = primal.lambdas
-        prim_x1 = primal.xs[0] if primal.xs else None
+        prim_x1 = primal.X[:, 0] if primal.n_levels else None
     m = min(len(prim_lams), js.n_levels)
     js.meta["lambda_match"] = [abs(prim_lams[i] - js.lambdas[i]) for i in range(m)]
     if prim_x1 is not None and js.n_levels:
         w_c, q = T.cod.weights, T.cod.p
-        ystar = _jtilde(T.apply_coeffs(prim_x1.coeffs), w_c, q)
-        js.meta["first_dual_vector_dev"] = sup_dev_up_to_sign(js.xs[0].coeffs, ystar)
+        ystar = _jtilde(T.apply_coeffs(prim_x1), w_c, q)
+        js.meta["first_dual_vector_dev"] = sup_dev_up_to_sign(js.X[:, 0], ystar)
     js.meta["tol"] = tol
     return js
 
@@ -493,6 +519,8 @@ def konig_report(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42
         raise GeometryError("the eigenvalue comparison needs T acting on one space")
     if not 1 <= n <= T.dom.dim:
         raise GeometryError(f"level n = {n} is outside 1..{T.dom.dim}, the dimension of T")
+    if k_max < 0:
+        raise GeometryError(f"k_max must be at least 0, got {k_max}")
     from .oper import power as _power
 
     vals = []

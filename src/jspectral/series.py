@@ -36,7 +36,7 @@ from .space import (
     Space,
     Vec,
     _csv_text,
-    _jtilde,
+    _jmap,
     _lp_norm,
     functional_distance,
     sup_dev_up_to_sign,
@@ -147,12 +147,6 @@ def _columns(vectors, space):
     return np.column_stack([v.coeffs for v in vectors])
 
 
-def _jmap_columns(M, w, p):
-    """The duality map J of each column of M."""
-    nv = _lp_norm(M, w, p)
-    return _jtilde(M, w, p, nv) * nv
-
-
 def _weighted_gram(V, space):
     return (V * space.weights[:, None]).T @ V
 
@@ -181,11 +175,10 @@ def hilbert_target_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """
     if T.cod.p != 2.0:
         raise GeometryError("hilbert_target_series needs codomain exponent 2")
-    H = _columns(js.ys, T.cod)
-    dev = _check_orthonormal(H, T.cod, 1e-6, "target-side vectors h_i")
+    dev = _check_orthonormal(js.Y, T.cod, 1e-6, "target-side vectors h_i")
     return SeriesRep(
-        "hilbert_target", list(js.lambdas), H,
-        T.apply_adjoint_coeffs(H) / np.asarray(js.lambdas), T.dom, T.cod,
+        "hilbert_target", list(js.lambdas), js.Y,
+        T.apply_adjoint_coeffs(js.Y) / np.asarray(js.lambdas), T.dom, T.cod,
         meta={"h_gram_dev": dev, "residuals": list(js.residuals)},
     )
 
@@ -198,13 +191,11 @@ def hilbert_source_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """
     if T.dom.p != 2.0:
         raise GeometryError("hilbert_source_series needs domain exponent 2")
-    H = _columns(js.xs, T.dom)
-    dev = _check_orthonormal(H, T.dom, 1e-6, "source-side vectors h_i")
-    Y = _columns(js.ys, T.cod)
-    G = _weighted_gram(Y, T.cod)
+    dev = _check_orthonormal(js.X, T.dom, 1e-6, "source-side vectors h_i")
+    G = _weighted_gram(js.Y, T.cod)
     cond = float(np.linalg.cond(G)) if G.size else 1.0
     return SeriesRep(
-        "hilbert_source", list(js.lambdas), Y, H, T.dom, T.cod,
+        "hilbert_source", list(js.lambdas), js.Y, js.X, T.dom, T.cod,
         meta={"h_gram_dev": dev, "y_gram_cond": cond, "residuals": list(js.residuals)},
     )
 
@@ -230,31 +221,28 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
 
     lam_star = list(js_d.lambdas[:m])
     w = T.dom.weights
-    h_star = _columns(js_d.xs[:m], T.cod)
-    x_star = _columns(js_d.ys[:m], T.dom)
+    h_star, x_star = js_d.X[:, :m], js_d.Y[:, :m]
     rep_a = SeriesRep("linearized", lam_star, h_star, x_star, T.dom, T.cod)
 
-    Z = _jmap_columns(x_star, w, T.dom.pprime)  # J_X z_i = x_i*
-    rep_b = SeriesRep("linearized", lam_star, h_star, _jmap_columns(Z, w, T.dom.p),
-                      T.dom, T.cod)
+    Z = _jmap(x_star, w, T.dom.pprime)  # J_X z_i = x_i*
+    rep_b = SeriesRep("linearized", lam_star, h_star, _jmap(Z, w, T.dom.p), T.dom, T.cod)
 
     # primal-side representative of the level-k quotient class: the element
     # of J~_X x_i + span{J_X x_j, j < i} biorthogonal to the x_j (the unique
     # coefficient family of an expansion along the orthonormal h_i)
     S = js_p.semi_orth_table("x")  # S[k, j] = <x_j, J x_k>
-    J = _columns(js_p.defl_X[:m], T.dom)
+    J = js_p.JX[:, :m]
     Psi = J.copy()
     for i in range(1, m):
         Psi[:, i] -= J[:, :i] @ np.linalg.solve(S[:i, :i].T, S[i, :i])
-    rep_c = SeriesRep("linearized", list(js_p.lambdas[:m]), _columns(js_p.ys[:m], T.cod),
-                      Psi, T.dom, T.cod)
+    rep_c = SeriesRep("linearized", list(js_p.lambdas[:m]), js_p.Y[:, :m], Psi, T.dom, T.cod)
 
     lam_dev = [abs(js_p.lambdas[i] - lam_star[i]) for i in range(m)]
-    h_dev = [sup_dev_up_to_sign(js_p.ys[i].coeffs, h_star[:, i]) for i in range(m)]
-    z1_dev = sup_dev_up_to_sign(Z[:, 0], js_p.xs[0].coeffs) if m else 0.0
+    h_dev = [sup_dev_up_to_sign(js_p.Y[:, i], h_star[:, i]) for i in range(m)]
+    z1_dev = sup_dev_up_to_sign(Z[:, 0], js_p.X[:, 0]) if m else 0.0
     # unit quotient norm of the representatives: dist to the earlier span
-    psi_norm_dev = [abs(functional_distance(f, js_p.defl_X[:i]) - 1.0)
-                    for i, f in enumerate(rep_c.coeff_functionals)]
+    psi_norm_dev = [abs(functional_distance(Psi[:, i], J[:, :i], T.dom) - 1.0)
+                    for i in range(m)]
 
     X = _columns(random_unit_vectors(T.dom, n_check, seed=seed + 17), T.dom)
     scale = max(lam_star[0], 1e-300) if lam_star else 1.0
@@ -287,10 +275,9 @@ def flag_biorthogonal_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     nested deflation flags; reproduces the Hilbert-case coefficients exactly.
     """
     M = js.semi_orth_table("y")  # M[j, i] = <y_i, J y_j>
-    Y = _columns(js.ys, T.cod)
-    adj = T.apply_adjoint_coeffs(_jmap_columns(Y, T.cod.weights, T.cod.p))
+    adj = T.apply_adjoint_coeffs(_jmap(js.Y, T.cod.weights, T.cod.p))
     return SeriesRep(
-        "general_decay", list(js.lambdas), Y,
+        "general_decay", list(js.lambdas), js.Y,
         adj @ np.linalg.inv(M).T / np.asarray(js.lambdas), T.dom, T.cod,
         meta={"flag_gram": M.tolist()},
     )
@@ -329,7 +316,7 @@ def check_decay_condition(js: JSpectrum, mode: str = "lambda",
         if T is not None:
             dom, cod = T.dom, T.cod
         elif n:
-            dom, cod = js.xs[0].space, js.ys[0].space
+            dom, cod = js.dom, js.cod
         else:
             raise GeometryError("the lp decay mode needs T or a level for its exponents")
         if dom.p != cod.p:
@@ -454,12 +441,12 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     D = np.sqrt(wH)
 
     try:
-        Z = nullspace_basis(T, js_T.defl_X[:n])
+        Z = nullspace_basis(T, js_T.JX[:, :n])
     except DeflationExhausted:
         Z = np.zeros((A.dom.dim, 0))
     U = _scaled_orth(A.apply_coeffs(Z), wH)
 
-    G = D[:, None] * A.apply_coeffs(_columns(js_T.xs[:n], A.dom))
+    G = D[:, None] * A.apply_coeffs(js_T.X[:, :n])
     H = np.zeros((A.cod.dim, n))
     for i in reversed(range(n)):
         g = G[:, i]
@@ -489,7 +476,7 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     R = rep.remainder(T, n).apply_coeffs(X)
     nu = _lp_norm(R, B.cod.weights, B.cod.p)
     ok = nu > 0.0
-    pairings = (B.cod.weights[:, None] * R[:, ok]).T @ _columns(js_T.defl_Y[:n], B.cod)
+    pairings = (B.cod.weights[:, None] * R[:, ok]).T @ js_T.JY[:, :n]
     rep.meta = {
         "h_gram_dev": _gram_dev(H, A.cod),
         "lambda_bound": bound,
@@ -532,14 +519,13 @@ def double_series(A: LinOp, B: LinOp, terms: int, tol: float = 1e-8,
     js_b = compute_jspectrum(B, terms, tol=tol, seed=seed + 1, restarts=restarts)
     I, J = js_a.n_levels, js_b.n_levels
     wH = A.cod.weights
-    cross = np.array([[wH @ (a * b) for b in _columns(js_b.xs, A.cod).T]
-                      for a in _columns(js_a.xs, A.cod).T]).reshape(I, J)
+    cross = np.array([[wH @ (a * b) for b in js_b.X.T] for a in js_a.X.T]).reshape(I, J)
     lam = np.outer(js_a.lambdas, js_b.lambdas) * cross
     # by decreasing weight; ties keep the row-major (i, j) order
     order = np.argsort(-np.abs(lam), axis=None, kind="stable")
     ii, jj = np.unravel_index(order, (I, J))
-    rep = SeriesRep("double", lam.ravel()[order].tolist(), _columns(js_b.ys, B.cod)[:, jj],
-                    _columns(js_a.ys, A.dom)[:, ii], A.dom, B.cod)
+    rep = SeriesRep("double", lam.ravel()[order].tolist(), js_b.Y[:, jj], js_a.Y[:, ii],
+                    A.dom, B.cod)
     rep.meta = {
         "shape": (I, J),
         "order": list(zip(ii.tolist(), jj.tolist())),
@@ -582,21 +568,21 @@ def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,
     _check_factors(A, B, "half_series")
     if which_compact == "A":
         js_a = compute_jspectrum(adjoint(A), terms, tol=tol, seed=seed, restarts=restarts)
-        BH = B.apply_coeffs(_columns(js_a.xs, A.cod))
+        BH = B.apply_coeffs(js_a.X)
         nb = _lp_norm(BH, B.cod.weights, B.cod.p)
         keep = nb != 0.0
         rep = SeriesRep("half_direct", (np.asarray(js_a.lambdas) * nb)[keep].tolist(),
-                        BH[:, keep] / nb[keep], _columns(js_a.ys, A.dom)[:, keep],
+                        BH[:, keep] / nb[keep], js_a.Y[:, keep],
                         A.dom, B.cod)
         rep.meta = {"lambda_A_star": list(js_a.lambdas)}
         return rep
     if which_compact == "B":
         js_b = compute_jspectrum(B, terms, tol=tol, seed=seed, restarts=restarts)
-        C = A.apply_adjoint_coeffs(_columns(js_b.xs, B.dom))
+        C = A.apply_adjoint_coeffs(js_b.X)
         nc = _lp_norm(C, A.dom.weights, A.dom.pprime)
         keep = nc != 0.0
         rep = SeriesRep("half_dual", (nc * np.asarray(js_b.lambdas))[keep].tolist(),
-                        _columns(js_b.ys, B.cod)[:, keep], C[:, keep] / nc[keep],
+                        js_b.Y[:, keep], C[:, keep] / nc[keep],
                         A.dom, B.cod)
         na, bounded = _norm_bound(nc, A)
         rep.meta = {

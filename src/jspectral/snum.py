@@ -17,8 +17,7 @@ import numpy as np
 
 from .jspec import DeflationExhausted, JSpectrum, compute_jspectrum, extremal_pair
 from .oper import LinOp
-from .series import (SeriesRep, _columns, _gram_dev, hilbert_source_series,
-                     hilbert_target_series)
+from .series import SeriesRep, _gram_dev, hilbert_source_series, hilbert_target_series
 from .space import ConvergenceError, GeometryError, _csv_text, _lp_norm
 
 
@@ -112,8 +111,7 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         if best_name is None:
             res = min(residuals)
             raise ConvergenceError(
-                f"no rank-{k} candidate has a certified norm at n = {n} "
-                f"(best residual {res:.3e})", residual=res,
+                f"no rank-{k} candidate has a certified norm at n = {n}", residual=res,
             )
         values.append(best)
         details.append(best_name)
@@ -157,10 +155,7 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
     n = js.n_levels if n_max is None else min(n_max, js.n_levels)
     if a_values is None:
         a_values = approx_numbers(T, n, js=js, **kw)
-    th = [
-        _lp_norm(T.apply_coeffs(js.xs[i].coeffs), T.cod.weights, T.cod.p)
-        for i in range(n)
-    ]
+    th = _lp_norm(T.apply_coeffs(js.X[:, :n]), T.cod.weights, T.cod.p).tolist()
     slacks = [th[i] - a_values[i] for i in range(n)]
     return {
         "a": list(a_values[:n]),
@@ -168,6 +163,6 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
         "lambdas": list(js.lambdas[:n]),
         "slacks": slacks,
         "passed": [s >= -tol for s in slacks],
-        "h_gram_dev": _gram_dev(_columns(js.xs[:n], T.dom), T.dom),
+        "h_gram_dev": _gram_dev(js.X[:, :n], T.dom),
         "tol": tol,
     }

@@ -216,11 +216,10 @@ def _power_sums(block, w, p):
 
 
 def _jmap(coeffs, w, p):
-    """Coefficients of the duality map with gauge mu(t) = t."""
+    """Coefficients of the duality map with gauge mu(t) = t, of a vector or of
+    each column of a block, each bitwise as alone (J(0) = 0)."""
     nv = _lp_norm(coeffs, w, p)
-    if nv == 0.0:
-        return np.zeros_like(coeffs)
-    return odd_power(coeffs / nv, p - 1.0) * nv
+    return odd_power(coeffs / np.where(nv == 0.0, 1.0, nv), p - 1.0) * nv
 
 
 def _jtilde(coeffs, w, p, nv=None):
@@ -414,21 +413,20 @@ def alber_decompose(x: Vec, M_basis: list[Vec]) -> tuple[Vec, Vec]:
     return m, v
 
 
-def functional_distance(f: Functional, basis: list[Functional]) -> float:
-    """Distance in the dual (weighted l_{p'}) norm from f to span(basis).
+def functional_distance(f, basis, space) -> float:
+    """Distance in the dual (weighted l_{p'}) norm of space from the functional
+    with coefficients f to the span of the columns of the dim x k array basis.
 
     This is the norm of f restricted to the common kernel of the basis
     functionals (the quotient norm), used as the solver's residual
     certificate on deflated subspaces. If the inner minimizer stalls, the
     achieved (larger, hence conservative) value is returned.
     """
-    sp = f.space
-    pp = sp.pprime
-    if not basis:
-        return f.norm()
-    B = np.column_stack([g.coeffs for g in basis])
+    pp = space.pprime
+    if not np.size(basis):
+        return _lp_norm(f, space.weights, pp)
     try:
-        _, d = min_norm_coeffs(f.coeffs, B, sp.weights, pp)
+        _, d = min_norm_coeffs(f, basis, space.weights, pp)
     except ConvergenceError as exc:
         d = exc.residual
     return d

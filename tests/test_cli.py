@@ -199,6 +199,22 @@ def test_missing_command_exits_2(capsys):
      "n_terms must be at least 3: the decay fit skips the first term and needs two more"),
     (["konig", "--case", "diag", "--n", "4"],
      "level n = 4 is outside 1..3, the dimension of T"),
+    (["hardy-norm", "--p", "2", "--b", "nan"],
+     "hardy_norm_formula needs p in (1, inf), b in (0, inf)"),
+    (["hardy-norm", "--p", "2", "--b", "inf"],
+     "hardy_norm_formula needs p in (1, inf), b in (0, inf)"),
+    (["gtrig", "--samples", "-1"], "--samples must be at least 0, got -1"),
+    (["jspec", "--grid-n", "64", "--levels", "-2"],
+     "the number of levels must be at least 0, got -2"),
+    (["snum", "--grid-n", "64", "--n-max", "-1"],
+     "the number of levels must be at least 0, got -1"),
+    (["konig", "--k-max", "-1"], "k_max must be at least 0, got -1"),
+    (["jspec", "--grid-n", "64", "--levels", "1", "--tol", "nan"],
+     "tol must be finite and positive, got nan"),
+    (["jspec", "--grid-n", "64", "--levels", "1", "--tol", "-1"],
+     "tol must be finite and positive, got -1"),
+    (["jspec", "--grid-n", "64", "--levels", "1", "--restarts", "0"],
+     "restarts must be at least 1, got 0"),
 ])
 def test_invalid_input_exits_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2
@@ -258,6 +274,17 @@ def test_nonconvergence_exit_code(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "residual" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jspec", "--grid-n", "64", "--levels", "1", "--tol", "1e-300", "--restarts", "1"],
+    ["dual", "--grid-n", "64", "--levels", "1", "--tol", "1e-300", "--restarts", "1"],
+])
+def test_nonconvergence_reports_the_best_residual_once(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("best residual") == 1
+    assert len(err.splitlines()) == 1
 
 
 def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from jspectral import (
     ConvergenceError,
     DeflationExhausted,
     Functional,
+    GeometryError,
     JSpectrum,
     LinOp,
     Space,
@@ -26,7 +27,7 @@ from jspectral import (
 from jspectral import jspec, space
 from jspectral.jspec import _ascent, _constraint_projector
 from jspectral.oper import scale
-from jspectral.space import _lp_norm
+from jspectral.space import _jmap, _lp_norm
 
 
 def classical_volterra_values(n):
@@ -123,6 +124,20 @@ def test_jspectrum_semi_orthogonality_tables(hardy_l3_l2):
                 assert abs(S[r, s] - (r == s)) <= 1e-6
     # mapping of deflated domain subspaces into codomain subspaces
     assert max(js.meta["mapping_check"]) <= 1e-6
+
+
+@pytest.mark.parametrize("spectrum", [compute_jspectrum, dual_jspectrum])
+def test_semi_orth_table_matches_the_entrywise_pairings(hardy_l3_l2, spectrum):
+    # S[r, s] = <v_s, J v_r>, one weighted pairing per entry
+    js = spectrum(hardy_l3_l2, 4, tol=1e-9, seed=0, restarts=4)
+    for side, vs in (("x", js.xs), ("y", js.ys)):
+        want = np.zeros((4, 4))
+        for r in range(4):
+            w, p = vs[r].space.weights, vs[r].space.p
+            jr = _jmap(vs[r].coeffs, w, p)
+            for s in range(4):
+                want[r, s] = w @ (vs[s].coeffs * jr)
+        assert np.max(np.abs(js.semi_orth_table(side) - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("p, q, n", [(3.0, 2.0, 256), (1.5, 3.0, 256)])
@@ -225,6 +240,30 @@ def test_jspectrum_export_formats(hardy_l2):
     table = js.to_csv()
     assert table.splitlines()[0] == "level,lambda,residual"
     assert len(table.splitlines()) == 3
+
+
+def test_extremal_pair_rejects_constraints_off_the_domain_grid():
+    T = hardy(Space.uniform(64, 3.0), Space.uniform(64, 2.0))
+    for sp in (Space.uniform(32, 3.0), Space.uniform(64, 3.0, b=2.0)):
+        with pytest.raises(GeometryError, match="grid of T.dom"):
+            extremal_pair(T, [Functional(np.ones(sp.dim), sp)])
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(tol=float("nan")), "tol must be finite and positive"),
+    (dict(tol=-1.0), "tol must be finite and positive"),
+    (dict(tol=0.0), "tol must be finite and positive"),
+    (dict(tol=float("inf")), "tol must be finite and positive"),
+    (dict(restarts=0), "restarts must be at least 1"),
+])
+@pytest.mark.parametrize("solve", [
+    lambda T, **kw: extremal_pair(T, (), **kw),
+    lambda T, **kw: compute_jspectrum(T, 2, **kw),
+    lambda T, **kw: dual_jspectrum(T, 2, **kw),
+])
+def test_solver_rejects_tol_and_restarts_that_cannot_work(hardy_l3_l2, solve, kw, message):
+    with pytest.raises(GeometryError, match=message):
+        solve(hardy_l3_l2, **kw)
 
 
 def test_empty_jspectrum_and_derived_fields():
@@ -419,7 +458,7 @@ def test_ascent_never_decreases_lambda(p, q, k, seed):
     rng = np.random.default_rng(seed)
     dom, cod = Space.uniform(64, p), Space.uniform(64, q)
     T = RecordingOp(hardy(dom, cod).dense(), dom, cod)
-    constraints = [Functional(rng.standard_normal(64), dom) for _ in range(k)]
+    constraints = rng.standard_normal((k, 64)).T
     project, B = _constraint_projector(T, constraints)
     _ascent(T, project, B, constraints, rng.standard_normal(64)[:, None], 1e-10, 0.0,
             300)
@@ -471,7 +510,7 @@ def test_block_columns_match_single_starts(p, q, k, quotient):
     if quotient:
         T = adjoint(T)
         M = rng.standard_normal((n, 2))
-    constraints = [Functional(rng.standard_normal(n), T.dom) for _ in range(k)]
+    constraints = rng.standard_normal((k, n)).T
     project, B = _constraint_projector(T, constraints)
     X0 = _starts(n, 6, rng)
     block = _ascent(T, project, B, constraints, X0, 1e-9, 0.0, 4600, M)
@@ -496,7 +535,7 @@ def test_finished_columns_leave_the_block(hardy_l3_l2):
 
     T = LinOp._from_kernels(H.dom, H.cod, forward, H.apply_adjoint_coeffs)
     rng = np.random.default_rng(9)
-    constraints = [Functional(rng.standard_normal(T.dom.dim), T.dom) for _ in range(2)]
+    constraints = rng.standard_normal((2, T.dom.dim)).T
     project, B = _constraint_projector(T, constraints)
     X0 = _starts(T.dom.dim, 8, rng)
     _ascent(T, project, B, constraints, X0, 1e-9, 0.0, 4600)
@@ -524,7 +563,7 @@ def test_columns_leaving_before_the_adjoint_leave_the_others_stepping(quotient):
     T = LinOp._from_kernels(dom, cod, mean_free, mean_free)
     f = np.zeros(n)
     f[0], f[1] = 1.0, -1.0
-    constraints = [Functional(f, dom)]
+    constraints = f[:, None]
     project, B = _constraint_projector(T, constraints)
     rng = np.random.default_rng(10)
     M = rng.standard_normal((n, 1)) if quotient else None
@@ -538,5 +577,5 @@ def test_columns_leaving_before_the_adjoint_leave_the_others_stepping(quotient):
         assert got[0] == pytest.approx(lam, rel=1e-12)
         assert got[2] == pytest.approx(res, rel=1e-12)
     if not quotient:
-        lam, _, res = extremal_pair(T, constraints, seed=0, tol=1e-9, restarts=8)
+        lam, _, res = extremal_pair(T, [Functional(f, dom)], seed=0, tol=1e-9, restarts=8)
         assert lam > 0.0 and res <= 1e-9

@@ -292,7 +292,7 @@ def test_hilbertian_series_functionals_annihilate_deeper_polar_subspace(factored
     A, B, T, js = factored_l3_l15
     rep = hilbertian_series(A, B, js)
     for i in range(rep.n_terms):
-        Z = nullspace_basis(T, js.defl_X[: i + 1])
+        Z = nullspace_basis(T, js.JX[:, : i + 1])
         f = A.dom.weights * rep.coeff_functionals[i].coeffs
         assert np.max(np.abs(f @ Z)) <= 1e-12
 
@@ -300,7 +300,7 @@ def test_hilbertian_series_functionals_annihilate_deeper_polar_subspace(factored
 def test_hilbertian_series_degenerate_deflation_raises(factored_l3_l15):
     A, B, _, js = factored_l3_l15
     # a repeated deflation functional keeps X_2 = X_1, so A(X_1) = A(X_2)
-    bad = dataclasses.replace(js, defl_X=[js.defl_X[0], js.defl_X[0], *js.defl_X[2:]])
+    bad = dataclasses.replace(js, JX=js.JX[:, [0, 0, *range(2, js.n_levels)]])
     with pytest.raises(DegenerateDeflationError):
         hilbertian_series(A, B, bad)
 

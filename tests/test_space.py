@@ -443,6 +443,26 @@ def test_jtilde_maps_a_block_column_by_column():
     assert not np.any(got[:, 1])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200)
+@given(n=st.integers(2, 48), p=st.floats(1.1, 8.0),
+       scales=st.lists(st.one_of(st.none(), st.floats(-100.0, 100.0)), min_size=1,
+                       max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_jmap_maps_a_block_column_by_column(n, p, scales, seed):
+    # each column of a block, zero (None) or scaled by 10^e, maps bitwise as
+    # it would alone
+    sp = Space.uniform(n, p)
+    V = np.random.default_rng(seed).standard_normal((n, len(scales)))
+    for j, e in enumerate(scales):
+        V[:, j] = 0.0 if e is None else V[:, j] * 10.0 ** e
+    got = space._jmap(V, sp.weights, p)
+    assert got.shape == V.shape
+    for j in range(V.shape[1]):
+        want = space._jmap(V[:, j], sp.weights, p)
+        assert np.array_equal(got[:, j].view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------- min-norm solver
 
 def _lstsq_coeffs(target, B, w):
