@@ -99,17 +99,26 @@ def hardy_norm_formula(p: float, b: float = 1.0, direction: str = "forward") -> 
 
     direction "forward" evaluates the L_p -> L_2 expression, "dual" the
     L_2 -> L_{p'} one; the two expressions are identical term by term.
+    Raises GeometryError when the norm is not a finite float (it grows like
+    b^(3/2 - 1/p)).
     """
     if not (1 < p < np.inf and 0 < b < np.inf):
         raise GeometryError("hardy_norm_formula needs p in (1, inf), b in (0, inf)")
+    if direction not in ("forward", "dual"):
+        raise GeometryError("direction must be 'forward' or 'dual'")
     pp = p / (p - 1.0)
-    if direction == "forward":
-        return (b ** (1 - 1 / p + 0.5) * (pp + 2) ** (1 - 1 / pp - 0.5)
-                * pp ** 0.5 * 2 ** (1 / pp) / beta_fn(1 / pp, 0.5))
-    if direction == "dual":
-        return (b ** (1 - 0.5 + 1 / pp) * (2 + pp) ** (1 - 0.5 - 1 / pp)
-                * 2 ** (1 / pp) * pp ** 0.5 / beta_fn(0.5, 1 / pp))
-    raise GeometryError("direction must be 'forward' or 'dual'")
+    try:
+        if direction == "forward":
+            value = (b ** (1 - 1 / p + 0.5) * (pp + 2) ** (1 - 1 / pp - 0.5)
+                     * pp ** 0.5 * 2 ** (1 / pp) / beta_fn(1 / pp, 0.5))
+        else:
+            value = (b ** (1 - 0.5 + 1 / pp) * (2 + pp) ** (1 - 0.5 - 1 / pp)
+                     * 2 ** (1 / pp) * pp ** 0.5 / beta_fn(0.5, 1 / pp))
+    except OverflowError:
+        value = np.inf
+    if not np.isfinite(value):
+        raise GeometryError(f"the Hardy norm overflows at p = {p:g}, b = {b:g}")
+    return value
 
 
 # ---------------------------------------------------------------------------

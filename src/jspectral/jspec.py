@@ -39,14 +39,21 @@ from .space import (
     Space,
     Vec,
     _csv_text,
+    _grams,
     _jmap,
     _jtilde,
     _lp_norm,
+    _matvecs,
     functional_distance,
     min_norm_coeffs,
     odd_power,
     sup_dev_up_to_sign,
 )
+
+
+# gradient tolerances of the best-approximation solves in _ascent: full
+# precision, and the loosest a quotient-side solve may run at
+_GTOL, _GTOL_LOOSE = 1e-10, 1e-2
 
 
 class DeflationExhausted(RuntimeError):
@@ -193,16 +200,28 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
     distance certifies lambda.
 
     The columns step together: one apply and one adjoint of the whole block
-    per step, and column-wise norms, duality maps and projector. The
-    best-approximation solves run column by column, each warm-started from
-    the coefficients of its own previous iterate; nothing is carried from
-    one column to another. A column leaves the block, with its result, when
-    it certifies, fails, reaches max_iter, steps to zero or finds lambda
-    below lam_tiny, so finished columns cost nothing more: each exit puts
-    the result in done, and _retire records it and drops the column from
-    every per-column array at hand. Returns one entry
-    per column of X0: None when the start projects to zero, else
-    (lambda, x, residual, certified).
+    per step, column-wise norms, duality maps and projector, and one block
+    call of min_norm_coeffs per side (quotient and constraints), in which
+    each column is warm-started from the coefficients of its own previous
+    iterate and ends as it would alone; nothing is carried from one column
+    to another. A column leaves the block, with its result, when it
+    certifies, fails, reaches max_iter, steps to zero or finds lambda below
+    lam_tiny, so finished columns cost nothing more: each exit puts the
+    result in done, and _retire records it and drops the column from every
+    per-column array at hand. Returns one entry per column of X0: None when
+    the start projects to zero, else (lambda, x, residual, certified).
+
+    The quotient solve is only as precise as the step needs (the forcing
+    term of inexact Newton methods): a column's gradient tolerance is its
+    last bound ||v - lambda J~_X x||_{p'} relative to lambda, clipped to
+    [_GTOL, _GTOL_LOOSE] (the first step, with no bound yet, at
+    _GTOL_LOOSE), and _GTOL once that bound is at most 10 tol or the next
+    step is the last. Any coefficients bound the distance from above, so a
+    loose solve can only overstate lambda, and never on a certified step: a
+    column certifies only on a step whose quotient solve ran at _GTOL, and
+    one that meets tol after a loose solve takes one more step, at _GTOL.
+    The constraint-side solves and the certificate itself always run at
+    _GTOL.
 
     The inner minimization leaves a residue of the constraints in x'. For
     p > 2 project removes it; J~_X is Lipschitz there. At p = p' = 2 the
@@ -218,11 +237,15 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
     w_d, p, pp = T.dom.weights, T.dom.p, T.dom.pprime
     w_c, q = T.cod.weights, T.cod.p
     out = [None] * X0.shape[1]
-    cs = [None] * len(out)   # best-approximation coefficients of each start's
-    mus = [None] * len(out)  # last iterate: quotient side, constraint side
     done = {}  # block column -> result of its start, until _retire records it
     X, kept = _unit_columns(project(np.asarray(X0, dtype=float)), w_d, p)
     live = np.flatnonzero(kept)  # the start of each block column
+    # per block column: the best-approximation coefficients of its last
+    # iterate on the quotient side and on the constraint side, and the
+    # gradient tolerance of its next quotient solve (loose before any bound)
+    Cq = np.zeros((0 if M is None else M.shape[1], live.size))
+    Cb = np.zeros((0 if B is None else B.shape[1], live.size))
+    gtol = np.full(live.size, _GTOL_LOOSE)
     for it in range(max_iter + 1):
         if not live.size:
             break
@@ -230,17 +253,11 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
         if M is None:
             lam = _lp_norm(E, w_c, q)
         else:
-            lam = np.full(live.size, np.nan)
-            for j, s in enumerate(live):
-                try:
-                    cs[s], lam[j] = min_norm_coeffs(E[:, j], M, w_c, q, c0=cs[s])
-                except ConvergenceError:
-                    done[j] = (np.nan, X[:, j], np.inf, False)
-                    continue
-                E[:, j] -= M @ cs[s]
+            Cq, lam = _best_approx(E, M, w_c, q, Cq if it else None, gtol, X, done)
+            E = E - _matvecs(M, Cq.T).T
         for j in np.flatnonzero(lam < lam_tiny):
             done[j] = (0.0, X[:, j], 0.0, True)
-        live, X, E, lam = _retire(out, done, live, X, E, lam)
+        live, X, E, lam, Cq, Cb, gtol = _retire(out, done, live, X, E, lam, Cq, Cb, gtol)
         if not live.size:
             break
         R = T.apply_adjoint_coeffs(_jtilde(E, w_c, q, lam))
@@ -249,35 +266,45 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
         elif pp == 2.0:
             V = project(R)
         else:
-            V = np.empty_like(R)
-            for j, s in enumerate(live):
-                r = R[:, j]
-                try:
-                    mu, _ = min_norm_coeffs(r, B, w_d, pp, c0=mus[s])
-                except ConvergenceError:
-                    done[j] = (np.nan, X[:, j], np.inf, False)
-                    continue
-                v = r - B @ mu
-                if p < 2.0:  # Newton step on <f, odd_power(v, p' - 1)> = 0
-                    h = (pp - 1.0) * w_d * np.abs(v) ** (pp - 2.0)
-                    mu = mu + np.linalg.solve(B.T @ (h[:, None] * B),
-                                              B.T @ (w_d * odd_power(v, pp - 1.0)))
-                    v = r - B @ mu
-                mus[s], V[:, j] = mu, v
-            live, X, lam, R, V = _retire(out, done, live, X, lam, R, V)
+            Cb, _ = _best_approx(R, B, w_d, pp, Cb if it else None, _GTOL, X, done)
+            live, X, lam, R, Cq, Cb, gtol = _retire(out, done, live, X, lam, R, Cq, Cb,
+                                                    gtol)
             if not live.size:
                 break
+            V = R - _matvecs(B, Cb.T).T
+            if p < 2.0:  # Newton step on <f, odd_power(v, p' - 1)> = 0
+                h = (pp - 1.0) * w_d * np.abs(V.T) ** (pp - 2.0)
+                G = _matvecs(B.T, w_d * odd_power(V.T, pp - 1.0))
+                Cb = Cb + np.linalg.solve(_grams(B, h), G[:, :, None])[:, :, 0].T
+                V = R - _matvecs(B, Cb.T).T
         JX = lam * odd_power(X, p - 1.0)
-        step = ~(_lp_norm(V - JX, w_d, pp) <= tol) & (it < max_iter)
+        bound = _lp_norm(V - JX, w_d, pp)
+        step = ~(bound <= tol) & (it < max_iter)
+        if M is not None:  # a step whose quotient solve ran loose certifies nothing
+            step |= (gtol > _GTOL) & (it < max_iter)
+            gtol = np.clip(bound / lam, _GTOL, _GTOL_LOOSE)
+            gtol[(bound <= 10.0 * tol) | (it + 1 == max_iter)] = _GTOL
         X_new = odd_power(V[:, step], pp - 1.0)
         X_new, moved = _unit_columns(X_new if p <= 2.0 else project(X_new), w_d, p)
         step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
         for j in np.flatnonzero(~step):
             res = functional_distance(R[:, j] - JX[:, j], constraints, T.dom)
             done[j] = (float(lam[j]), X[:, j], res, res <= tol)
-        live, = _retire(out, done, live)
+        live, Cq, Cb, gtol = _retire(out, done, live, Cq, Cb, gtol)
         X = X_new
     return out
+
+
+def _best_approx(R, basis, w, p, C0, gtol, X, done):
+    """min_norm_coeffs of the columns of R from basis, as one block call:
+    (coefficients, distances). A column whose solve fails gets distance nan
+    and leaves through done."""
+    try:
+        return min_norm_coeffs(R, basis, w, p, c0=C0, gtol=gtol)
+    except ConvergenceError as exc:
+        for j in np.flatnonzero(exc.failed):
+            done[j] = (np.nan, X[:, j], np.inf, False)
+        return exc.coeffs, np.where(exc.failed, np.nan, exc.residual)
 
 
 def _retire(out, done, live, *blocks):

@@ -23,11 +23,15 @@ class GeometryError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative routine failed to reach its tolerance. Carries the best residual."""
+    """Iterative routine failed to reach its tolerance. Carries the best
+    residual; min_norm_coeffs also gives the coefficients it reached and the
+    mask of the columns that failed, so that the others can go on."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, coeffs=None, failed=None):
         super().__init__(message)
         self.residual = residual
+        self.coeffs = coeffs
+        self.failed = failed
 
 
 def _readonly(a):
@@ -215,6 +219,36 @@ def _power_sums(block, w, p):
     return np.matmul(a.T[:, None, :], w)[:, 0]
 
 
+def _row_norms(X):
+    """The Euclidean norm of each row of X: one dot per contiguous row,
+    bitwise as np.linalg.norm of the row alone."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+
+
+def _matvecs(A, X):
+    """A @ x for each row x of X, as the rows of the result, each bitwise the
+    matrix-vector product A @ x alone: one stacked product over contiguous
+    rows. A stacked product over rows whose layout depends on the number of
+    rows (such as the transpose of a C-ordered k x r block) rounds
+    differently at some k, and the matrix product X @ A.T rounds otherwise."""
+    return np.matmul(A, np.ascontiguousarray(X)[:, :, None])[:, :, 0]
+
+
+def _grams(B, HD):
+    """B.T @ (hd[:, None] * B) for each row hd of HD, each bitwise as alone:
+    the scaled bases are laid out as hd[:, None] * B is, C- or F-ordered as
+    B is, since the matrix product rounds by layout."""
+    r, (n, k) = HD.shape[0], B.shape
+    if B.strides[0] < B.strides[1]:
+        HB = np.empty((r, k, n))
+        np.multiply(HD[:, None, :], B.T, out=HB)
+        HB = HB.transpose(0, 2, 1)
+    else:
+        HB = np.empty((r, n, k))
+        np.multiply(HD[:, :, None], B, out=HB)
+    return np.matmul(B.T, HB)
+
+
 def _jmap(coeffs, w, p):
     """Coefficients of the duality map with gauge mu(t) = t, of a vector or of
     each column of a block, each bitwise as alone (J(0) = 0)."""
@@ -307,88 +341,162 @@ def is_j_orthogonal(x: Vec, y: Vec, tol: float = 1e-10) -> bool:
     return abs(semi_inner(x, y)) <= tol * nx * ny
 
 
-def min_norm_coeffs(target, basis, w, p, max_iter=10_000, c0=None):
+def min_norm_coeffs(target, basis, w, p, max_iter=10_000, c0=None, gtol=1e-10):
     """argmin_c ||target - basis @ c||_{w,p}, a small smooth convex problem.
 
+    target is a vector, or an n x r block whose columns are r problems on
+    the one basis; c0, when given, is a warm start of the same shape as the
+    result (k, or k x r), and gtol is one gradient tolerance, or one per
+    column. The columns step together: each iteration solves the Newton
+    systems of all columns still running in one batched np.linalg.solve,
+    and a column leaves once it stops (on a large grid the block steps in
+    groups of columns, see _GROUP_ENTRIES). Every operation acts on one
+    column at a time, so each column of a block ends bitwise as its own 1-d
+    call; the 1-d call is the block of one column.
+
     The iteration starts at c0 when given, else at the weighted
-    least-squares solution, which is exact for p = 2 (there c0 is ignored).
-    For p < 2 each iteration solves the reweighted least-squares system and
-    tries two steps along its direction: the reweighted step, whose
-    quadratic model majorizes the p-th power so that it never increases the
-    value, and the Newton step, 1/(p - 1) times longer, which converges
-    quadratically near the minimizer. It keeps the lower value of the two
-    and halves the step only if neither decreases it. For p > 2 it is
-    ridge-damped Newton with backtracking. Stops when the gradient falls
-    below 1e-10 relative to its scale at c = 0 or the value stagnates at
-    machine precision. Returns (c, residual_norm); raises with the achieved
-    residual if the iteration limit is hit first. Any c bounds the distance
-    from above, so the returned norm never understates it.
+    least-squares solution, which is exact for p = 2 (there c0 and gtol are
+    ignored). For p < 2 each iteration solves the reweighted least-squares
+    system and tries two steps along its direction: the reweighted step,
+    whose quadratic model majorizes the p-th power so that it never
+    increases the value, and the Newton step, 1/(p - 1) times longer, which
+    converges quadratically near the minimizer. It keeps the lower value of
+    the two and halves the step only if neither decreases it. For p > 2 it
+    is ridge-damped Newton with backtracking. A column stops when its
+    gradient falls below gtol relative to its scale at c = 0 or its value
+    stagnates at machine precision. Returns (c, residual_norm), with the
+    norm a float for a vector target and an array of r for a block; raises
+    ConvergenceError if the iteration limit is hit first, carrying what it
+    would have returned (residual, coeffs) and the mask of the columns that
+    failed. Any c bounds the distance from above, so the returned norm never
+    understates it.
     """
     target = np.asarray(target, dtype=float)
     B = np.asarray(basis, dtype=float)
-    if B.ndim != 2 or B.shape[0] != target.size:
+    if B.ndim != 2 or target.ndim not in (1, 2) or B.shape[0] != target.shape[0]:
         raise GeometryError("basis matrix shape does not match the target")
+    n, k = B.shape
+    # row j of Y, C, V is column j of the target, the coefficients, the residual
+    Y = np.ascontiguousarray(target.reshape(n, -1).T)
+    r = Y.shape[0]
     if c0 is None or p == 2.0:
         sw = np.sqrt(w)
-        c, *_ = np.linalg.lstsq(B * sw[:, None], target * sw, rcond=None)
+        Bs = B * sw[:, None]
+        C = np.array([np.linalg.lstsq(Bs, y * sw, rcond=None)[0] for y in Y]).reshape(r, k)
     else:
-        c = np.array(c0, dtype=float)
-        if c.shape != (B.shape[1],):
-            raise GeometryError("warm start length does not match the basis")
-    if p == 2.0:
-        return c, _lp_norm(target - B @ c, w, p)
+        C = np.array(c0, dtype=float)
+        if C.shape != (k,) + target.shape[1:]:
+            raise GeometryError("warm start shape does not match the basis and target")
+        C = np.ascontiguousarray(C.reshape(k, r).T)
+    V = Y - _matvecs(B, C)
+    failed = np.zeros(r, dtype=bool)
+    if p != 2.0:
+        gtol = np.broadcast_to(np.asarray(gtol, dtype=float), (r,))
+        group = max(1, _GROUP_ENTRIES // max(n, 1))
+        for j in range(0, r, group):
+            g = slice(j, j + group)
+            C[g], V[g], failed[g] = _descent(Y[g], C[g], V[g], B, w, p, gtol[g], max_iter)
+    d = _lp_norm(V.T, w, p)
+    c, d = (C[0], float(d[0])) if target.ndim == 1 else (C.T, d)
+    if failed.any():
+        raise ConvergenceError("minimal-norm descent hit the iteration limit",
+                               residual=d, coeffs=c, failed=failed)
+    return c, d
 
-    def grad(v):
-        return -B.T @ (w * odd_power(v, p - 1.0))
 
-    def fval(v):
-        return float(w @ np.abs(v) ** p) / p
+# The columns of a block descend in groups of at most this many entries
+# (columns times grid points) per temporary, one column at least: a larger
+# group saves calls, but its temporaries leave the cache and are mapped anew
+# on every pass. A 6-level Hardy L3 -> L2 deflation at n = 2^14 (8 starts,
+# one BLAS thread) took 5.3 and 6.9 s in groups of 8 columns, 4.4 and 4.7 s
+# in groups of 2; the workloads at n <= 1024 step their blocks whole.
+_GROUP_ENTRIES = 2 ** 15
 
-    gscale = max(float(np.linalg.norm(grad(target))), 1e-300)
+
+def _descent(Y, C, V, B, w, p, gtol, max_iter):
+    """The iteration of min_norm_coeffs for p != 2 on the rows of Y (targets),
+    C (coefficients) and V = Y - B C (residuals): returns the final C and V
+    and the mask of the rows still running after max_iter iterations."""
+
+    def grads(V):
+        return -_matvecs(B.T, w * odd_power(V, p - 1.0))
+
+    def fvals(V):
+        return _power_sums(V.T, w, p) / p
+
+    def trials(t, C, S, Y):
+        C_try = C - t * S
+        V_try = Y - _matvecs(B, C_try)
+        return fvals(V_try), C_try, V_try
+
     k = B.shape[1]
-    v = target - B @ c
-    f = fval(v)
-    vfloor = 1e-14 * max(float(np.max(np.abs(target))), 1e-300)
+    gstop = gtol * np.maximum(_row_norms(grads(Y)), 1e-300)
+    f = fvals(V)
+    vfloor = 1e-14 * np.maximum(np.max(np.abs(Y), axis=1, initial=0.0), 1e-300)
     # step lengths tried first along the solved direction: the reweighted
     # step, and for p < 2 also the Newton step (the Hessian is p - 1 times
     # the reweighted matrix); halving from 1/2 only if neither decreases f
     lead = (1.0, 1.0 / (p - 1.0)) if p < 2.0 else (1.0,)
+    C_out, V_out = C.copy(), V.copy()  # the rows of the columns that have stopped
+    run = np.arange(len(Y))  # the columns still iterating: the rows of Y, C, V, f, ...
 
-    def trial(t):
-        c_try = c - t * step
-        v_try = target - B @ c_try
-        return fval(v_try), c_try, v_try
+    def stop(go, *rows):
+        C_out[run[~go]], V_out[run[~go]] = C[~go], V[~go]
+        return (a[go] for a in rows)
 
     for _ in range(max_iter):
-        g = grad(v)
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-10 * gscale:
-            return c, _lp_norm(v, w, p)
-        absv = np.maximum(np.abs(v), vfloor)
+        G = grads(V)
+        gn = _row_norms(G)
+        go = ~(gn <= gstop)
+        if not go.all():
+            run, Y, C, V, f, G, gn, gstop, vfloor = stop(
+                go, run, Y, C, V, f, G, gn, gstop, vfloor)
+        if not run.size:
+            break
+        absv = np.maximum(np.abs(V), vfloor[:, None])
         hd = w * absv ** (p - 2.0)
         if p > 2.0:
             hd = hd * (p - 1.0)
-        H = B.T @ (hd[:, None] * B)
-        H.flat[:: k + 1] += 1e-13 * max(np.trace(H) / k, 1e-300)
+        H = _grams(B, hd)
+        Hd = H.reshape(len(H), -1)[:, :: k + 1]  # a view of each diagonal
+        Hd += (1e-13 * np.maximum(Hd.sum(axis=1) / k, 1e-300))[:, None]
         try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = g / max(gn, 1e-300)
-        f_try, c_try, v_try = min((trial(t) for t in lead), key=lambda tr: tr[0])
+            S = np.linalg.solve(H, G[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # some system is singular: solve one by one
+            S = np.empty_like(G)
+            for j in range(len(G)):
+                try:
+                    S[j] = np.linalg.solve(H[j], G[j])
+                except np.linalg.LinAlgError:
+                    S[j] = G[j] / max(gn[j], 1e-300)
+        f_try, C_try, V_try = trials(lead[0], C, S, Y)
+        for t in lead[1:]:
+            f_t, C_t, V_t = trials(t, C, S, Y)
+            better = f_t < f_try
+            if better.all():
+                f_try, C_try, V_try = f_t, C_t, V_t
+            elif better.any():
+                f_try[better], C_try[better], V_try[better] = (
+                    f_t[better], C_t[better], V_t[better])
         t = 0.5
-        while not f_try <= f and t >= 2.0 ** -59:
-            f_try, c_try, v_try = trial(t)
+        while t >= 2.0 ** -59:
+            up = np.flatnonzero(~(f_try <= f))
+            if not up.size:
+                break
+            f_try[up], C_try[up], V_try[up] = trials(t, C[up], S[up], Y[up])
             t *= 0.5
-        if not f_try <= f:
-            return c, _lp_norm(v, w, p)
-        stalled = f - f_try <= 1e-15 * max(f, 1e-300)
-        c, v, f = c_try, v_try, f_try
-        if stalled:
-            return c, _lp_norm(v, w, p)
-    raise ConvergenceError(
-        "minimal-norm descent hit the iteration limit",
-        residual=_lp_norm(target - B @ c, w, p),
-    )
+        failed = ~(f_try <= f)
+        stalled = ~failed & (f - f_try <= 1e-15 * np.maximum(f, 1e-300))
+        if failed.any():  # these keep their iterate
+            f_try[failed], C_try[failed], V_try[failed] = f[failed], C[failed], V[failed]
+        C, V, f = C_try, V_try, f_try
+        go = ~(failed | stalled)
+        if not go.all():
+            run, Y, C, V, f, gstop, vfloor = stop(go, run, Y, C, V, f, gstop, vfloor)
+    C_out[run], V_out[run] = C, V
+    running = np.zeros(len(C_out), dtype=bool)
+    running[run] = True
+    return C_out, V_out, running
 
 
 def alber_decompose(x: Vec, M_basis: list[Vec]) -> tuple[Vec, Vec]:

@@ -30,6 +30,15 @@ def test_hardy_norm_command(capsys):
     assert doc["norm_dual_form"] == pytest.approx(doc["norm"], rel=1e-13)
 
 
+def test_hardy_norm_command_at_a_huge_interval(capsys):
+    # the norm grows like b^(3/2 - 1/p): finite at p = 1.5 and b = 1e300
+    code, out = run_cli(capsys, "hardy-norm", "--p", "1.5", "--b", "1e300")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["norm"] == pytest.approx(6.78e249, rel=1e-3)
+    assert doc["norm_dual_form"] == pytest.approx(doc["norm"], rel=1e-12)
+
+
 def test_jspec_command_json(capsys):
     code, out = run_cli(capsys, "jspec", "--p", "3", "--q", "2", "--levels", "3",
                         "--grid-n", "128", "--restarts", "3")
@@ -215,6 +224,8 @@ def test_missing_command_exits_2(capsys):
      "tol must be finite and positive, got -1"),
     (["jspec", "--grid-n", "64", "--levels", "1", "--restarts", "0"],
      "restarts must be at least 1, got 0"),
+    (["hardy-norm", "--p", "3", "--b", "1e300"],
+     "the Hardy norm overflows at p = 3, b = 1e+300"),
 ])
 def test_invalid_input_exits_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2

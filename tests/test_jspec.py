@@ -387,25 +387,72 @@ def test_fixed_point_step_takes_three_norms(hardy_l3_l2, monkeypatch):
     assert counts[1] - counts[0] == 3
 
 
-def test_ascent_cold_starts_best_approximation_once_per_start(hardy_l3_l2, monkeypatch):
-    # the quotient distance of each gradient starts from the coefficients of
-    # the previous iterate; only the first one of a start uses least squares
-    S = adjoint(hardy_l3_l2)
-    M = np.random.default_rng(3).standard_normal((S.cod.dim, 2))
-    project, B = _constraint_projector(S, [])
-    cold = []
+def _recording_min_norm(monkeypatch, sides):
+    """Patch the solver's min_norm_coeffs to record, for each call, whether it
+    started cold, its number of columns and its gradient tolerances, keyed
+    by sides[id(basis)]."""
+    calls = {side: [] for side in sides.values()}
     inner = jspec.min_norm_coeffs
 
-    def counted(*args, c0=None, **kwargs):
-        cold.append(c0 is None)
-        return inner(*args, c0=c0, **kwargs)
+    def recorded(target, basis, *args, c0=None, gtol=1e-10, **kwargs):
+        calls[sides[id(basis)]].append(
+            (c0 is None, target.shape[1], np.broadcast_to(gtol, target.shape[1:]).copy()))
+        return inner(target, basis, *args, c0=c0, gtol=gtol, **kwargs)
 
-    monkeypatch.setattr(jspec, "min_norm_coeffs", counted)
-    for x0 in (np.ones(S.dom.dim), np.random.default_rng(4).standard_normal(S.dom.dim)):
-        cold.clear()
-        _ascent(S, project, B, [], x0[:, None], 1e-8, 0.0, 4600, M)
-        assert len(cold) > 1
+    monkeypatch.setattr(jspec, "min_norm_coeffs", recorded)
+    return calls
+
+
+def test_ascent_solves_each_side_as_one_block_call_per_step(monkeypatch):
+    # a step makes one best-approximation call per side for all its columns;
+    # the first call of a start block is cold (least squares) and every later
+    # one starts from the coefficients of each column's previous iterate.
+    # The quotient dual of Hardy L3 -> L1.5 runs both sides at exponent 1.5.
+    n = 128
+    H = hardy(Space.uniform(n, 3.0), Space.uniform(n, 1.5))
+    S = CountingOp(adjoint(H).dense(), H.cod.dual(), H.dom.dual())
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((n, 2))
+    constraints = rng.standard_normal((2, n)).T
+    project, B = _constraint_projector(S, constraints)
+    calls = _recording_min_norm(monkeypatch, {id(M): "quotient", id(B): "constraint"})
+    X0 = _starts(n, 4, rng)
+    block = _ascent(S, project, B, constraints, X0, 1e-8, 0.0, 4600, M)
+    assert all(out[3] for out in block)
+    for side, applies in (("quotient", S.forward), ("constraint", S.backward)):
+        cold, width, _ = zip(*calls[side])
+        assert len(cold) == applies > 1
         assert cold[0] and not any(cold[1:])
+        assert width[0] == 4 and width[-1] >= 1
+        assert list(width) == sorted(width, reverse=True)  # finished columns leave
+    assert all(np.all(g == 1e-10) for _, _, g in calls["constraint"])
+    assert any(np.any(g > 1e-10) for _, _, g in calls["quotient"])
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+def test_certifying_steps_solve_the_quotient_at_full_precision(hardy_l3_l2, monkeypatch,
+                                                               tol):
+    # quotient solves run loose, at the last certificate bound relative to
+    # lambda, until the bound comes within 10 tol; a step whose lambda a start
+    # certifies has solved at 1e-10.
+    # At tol 1e-3 the all-ones start meets tol on its third step, which
+    # solved at 1e-2, so it takes a fourth step, at 1e-10, to certify.
+    S = adjoint(hardy_l3_l2)
+    M = np.random.default_rng(3).standard_normal((S.cod.dim, 2))
+    unconstrained = np.zeros((S.dom.dim, 0))
+    project, B = _constraint_projector(S, unconstrained)
+    calls = _recording_min_norm(monkeypatch, {id(M): "quotient"})
+    for x0 in (np.ones(S.dom.dim), np.random.default_rng(4).standard_normal(S.dom.dim)):
+        calls["quotient"].clear()
+        (lam, x, res, ok), = _ascent(S, project, B, unconstrained, x0[:, None], tol, 0.0,
+                                     4600, M)
+        assert ok and res <= tol
+        gtols = [float(g[0]) for _, _, g in calls["quotient"]]
+        assert gtols[0] == 1e-2 and gtols[-1] == 1e-10
+        assert all(1e-10 <= g <= 1e-2 for g in gtols)
+        # the certified lambda is the distance at full precision
+        _, d = space.min_norm_coeffs(S.apply_coeffs(x), M, S.cod.weights, S.cod.p)
+        assert lam == pytest.approx(d, rel=1e-12)
 
 
 def test_jspectrum_applies_T_only_to_start_blocks(hardy_l2):

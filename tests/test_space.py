@@ -494,6 +494,69 @@ def test_min_norm_coeffs_properties(n, k, p, seed):
         assert abs(d_warm - d) <= 1e-12 * d
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(8, 64), k=st.integers(1, 6), r=st.integers(1, 8),
+       p=st.floats(1.1, 5.0, exclude_min=True, exclude_max=True),
+       fortran=st.booleans(), warm=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_min_norm_coeffs_block_columns_match_single_solves(n, k, r, p, fortran, warm, seed):
+    # each column of a block steps as its own 1-d call, to the bit, whatever
+    # the layout of the basis, the warm start and the per-column tolerance;
+    # a looser tolerance stops earlier on the same descent, so never lower,
+    # except by the rounding of a last step that leaves f = s / p equal but
+    # raises the sum s by an ulp (n=20, k=1, r=2, p=1.375, seed=20 does)
+    rng = np.random.default_rng(seed)
+    w = Space.uniform(n, p).weights
+    B = rng.standard_normal((n, k))
+    if fortran:
+        B = np.asfortranarray(B)
+    target = rng.standard_normal((n, r))
+    C0 = rng.standard_normal((k, r)) if warm else None
+    gtol = 10.0 ** rng.uniform(-10.0, -2.0, r)
+    C, d = min_norm_coeffs(target, B, w, p, c0=C0, gtol=gtol)
+    assert C.shape == (k, r) and d.shape == (r,)
+    for j in range(r):
+        c0 = None if C0 is None else C0[:, j]
+        c, dj = min_norm_coeffs(target[:, j], B, w, p, c0=c0, gtol=gtol[j])
+        assert np.array_equal(_bits(C[:, j]), _bits(c))
+        assert _bits(d[j]) == _bits(dj)
+        _, d_tight = min_norm_coeffs(target[:, j], B, w, p, c0=c0)
+        assert dj >= d_tight * (1.0 - 4.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_min_norm_coeffs_block_in_groups_matches_the_whole_block(monkeypatch, p):
+    # on a large grid the columns descend in groups; the bits do not change
+    rng = np.random.default_rng(6)
+    n, k, r = 64, 3, 7
+    w = np.full(n, 1.0 / n)
+    B, target = rng.standard_normal((n, k)), rng.standard_normal((n, r))
+    C, d = min_norm_coeffs(target, B, w, p)
+    monkeypatch.setattr(space, "_GROUP_ENTRIES", 3 * n)
+    Cg, dg = min_norm_coeffs(target, B, w, p)
+    assert np.array_equal(_bits(Cg), _bits(C)) and np.array_equal(_bits(dg), _bits(d))
+
+
+def test_min_norm_coeffs_block_reports_the_columns_that_fail():
+    # at the iteration limit every column carries its coefficients and its
+    # achieved distance, and the mask names the ones still running
+    rng = np.random.default_rng(5)
+    n, k = 64, 3
+    w = np.full(n, 1.0 / n)
+    B = rng.standard_normal((n, k))
+    target = np.column_stack([B @ rng.standard_normal(k), rng.standard_normal(n)])
+    with pytest.raises(ConvergenceError) as err:
+        min_norm_coeffs(target, B, w, 3.0, max_iter=1)
+    exc = err.value
+    assert exc.failed.tolist() == [False, True]
+    assert exc.coeffs.shape == (k, 2)
+    for j in range(2):
+        assert exc.residual[j] == space._lp_norm(target[:, j] - B @ exc.coeffs[:, j], w, 3.0)
+
+
 def _solve_count(monkeypatch):
     calls = []
     inner = np.linalg.solve
