@@ -29,7 +29,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
 
 from .oper import LinOp, adjoint
 from .space import (
@@ -135,32 +134,34 @@ def _json_safe(v):
         return False
 
 
-def _constraint_qr(C, mode):
-    """Pivoted QR of the columns of C and their numerical rank; raises
-    DeflationExhausted when they span the whole domain."""
-    Q, R, _ = qr(C, mode=mode, pivoting=True)
-    d = np.abs(np.diag(R))
-    rank = int(np.sum(d > 1e-13 * max(float(d.max(initial=0.0)), 1e-300)))
+def _constraint_basis(C, full):
+    """Orthonormal basis of R^n whose leading columns span the columns of the
+    n x k array C, and their numerical rank, from a rank-revealing SVD of C
+    cut at 1e-13 of its largest singular value; thin (n x k) unless full
+    (n x n), and Fortran-ordered. Raises DeflationExhausted when the columns
+    span the whole domain."""
+    U, s, _ = np.linalg.svd(C, full_matrices=full)
+    rank = int(np.sum(s > 1e-13 * max(float(s.max(initial=0.0)), 1e-300)))
     if C.shape[0] - rank <= 0:
         raise DeflationExhausted("constraints exhaust the domain")
-    return Q, rank
+    return np.asfortranarray(U), rank
 
 
 def _constraint_projector(T, constraints):
     """Projector v - B B^T (w v) onto the common kernel of the constraint
     functionals, the columns of the dim x k array constraints, orthogonal in
-    the weighted pairing, and B: a basis of their span, orthonormal in that
-    pairing (None without constraints). The projector takes an n x r block
-    and projects it column by column, as one batch of matrix-vector
-    products, so that each column comes out bitwise as it would alone, which
-    the block run needs (see space._power_sums); the plain
+    the weighted pairing, and B: a Fortran-ordered basis of their span,
+    orthonormal in that pairing (None without constraints). The projector
+    takes an n x r block and projects it column by column, as one batch of
+    matrix-vector products, so that each column comes out bitwise as it
+    would alone, which the block run needs (see space._power_sums); the plain
     B @ (B.T @ (w V)) is a matrix product and rounds otherwise."""
     if not np.size(constraints):
         return (lambda V: V), None
     w = T.dom.weights
     sw = np.sqrt(w)
-    Q, rank = _constraint_qr(sw[:, None] * constraints, "economic")
-    B = Q[:, :rank] / sw[:, None]
+    U, rank = _constraint_basis(sw[:, None] * constraints, full=False)
+    B = U[:, :rank] / sw[:, None]
 
     def project(V):
         C = np.matmul(B.T, (w * V.T)[:, :, None])  # r x rank x 1
@@ -171,12 +172,12 @@ def _constraint_projector(T, constraints):
 
 def nullspace_basis(T, constraints):
     """Explicit orthonormal basis of the common kernel of the columns of the
-    dim x k array constraints (for subspace constructions; quadratic
-    memory, intended for moderate grids)."""
+    dim x k array constraints, Fortran-ordered (for subspace constructions;
+    quadratic memory, intended for moderate grids)."""
     if not np.size(constraints):
-        return np.eye(T.dom.dim)
-    Q, rank = _constraint_qr(T.dom.weights[:, None] * constraints, "full")
-    return Q[:, rank:]
+        return np.eye(T.dom.dim, order="F")
+    U, rank = _constraint_basis(T.dom.weights[:, None] * constraints, full=True)
+    return U[:, rank:]
 
 
 def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):

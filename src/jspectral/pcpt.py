@@ -16,10 +16,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svdvals
-from scipy.special import beta as beta_fn
 
-from .gtrig import GenTrig
+from .gtrig import GenTrig, beta_fn
 from .oper import LinOp, compose, hardy
 from .space import GeometryError, Space, Vec, _csv_text, _lp_norm
 
@@ -113,7 +111,7 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
     if sp.p == 2.0 and qq == 2.0:
         # coefficient map on weighted-2 coordinates: c = Ginv B^T W^(1/2) y
         K = Ginv @ (np.sqrt(sp.weights)[:, None] * Bm).T
-        M = float(svdvals(K)[0])
+        M = float(np.linalg.norm(K, 2))
         m_kind = "exact"
     else:
         M = max((_lq_seq(a, qq) for a in sample_coeffs(n_samples)), default=1.0)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svd
+from numpy.linalg import svd
 
 from .jspec import (
     DeflationExhausted,

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jspectral
 from jspectral import LinOp, Space, gtrig, jspec, series
 from jspectral.cli import main
 from jspectral.pcpt import Cover
@@ -307,3 +311,27 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(capsys, "--out", "rel.json", "alphap", "--p", "3")
     assert code == 0
     assert (tmp_path / "rel.json").exists()
+
+
+# the solver paths run on numpy alone: scipy.special is imported on first use
+# by GenTrig.sin/cos and scipy.sparse.linalg by snum, neither loaded here
+_SCIPY_FREE_RUN = """
+import contextlib, io, json, sys
+from jspectral import cli
+small = ["--grid-n", "64", "--levels", "2"]
+runs = [["jspec", *small], ["dual", "--p", "3", *small],
+        ["series", "--kind", "hilbertian", "--p", "3", "--q", "1.5", *small],
+        ["hardy-norm", "--p", "3"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+loaded = [m for m in ("scipy.linalg", "scipy.special", "scipy.sparse.linalg")
+          if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_solver_paths_load_no_scipy():
+    src = os.path.dirname(os.path.dirname(jspectral.__file__))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert json.loads(out) == {"codes": [0, 0, 0, 0], "loaded": []}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,6 +17,7 @@ from jspectral import (
     laplacian_residual,
     pi_pq,
 )
+from jspectral import gtrig
 from jspectral.gtrig import bilap_eigenvalue, laplacian_residual_parts
 
 
@@ -27,6 +30,25 @@ def test_pi_pq_matches_beta_oracle():
         pp = p / (p - 1.0)
         oracle = (2.0 / q) * beta_fn(1.0 / pp, 1.0 / q)
         assert pi_pq(p, q) == pytest.approx(oracle, rel=1e-11)
+
+
+def _beta_args():
+    exps = (1.0001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 7.0, 50.0, 1e4)
+    pi_pq_args = [((p - 1.0) / p, 1.0 / q) for p in exps for q in exps]
+    hardy_args = [((p - 1.0) / p, 0.5) for p in np.linspace(1.05, 50.0, 200)]
+    hardy_args += [(b, a) for a, b in hardy_args]
+    cover_args = [(0.5, (q + 1.0) / 2.0) for q in (1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 400.0)]
+    return pi_pq_args + hardy_args + cover_args
+
+
+def test_beta_matches_scipy_over_the_ranges_it_serves():
+    # pi_pq takes B(1/p', 1/q), hardy_norm_formula B(1/p', 1/2) both ways round
+    # and the Hardy cover B(1/2, (q+1)/2), up to q = 400, where the gamma
+    # ratio itself overflows
+    with pytest.raises(OverflowError):
+        math.gamma(0.5) * math.gamma(200.5) / math.gamma(201.0)
+    for a, b in _beta_args():
+        assert gtrig.beta_fn(a, b) == pytest.approx(beta_fn(a, b), rel=1e-13), (a, b)
 
 
 def test_pi_pq_monotone_in_inverse_p():

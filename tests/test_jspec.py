@@ -25,7 +25,7 @@ from jspectral import (
     operator_norm,
 )
 from jspectral import jspec, space
-from jspectral.jspec import _ascent, _constraint_projector
+from jspectral.jspec import _ascent, _constraint_projector, nullspace_basis
 from jspectral.oper import scale
 from jspectral.space import _jmap, _lp_norm
 
@@ -626,3 +626,44 @@ def test_columns_leaving_before_the_adjoint_leave_the_others_stepping(quotient):
     if not quotient:
         lam, _, res = extremal_pair(T, [Functional(f, dom)], seed=0, tol=1e-9, restarts=8)
         assert lam > 0.0 and res <= 1e-9
+
+
+@settings(max_examples=40)
+@given(widths=st.lists(st.floats(0.05, 20.0), min_size=3, max_size=40),
+       k=st.integers(1, 5), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_constraint_factorization_on_weighted_rank_deficient_sets(widths, k, r, seed):
+    # k independent constraint columns, one of them twice and one more scaled
+    # by 1e-15, under the 1e-13 rank cut, in a shuffled order: the basis has
+    # rank k, is orthonormal in the weighted pairing and Fortran-ordered, and
+    # its complement is the common kernel of the constraints
+    n = len(widths)
+    k = min(k, n - 1)
+    w = np.asarray(widths)
+    sp = Space(np.cumsum(w) - w / 2, w, 2.0, float(np.sum(w)))
+    T = hardy(sp, sp)
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, k))
+    C = np.column_stack([G, G[:, rng.integers(k)], 1e-15 * rng.standard_normal(n)])
+    C = C[:, rng.permutation(k + 2)]
+
+    def norm_w(A):  # weighted 2-norm of each column
+        return np.sqrt(np.sum(w[:, None] * A * A, axis=0))
+
+    project, B = _constraint_projector(T, C)
+    assert B.shape == (n, k) and B.flags.f_contiguous
+    assert np.max(np.abs(B.T @ (w[:, None] * B) - np.eye(k))) <= 1e-12
+    V = rng.standard_normal((n, r))
+    PV = project(V)
+    assert np.all(np.abs(C.T @ (w[:, None] * PV)) <= 1e-12 * np.max(norm_w(C)) * norm_w(V))
+
+    Z = nullspace_basis(T, C)
+    assert Z.shape == (n, n - k) and Z.flags.f_contiguous
+    assert np.max(np.abs(Z.T @ Z - np.eye(n - k)), initial=0.0) <= 1e-12
+    assert np.max(np.abs((w[:, None] * C).T @ Z), initial=0.0) <= 1e-12 * np.max(
+        np.linalg.norm(w[:, None] * C, axis=0))
+
+    full = np.column_stack([rng.standard_normal((n, n)), C])
+    with pytest.raises(DeflationExhausted):
+        _constraint_projector(T, full)
+    with pytest.raises(DeflationExhausted):
+        nullspace_basis(T, full)

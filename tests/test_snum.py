@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
@@ -19,7 +15,6 @@ from jspectral import (
     eigenvector_bound_check,
     sandwich_check,
 )
-import jspectral
 from jspectral import snum
 from jspectral.oper import scale
 
@@ -203,11 +198,3 @@ def test_minus_terms_weighted_pairing_identity(T):
     size = T.cod.weights @ ((np.abs(D) @ np.abs(v)) * np.abs(f))
     assert abs(lhs - rhs) <= 1e-13 * size
 
-
-def test_cli_import_leaves_sparse_linalg_unloaded():
-    # svds is imported inside snum._scaled_svd, not with the package
-    code = "import sys, jspectral.cli; print('scipy.sparse.linalg' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(jspectral.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-    assert out.strip() == "False"
