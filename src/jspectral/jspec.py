@@ -11,8 +11,8 @@ norm. Its one step is a polar power step: x <- J_X^-1(r - F mu), normalized,
 where r = T* J~_Y(Tx - Mc) and F mu is the best l_{p'} approximation of r from
 the span of the active deflation functionals. The new iterate lies in the
 polar subspace and lambda never decreases. The residual certificate is the
-weighted l_{p'} distance from the gradient r - lambda J~_X x to that span,
-which reduces to the plain dual norm when no constraints are present.
+step's own ||r - F mu - lambda J~_X x||_{p'}, an upper bound on the weighted
+l_{p'} distance of the gradient r - lambda J~_X x to that span.
 
 No global-optimality certificate exists for p != 2; seeded multi-start keeps
 the largest certified lambda. The starts of a level step together, as the
@@ -43,7 +43,6 @@ from .space import (
     _jtilde,
     _lp_norm,
     _matvecs,
-    functional_distance,
     min_norm_coeffs,
     odd_power,
     sup_dev_up_to_sign,
@@ -180,25 +179,25 @@ def nullspace_basis(T, constraints):
     return U[:, rank:]
 
 
-def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
+def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
     """All starts at once: for each column x of the n x r block X0, maximize
     dist_Y(Tx, span M) / ||x||_X on the polar subspace.
 
     With M None the distance is ||Tx||_Y, the primal problem; the quotient
     dual passes the adjoint as T and its representatives as the columns of
-    M, and constraints is the dim x k array of the deflation functionals
-    (k may be 0). At unit x, with lambda = dist_Y(Tx, span M) and c the
-    best-approximation coefficients, r = T* J~_Y(Tx - Mc) pairs with x to
-    lambda, and the eigenvalue equation says r - lambda J~_X x lies in
-    span(constraints) = span B. Each step takes v = r - B mu, with B mu the
-    best l_{p'} approximation of r, and moves to the unit x' parallel to
-    J_X^-1 v = odd_power(v, p' - 1): the stationarity of mu puts x' in the
-    polar subspace (Alber's generalized projection), and Hoelder's
-    inequality gives dist_Y(Tx', span M) >= <r, x'> = ||v||_{p'} >=
-    <r, x> = lambda, so lambda never decreases (Boyd's l_p power method).
-    ||v - lambda J~_X x||_{p'} bounds the distance of r - lambda J~_X x to
-    span(constraints) from above at no cost; once it is at most tol, that
-    distance certifies lambda.
+    M; project and B (None without constraints) are _constraint_projector's
+    for the deflation functionals. At unit x, with lambda = dist_Y(Tx, span
+    M) and c the best-approximation coefficients, r = T* J~_Y(Tx - Mc) pairs
+    with x to lambda, and the eigenvalue equation says r - lambda J~_X x
+    lies in span B. Each step takes v = r - B mu, with B mu the best l_{p'}
+    approximation of r, and moves to the unit x' parallel to J_X^-1 v =
+    odd_power(v, p' - 1): the stationarity of mu puts x' in the polar
+    subspace (Alber's generalized projection), and Hoelder's inequality
+    gives dist_Y(Tx', span M) >= <r, x'> = ||v||_{p'} >= <r, x> = lambda,
+    so lambda never decreases (Boyd's l_p power method). As B mu lies in
+    span B, the bound ||v - lambda J~_X x||_{p'} is an upper bound on the
+    distance of r - lambda J~_X x to span B; a start that finishes reports
+    its last bound as its residual, and certifies if it is at most tol.
 
     The columns step together: one apply and one adjoint of the whole block
     per step, column-wise norms, duality maps and projector, and one block
@@ -221,8 +220,7 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
     loose solve can only overstate lambda, and never on a certified step: a
     column certifies only on a step whose quotient solve ran at _GTOL, and
     one that meets tol after a loose solve takes one more step, at _GTOL.
-    The constraint-side solves and the certificate itself always run at
-    _GTOL.
+    The constraint-side solves always run at _GTOL.
 
     The inner minimization leaves a residue of the constraints in x'. For
     p > 2 project removes it; J~_X is Lipschitz there. At p = p' = 2 the
@@ -289,8 +287,7 @@ def _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M=None):
         X_new, moved = _unit_columns(X_new if p <= 2.0 else project(X_new), w_d, p)
         step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
         for j in np.flatnonzero(~step):
-            res = functional_distance(R[:, j] - JX[:, j], constraints, T.dom)
-            done[j] = (float(lam[j]), X[:, j], res, res <= tol)
+            done[j] = (float(lam[j]), X[:, j], float(bound[j]), bool(bound[j] <= tol))
         live, Cq, Cb, gtol = _retire(out, done, live, Cq, Cb, gtol)
         X = X_new
     return out
@@ -368,7 +365,7 @@ def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     best = None
     best_failed = None
     n_zero = 0
-    for out in _ascent(T, project, B, constraints, X0, tol, lam_tiny, max_iter, M):
+    for out in _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M):
         if out is None:
             continue
         lam, x, res, ok = out

@@ -21,8 +21,8 @@ from .gtrig import GenTrig, beta_fn
 from .oper import LinOp, compose, hardy
 from .space import GeometryError, Space, Vec, _csv_text, _lp_norm
 
-# configurable window in which the generalized-cosine family is treated as a
-# basis of L_p; conservative desk-scale default, not a literature constant
+# window of domain exponents in which the generalized-cosine family is treated
+# as a basis of L_p; a conservative desk-scale choice, not a literature constant
 COSINE_BASIS_WINDOW = (1.2, 4.0)
 
 
@@ -143,8 +143,7 @@ def _fit_power_law(ns, values):
 def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
                         n_terms: int = 64, grid_n: int = 1024,
                         target_q: float = 2.0, n_samples: int = 100,
-                        seed: int = 0,
-                        window=COSINE_BASIS_WINDOW) -> tuple[Cover, dict]:
+                        seed: int = 0) -> tuple[Cover, dict]:
     """Cosine-family cover for the Hardy operator L_{p_dom} -> L_{q_cod} on (0,1).
 
     For p_dom = 2 the basis is f_1 = 1, f_n = cos(n pi t) for n > 1, whose
@@ -153,7 +152,7 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
     integral_0^pi sin(t)^q dt = B(1/2, (q+1)/2) and the exact periodic
     reduction, with the grid route alongside.
     For p_dom != 2 the generalized cosines cos_{p,p'}(n pi_{p,p'} t) are used,
-    restricted to the configured basis window.
+    restricted to p_dom in COSINE_BASIS_WINDOW.
     """
     if n_terms < 3:
         raise GeometryError("n_terms must be at least 3: the decay fit skips the first "
@@ -176,10 +175,9 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
         ]
         basis_norms = [1.0] + [np.sqrt(0.5)] * (n_terms - 1)
     else:
-        if not (window[0] <= p_dom <= window[1]):
-            raise GeometryError(
-                f"p={p_dom:g} is outside the configured cosine-basis window {window}"
-            )
+        if not (COSINE_BASIS_WINDOW[0] <= p_dom <= COSINE_BASIS_WINDOW[1]):
+            raise GeometryError(f"p={p_dom:g} is outside the configured cosine-basis "
+                                f"window {COSINE_BASIS_WINDOW}")
         pp = p_dom / (p_dom - 1.0)
         g = GenTrig(p_dom, pp)
         basis = [Vec(g.cos(n * g.pi_pq * t, extend=True), dom) for n in ns]

@@ -357,10 +357,10 @@ def alpha_p(p: float) -> float:
     return alpha_p_report(p)["alpha_p"]
 
 
-def alpha_p_report(p: float, grid: int = 10_000) -> dict:
+def alpha_p_report(p: float) -> dict:
     if not (1 < p < np.inf):
         raise GeometryError("alpha_p needs p in (1, inf)")
-    ms = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+    ms = np.linspace(0.0, 1.0, 10_002)[1:-1]  # a scan of 1e4 interior points
     vals = _alpha_objective(ms, p)
     k = int(np.argmax(vals))
     lo = ms[max(k - 1, 0)]

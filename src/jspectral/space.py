@@ -83,7 +83,9 @@ class Space:
 
     @classmethod
     def uniform(cls, n, p, b=1.0):
-        """Composite midpoint rule with n cells on (0, b)."""
+        """Composite midpoint rule with n cells on (0, b), n at least 2."""
+        if n < 2:
+            raise GeometryError("a Space needs at least 2 nodes")
         h = b / n
         nodes = (np.arange(n) + 0.5) * h
         return cls(nodes, np.full(n, h), p, b)
@@ -526,8 +528,7 @@ def functional_distance(f, basis, space) -> float:
     with coefficients f to the span of the columns of the dim x k array basis.
 
     This is the norm of f restricted to the common kernel of the basis
-    functionals (the quotient norm), used as the solver's residual
-    certificate on deflated subspaces. If the inner minimizer stalls, the
+    functionals (the quotient norm). If the inner minimizer stalls, the
     achieved (larger, hence conservative) value is returned.
     """
     pp = space.pprime

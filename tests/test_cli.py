@@ -230,6 +230,10 @@ def test_missing_command_exits_2(capsys):
      "restarts must be at least 1, got 0"),
     (["hardy-norm", "--p", "3", "--b", "1e300"],
      "the Hardy norm overflows at p = 3, b = 1e+300"),
+    (["jspec", "--grid-n", "0"], "a Space needs at least 2 nodes"),
+    (["jspec", "--grid-n", "-4"], "a Space needs at least 2 nodes"),
+    (["pcompact", "--grid-n", "0"], "a Space needs at least 2 nodes"),
+    (["pcompact", "--grid-n", "-4"], "a Space needs at least 2 nodes"),
 ])
 def test_invalid_input_exits_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2

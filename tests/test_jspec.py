@@ -27,7 +27,7 @@ from jspectral import (
 from jspectral import jspec, space
 from jspectral.jspec import _ascent, _constraint_projector, nullspace_basis
 from jspectral.oper import scale
-from jspectral.space import _jmap, _lp_norm
+from jspectral.space import _jmap, _jtilde, _lp_norm, odd_power
 
 
 def classical_volterra_values(n):
@@ -156,6 +156,43 @@ def test_jspectrum_certifies_deep_levels_for_small_domain_exponent(p, q, n):
     js = compute_jspectrum(T, 6, restarts=8)
     assert js.n_levels == 6
     assert all(r <= 1e-8 for r in js.residuals)
+
+
+def _distance_to_span(f, C, w, p):
+    """Weighted l_p distance of f to the span of the columns of C, solved
+    again from f minus the span part found so far until it stops falling: a
+    single cold solve of a target with a large span component can overstate
+    the distance."""
+    d = _lp_norm(f, w, p)
+    while C.shape[1]:
+        c, d_next = space.min_norm_coeffs(f, C, w, p, gtol=1e-14)
+        if not d_next < d:
+            break
+        f, d = f - C @ c, d_next
+    return d
+
+
+@settings(max_examples=12)
+@given(p=st.floats(1.2, 4.5), q=st.floats(1.2, 4.5), n=st.integers(16, 64),
+       levels=st.integers(3, 4), seed=st.integers(0, 2**16))
+def test_jspectrum_residual_bounds_the_distance_certificate(p, q, n, levels, seed):
+    # each residual is the polar step's bound ||r - B mu - lambda J~_X x||_{p'},
+    # so it is at most tol and at least the distance of the gradient
+    # r - lambda J~_X x to the span of the earlier J_X x_j, up to the rounding
+    # of that difference of two terms of dual norm lambda (at p' = 2 the two
+    # are equal but for it)
+    tol = 1e-8
+    dom, cod = Space.uniform(n, p), Space.uniform(n, q)
+    T = hardy(dom, cod)
+    js = compute_jspectrum(T, levels, tol=tol, seed=seed, restarts=3)
+    assert js.n_levels == levels
+    for k, (lam, res) in enumerate(zip(js.lambdas, js.residuals)):
+        x = js.X[:, k]
+        r = T.apply_adjoint_coeffs(_jtilde(T.apply_coeffs(x), cod.weights, q))
+        grad = r - lam * odd_power(x, p - 1.0)  # J~_X x, as x is unit
+        dist = _distance_to_span(grad, js.JX[:, :k], dom.weights, dom.pprime)
+        assert res <= tol
+        assert res >= dist * (1.0 - 1e-9) - np.finfo(float).eps * lam
 
 
 def test_jspectrum_lambda_decreasing(hardy_l3_l2):
@@ -359,8 +396,7 @@ def test_fixed_point_step_costs_one_apply_and_one_adjoint_quotient(hardy_l3_l2):
     project, B = _constraint_projector(S, [])
 
     def run(max_iter):
-        out = _ascent(S, project, B, [], np.ones((S.dom.dim, 1)), 1e-300, 0.0, max_iter,
-                      M)[0]
+        out = _ascent(S, project, B, np.ones((S.dom.dim, 1)), 1e-300, 0.0, max_iter, M)[0]
         assert out is not None and not out[3]
 
     assert _applications_per_fixed_point_step(run, S) == (1, 1)
@@ -417,7 +453,7 @@ def test_ascent_solves_each_side_as_one_block_call_per_step(monkeypatch):
     project, B = _constraint_projector(S, constraints)
     calls = _recording_min_norm(monkeypatch, {id(M): "quotient", id(B): "constraint"})
     X0 = _starts(n, 4, rng)
-    block = _ascent(S, project, B, constraints, X0, 1e-8, 0.0, 4600, M)
+    block = _ascent(S, project, B, X0, 1e-8, 0.0, 4600, M)
     assert all(out[3] for out in block)
     for side, applies in (("quotient", S.forward), ("constraint", S.backward)):
         cold, width, _ = zip(*calls[side])
@@ -444,8 +480,7 @@ def test_certifying_steps_solve_the_quotient_at_full_precision(hardy_l3_l2, monk
     calls = _recording_min_norm(monkeypatch, {id(M): "quotient"})
     for x0 in (np.ones(S.dom.dim), np.random.default_rng(4).standard_normal(S.dom.dim)):
         calls["quotient"].clear()
-        (lam, x, res, ok), = _ascent(S, project, B, unconstrained, x0[:, None], tol, 0.0,
-                                     4600, M)
+        (lam, x, res, ok), = _ascent(S, project, B, x0[:, None], tol, 0.0, 4600, M)
         assert ok and res <= tol
         gtols = [float(g[0]) for _, _, g in calls["quotient"]]
         assert gtols[0] == 1e-2 and gtols[-1] == 1e-10
@@ -507,8 +542,7 @@ def test_ascent_never_decreases_lambda(p, q, k, seed):
     T = RecordingOp(hardy(dom, cod).dense(), dom, cod)
     constraints = rng.standard_normal((k, 64)).T
     project, B = _constraint_projector(T, constraints)
-    _ascent(T, project, B, constraints, rng.standard_normal(64)[:, None], 1e-10, 0.0,
-            300)
+    _ascent(T, project, B, rng.standard_normal(64)[:, None], 1e-10, 0.0, 300)
     lams = np.array(T.ratios)
     assert len(lams) > 1
     assert np.all(lams[1:] >= lams[:-1] * (1.0 - 1e-12))
@@ -560,11 +594,10 @@ def test_block_columns_match_single_starts(p, q, k, quotient):
     constraints = rng.standard_normal((k, n)).T
     project, B = _constraint_projector(T, constraints)
     X0 = _starts(n, 6, rng)
-    block = _ascent(T, project, B, constraints, X0, 1e-9, 0.0, 4600, M)
+    block = _ascent(T, project, B, X0, 1e-9, 0.0, 4600, M)
     assert len(block) == 6
     for j, got in enumerate(block):
-        lam, _, res, ok = _ascent(T, project, B, constraints, X0[:, j:j + 1], 1e-9, 0.0,
-                                  4600, M)[0]
+        lam, _, res, ok = _ascent(T, project, B, X0[:, j:j + 1], 1e-9, 0.0, 4600, M)[0]
         assert ok and got[3] == ok
         assert got[0] == pytest.approx(lam, rel=1e-12)
         assert got[2] == pytest.approx(res, rel=1e-12)
@@ -585,12 +618,12 @@ def test_finished_columns_leave_the_block(hardy_l3_l2):
     constraints = rng.standard_normal((2, T.dom.dim)).T
     project, B = _constraint_projector(T, constraints)
     X0 = _starts(T.dom.dim, 8, rng)
-    _ascent(T, project, B, constraints, X0, 1e-9, 0.0, 4600)
+    _ascent(T, project, B, X0, 1e-9, 0.0, 4600)
     applied = sum(columns)
     steps = []
     for j in range(8):
         columns.clear()
-        _ascent(T, project, B, constraints, X0[:, j:j + 1], 1e-9, 0.0, 4600)
+        _ascent(T, project, B, X0[:, j:j + 1], 1e-9, 0.0, 4600)
         steps.append(len(columns))
     assert len(set(steps)) > 1  # the starts finish at different steps
     assert applied == sum(steps)
@@ -615,11 +648,11 @@ def test_columns_leaving_before_the_adjoint_leave_the_others_stepping(quotient):
     rng = np.random.default_rng(10)
     M = rng.standard_normal((n, 1)) if quotient else None
     X0 = _starts(n, 6, rng)
-    block = _ascent(T, project, B, constraints, X0, 1e-9, 1e-12, 4600, M)
+    block = _ascent(T, project, B, X0, 1e-9, 1e-12, 4600, M)
     assert block[0][0] == 0.0 and block[0][3]
     for j, got in enumerate(block[1:], start=1):
-        lam, _, res, ok = _ascent(T, project, B, constraints, X0[:, j:j + 1], 1e-9,
-                                  1e-12, 4600, M)[0]
+        lam, _, res, ok = _ascent(T, project, B, X0[:, j:j + 1], 1e-9, 1e-12, 4600,
+                                  M)[0]
         assert ok and got[3] and lam > 0.0
         assert got[0] == pytest.approx(lam, rel=1e-12)
         assert got[2] == pytest.approx(res, rel=1e-12)

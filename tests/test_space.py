@@ -32,6 +32,9 @@ def test_space_invariants_enforced():
         Space.uniform(8, 1.0)  # p = 1 rejected
     with pytest.raises(GeometryError):
         Space.uniform(8, np.inf)
+    for n in (1, 0, -4):  # rejected before the cell width b / n is formed
+        with pytest.raises(GeometryError, match="at least 2 nodes"):
+            Space.uniform(n, 2.0)
     with pytest.raises(GeometryError):
         Space(np.array([0.5, 0.25, 0.75]), np.ones(3) / 3, 2.0, 1.0)  # not increasing
     with pytest.raises(GeometryError):
