@@ -13,9 +13,12 @@ so hardy applies C(w x) - w x / 2 (C the running sum along the grid) and its
 weighted adjoint is the reversed running sum of w_cod phi minus half of it;
 the domain weights cancel, so the adjoint stays exact. hardy_dual swaps the
 two sums. Both kernels take one vector or an n x k block of columns and cost
-O(n) per column. adjoint, compose, power and scale are lazy: they combine the
-kernels of their operands, whether dense or matrix-free, and dense() turns
-any operator into its matrix.
+O(n) per column. The pair also carries a private third kernel, the inverse of
+its adjoint: the half-cell sum is triangular with a positive diagonal, and
+differencing it gives an alternating-sign running sum, again O(n) per column.
+adjoint, compose, power and scale are lazy: they combine the kernels of their
+operands, whether dense or matrix-free, and dense() turns any operator into
+its matrix; no other operator, and no lazy combination, has the inverse.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ class LinOp:
     LinOp(matrix, dom, cod) is dense: rows = codomain dim, cols = domain dim,
     kept in .matrix. Operators from the constructors below carry kernels
     instead and have matrix None; dense() gives the matrix of any operator.
+    _adj_inv, the inverse of the adjoint kernel, is None but for the Hardy
+    pair.
     """
 
-    __slots__ = ("matrix", "dom", "cod", "_fwd", "_adj")
+    __slots__ = ("matrix", "dom", "cod", "_fwd", "_adj", "_adj_inv")
 
     def __init__(self, matrix, dom: Space, cod: Space):
         matrix = _readonly(matrix)
@@ -56,17 +61,20 @@ class LinOp:
         self.cod = cod
         self._fwd = matrix.__matmul__
         self._adj = lambda f: (matrix.T @ (_nodal(w_c, f) * f)) / _nodal(w_d, f)
+        self._adj_inv = None
 
     @classmethod
-    def _from_kernels(cls, dom: Space, cod: Space, fwd, adj):
+    def _from_kernels(cls, dom: Space, cod: Space, fwd, adj, adj_inv=None):
         """Matrix-free operator: fwd maps domain coefficients, adj functional
-        coefficients on cod to those on dom; both take vectors and blocks."""
+        coefficients on cod to those on dom, and adj_inv, if given, inverts
+        adj; all take vectors and blocks."""
         op = object.__new__(cls)
         op.matrix = None
         op.dom = dom
         op.cod = cod
         op._fwd = fwd
         op._adj = adj
+        op._adj_inv = adj_inv
         return op
 
     def apply_coeffs(self, coeffs):
@@ -188,11 +196,29 @@ def _half_cell_sum(w, x, reverse):
     return c
 
 
+def _half_cell_solve(w, g, reverse):
+    """The u with _half_cell_sum(w, u, reverse) = g. Differencing the sum
+    gives v_i + v_{i-1} = 2 (g_i - g_{i-1}) for v = w u, with g_{-1} = 0
+    (i + 1 for i - 1 if reverse), so v is the alternating-sign running sum
+    of those differences."""
+    if reverse:
+        g, w = g[::-1], w[::-1]
+    d = 2.0 * g
+    d[1:] -= 2.0 * g[:-1]
+    s = _nodal(1.0 - 2.0 * (np.arange(len(w)) % 2), d)
+    d *= s
+    v = np.cumsum(d, axis=0)
+    v *= s
+    v /= _nodal(w, v)
+    return v[::-1] if reverse else v
+
+
 def _volterra_pair(dom, cod, reverse):
     _require_common_grid(dom, cod)
     w = dom.weights
     return LinOp._from_kernels(dom, cod, lambda x: _half_cell_sum(w, x, reverse),
-                               lambda f: _half_cell_sum(w, f, not reverse))
+                               lambda f: _half_cell_sum(w, f, not reverse),
+                               lambda g: _half_cell_solve(w, g, not reverse))
 
 
 def hardy(dom: Space, cod: Space) -> LinOp:

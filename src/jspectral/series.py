@@ -419,6 +419,54 @@ def _scaled_orth(M, w):
     return U[:, :r]
 
 
+def _degenerate(i):
+    return DegenerateDeflationError(
+        f"A x_{i+1} lies in A(X_{i+2}): "
+        f"dim A(X_{i+1}) - dim A(X_{i+2}) = 0, expected 1"
+    )
+
+
+def _complement_by_gram_schmidt(A, X, JX, D):
+    """The h_i* from A's inverse adjoint kernel, in O(n k): as (h, A z)_H =
+    <A* h, z>, A(X_{i+1})^perp = span{g_1, ..., g_i} with g_j = A*^-1 J x_j,
+    so h_i* is the i-th weighted Gram-Schmidt vector of the g_j (a thin QR of
+    sqrt(w) G), signed so that (h_i*, A x_i)_H > 0."""
+    G = D[:, None] * A._adj_inv(JX)
+    Q, R = np.linalg.qr(G)
+    AX = D[:, None] * A.apply_coeffs(X)
+    pair = np.sum(Q * AX, axis=0)
+    g_norm, ax_norm = np.linalg.norm(G, axis=0), np.linalg.norm(AX, axis=0)
+    for i in range(X.shape[1]):
+        if abs(R[i, i]) <= 1e-10 * g_norm[i] or abs(pair[i]) <= 1e-10 * ax_norm[i]:
+            raise _degenerate(i)
+    return Q * np.sign(pair) / D[:, None]
+
+
+def _complement_by_svd(A, X, JX, D):
+    """The h_i* for any A, from dense factorisations: one orthonormal basis
+    of the deepest image A(X_{n+1}) (the kernel of the n constraints, mapped
+    by A), extended level by level upwards by the part of A x_i orthogonal
+    to it, which is h_i*."""
+    try:
+        Z = nullspace_basis(A, JX)
+    except DeflationExhausted:
+        Z = np.zeros((A.dom.dim, 0))
+    U = _scaled_orth(A.apply_coeffs(Z), A.cod.weights)
+
+    G = D[:, None] * A.apply_coeffs(X)
+    H = np.zeros((A.cod.dim, X.shape[1]))
+    for i in reversed(range(X.shape[1])):
+        g = G[:, i]
+        v = g - U @ (U.T @ g)
+        nv = float(np.linalg.norm(v))
+        if nv <= 1e-10 * float(np.linalg.norm(g)):
+            raise _degenerate(i)
+        u = v / nv
+        U = np.column_stack([U, u])
+        H[:, i] = u / D
+    return H
+
+
 def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
                       n_terms: int | None = None) -> SeriesRep:
     """Orthogonal-complement series for T = B o A factored through a Hilbert
@@ -429,37 +477,25 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     Neither factor needs to be compact; js_T supplies the deflation flags of
     the composition. The j-eigenvector x_i lies in X_i and J x_i does not
     vanish on it, so X_i = X_{i+1} + span{x_i} and H_i = H_{i+1} + span{A x_i}.
-    One orthonormal basis of the deepest image H_n is therefore extended,
-    level by level upwards, by the part of A x_i orthogonal to it, which is
-    h_i*. The factored subspace dimension must drop by exactly one per level:
-    an A x_i that lies in H_{i+1} to 1e-10 relative raises DegenerateDeflationError.
+    When A carries an inverse adjoint kernel (the Hardy pair), the h_i* come
+    by Gram-Schmidt on A*^-1 J x_i in O(n k); otherwise from an orthonormal
+    basis of H_{n+1}, extended upwards by the parts of the A x_i orthogonal to it.
+    The factored subspace dimension must drop by exactly one per level: an
+    A x_i that lies in H_{i+1} to 1e-10 relative raises DegenerateDeflationError.
+    A negative or non-integer n_terms raises GeometryError.
     """
     _check_factors(A, B, "hilbertian_series")
+    if n_terms is not None and (isinstance(n_terms, bool)
+                                or not isinstance(n_terms, (int, np.integer)) or n_terms < 0):
+        raise GeometryError(f"n_terms must be an integer at least 0, got {n_terms!r}")
     T = compose(B, A)
     n = js_T.n_levels if n_terms is None else min(n_terms, js_T.n_levels)
-    wH = A.cod.weights
-    D = np.sqrt(wH)
-
-    try:
-        Z = nullspace_basis(T, js_T.JX[:, :n])
-    except DeflationExhausted:
-        Z = np.zeros((A.dom.dim, 0))
-    U = _scaled_orth(A.apply_coeffs(Z), wH)
-
-    G = D[:, None] * A.apply_coeffs(js_T.X[:, :n])
-    H = np.zeros((A.cod.dim, n))
-    for i in reversed(range(n)):
-        g = G[:, i]
-        v = g - U @ (U.T @ g)
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-10 * float(np.linalg.norm(g)):
-            raise DegenerateDeflationError(
-                f"A x_{i+1} lies in A(X_{i+2}): "
-                f"dim A(X_{i+1}) - dim A(X_{i+2}) = 0, expected 1"
-            )
-        u = v / nv
-        U = np.column_stack([U, u])
-        H[:, i] = u / D
+    X, JX = js_T.X[:, :n], js_T.JX[:, :n]
+    D = np.sqrt(A.cod.weights)
+    if A._adj_inv is not None:
+        H = _complement_by_gram_schmidt(A, X, JX, D)
+    else:
+        H = _complement_by_svd(A, X, JX, D)
 
     Astar = A.apply_adjoint_coeffs(H)
     na = _lp_norm(Astar, A.dom.weights, A.dom.pprime)

@@ -286,3 +286,34 @@ def test_hardy_block_apply_equals_column_applies_bitwise():
             block = kernel(X)
             for j in range(8):
                 assert np.array_equal(block[:, j], kernel(X[:, j].copy()))
+
+
+@settings(max_examples=60)
+@given(widths=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=64),
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_hardy_inverse_adjoint_kernel_round_trip(widths, k, seed):
+    # A* (A*^-1 g) = g to 8 n eps max|g| per column: the worst of 3000 random
+    # draws of these strategies was 2.8 n eps (at n = 2), and random draws at
+    # n = 512 to 2^16 stayed under 0.6 n eps
+    w = np.asarray(widths)
+    n = w.size
+    sp = Space(np.cumsum(w) - w / 2, w, 2.0, float(np.sum(w)))
+    G = np.random.default_rng(seed).standard_normal((n, k))
+    bound = 8 * n * np.finfo(float).eps * np.max(np.abs(G), axis=0)
+    for T in (hardy(sp, sp), hardy_dual(sp, sp)):
+        U = T._adj_inv(G)
+        assert np.all(np.max(np.abs(T.apply_adjoint_coeffs(U) - G), axis=0) <= bound)
+        for j in range(k):
+            u = T._adj_inv(G[:, j].copy())
+            assert np.array_equal(U[:, j], u)
+            assert abs(T.apply_adjoint_coeffs(u) - G[:, j]).max() <= bound[j]
+
+
+def test_only_the_hardy_pair_inverts_its_adjoint():
+    ops = _lazy_family([1.0, 2.0, 0.5, 1.5], 2.0, 0.5)
+    for name, T in ops.items():
+        assert (T._adj_inv is not None) == (name in ("hardy", "hardy_dual")), name
+    sp = ops["hardy"].dom
+    for T in (LinOp(ops["hardy"].dense(), sp, ops["hardy"].cod),
+              kernel_op(sp, sp, lambda x, y: 1.0 + 0 * x), identity(sp)):
+        assert T._adj_inv is None

@@ -26,7 +26,7 @@ from jspectral import (
     linearized_series,
 )
 from jspectral import series
-from jspectral.oper import scale
+from jspectral.oper import hardy_dual, scale
 from jspectral.jspec import nullspace_basis
 from jspectral.series import (
     alpha_p,
@@ -35,7 +35,7 @@ from jspectral.series import (
     double_series_apply,
     random_unit_vectors,
 )
-from jspectral.space import _lp_norm
+from jspectral.space import _lp_norm, sup_dev_up_to_sign
 
 
 # ------------------------------------------------------- Hilbert target
@@ -261,10 +261,16 @@ def test_hilbertian_series_factorization_invariance():
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
+def _dense_copy(A):
+    """A as a dense LinOp: the same operator without an inverse adjoint kernel."""
+    return LinOp(A.dense(), A.dom, A.cod)
+
+
 def test_hilbertian_series_propagates_basis_errors(monkeypatch):
+    # the dense path: its nullspace basis is built, and its errors not swallowed
     dom = Space.uniform(32, 3.0)
     mid = Space.uniform(32, 2.0)
-    A = hardy(dom, mid)
+    A = _dense_copy(hardy(dom, mid))
     B = identity(mid)
     js = compute_jspectrum(compose(B, A), 2, tol=1e-8, seed=0, restarts=2)
 
@@ -305,8 +311,7 @@ def test_hilbertian_series_degenerate_deflation_raises(factored_l3_l15):
         hilbertian_series(A, B, bad)
 
 
-def test_hilbertian_series_factorises_once(factored_l3_l15, monkeypatch):
-    A, B, _, js = factored_l3_l15
+def _count_dense_factors(monkeypatch):
     calls = {"nullspace_basis": 0, "svd": 0}
 
     def counted(name):
@@ -320,8 +325,55 @@ def test_hilbertian_series_factorises_once(factored_l3_l15, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(series, name, counted(name))
-    hilbertian_series(A, B, js)
+    return calls
+
+
+def test_hilbertian_series_factorises_once(factored_l3_l15, monkeypatch):
+    # an A without an inverse adjoint kernel takes one nullspace basis and one SVD
+    A, B, _, js = factored_l3_l15
+    calls = _count_dense_factors(monkeypatch)
+    hilbertian_series(_dense_copy(A), B, js)
     assert calls == {"nullspace_basis": 1, "svd": 1}
+
+
+def test_hilbertian_series_hardy_builds_no_dense_factor(factored_l3_l15, monkeypatch):
+    A, B, _, js = factored_l3_l15
+    calls = _count_dense_factors(monkeypatch)
+    hilbertian_series(A, B, js)
+    assert calls == {"nullspace_basis": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("make_a, p, b_kind", [
+    (hardy, 3.0, "hardy"), (hardy, 2.0, "hardy"), (hardy, 2.0, "identity"),
+    (hardy_dual, 3.0, "hardy")])
+def test_hilbertian_series_kernel_path_matches_dense_path(make_a, p, b_kind):
+    # Gram-Schmidt on A*^-1 J x_i against the nullspace basis and SVD of a
+    # dense copy of A, on the same j-spectrum
+    dom, mid, cod = (Space.uniform(96, q) for q in (p, 2.0, 1.5))
+    A = make_a(dom, mid)
+    B = hardy(mid, cod) if b_kind == "hardy" else identity(mid)
+    js = compute_jspectrum(compose(B, A), 5, tol=1e-9, seed=0, restarts=2)
+    fast = hilbertian_series(A, B, js)
+    dense = hilbertian_series(_dense_copy(A), B, js)
+    assert fast.n_terms == dense.n_terms == 5
+    assert np.allclose(fast.lambdas, dense.lambdas, rtol=1e-10, atol=0.0)
+    for M, N in ((fast.V, dense.V), (fast.Phi, dense.Phi)):
+        for a, b in zip(M.T, N.T):
+            assert sup_dev_up_to_sign(a, b) <= 1e-10 * np.max(np.abs(b))
+    assert fast.meta["h_gram_dev"] <= 1e-12
+    assert dense.meta["h_gram_dev"] <= 1e-12
+    # h_i* is signed so that <x_i, A* h_i*> = (A x_i, h_i*)_H > 0
+    assert np.all(A.dom.weights @ (js.X * fast.Phi) > 0.0)
+
+
+@pytest.mark.parametrize("n_terms", [-1, 2.5, "2", True])
+def test_hilbertian_series_rejects_invalid_term_counts(factored_l3_l15, n_terms):
+    A, B, _, js = factored_l3_l15
+    with pytest.raises(GeometryError, match="n_terms must be an integer") as err:
+        hilbertian_series(A, B, js, n_terms=n_terms)
+    assert "\n" not in str(err.value)
+    assert hilbertian_series(A, B, js, n_terms=np.int64(2)).n_terms == 2
+    assert hilbertian_series(A, B, js, n_terms=0).n_terms == 0
 
 
 # ------------------------------------------------------- double series
