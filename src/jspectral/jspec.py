@@ -50,8 +50,10 @@ from .space import (
 
 
 # gradient tolerances of the best-approximation solves in _ascent: full
-# precision, and the loosest a quotient-side solve may run at
+# precision, and the loosest a solve of either side may run at (_forcing);
+# and the factor of the constraint side's forcing term (see _ascent)
 _GTOL, _GTOL_LOOSE = 1e-10, 1e-2
+_FORCING_B = 0.1
 
 
 class DeflationExhausted(RuntimeError):
@@ -211,16 +213,26 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
     per-column array at hand. Returns one entry per column of X0: None when
     the start projects to zero, else (lambda, x, residual, certified).
 
-    The quotient solve is only as precise as the step needs (the forcing
-    term of inexact Newton methods): a column's gradient tolerance is its
-    last bound ||v - lambda J~_X x||_{p'} relative to lambda, clipped to
-    [_GTOL, _GTOL_LOOSE] (the first step, with no bound yet, at
-    _GTOL_LOOSE), and _GTOL once that bound is at most 10 tol or the next
-    step is the last. Any coefficients bound the distance from above, so a
-    loose solve can only overstate lambda, and never on a certified step: a
-    column certifies only on a step whose quotient solve ran at _GTOL, and
-    one that meets tol after a loose solve takes one more step, at _GTOL.
-    The constraint-side solves always run at _GTOL.
+    The inner solves are only as precise as the step needs (the forcing
+    term of inexact Newton methods). A column carries its last bound
+    ||v - lambda J~_X x||_{p'} relative to lambda; its quotient solve runs
+    at that gradient tolerance and, for p > 2, its constraint solve at a
+    tenth of it, both clipped to [_GTOL, _GTOL_LOOSE] (the first step, with
+    no bound yet, at _GTOL_LOOSE), and both at _GTOL once that bound is at
+    most 10 tol or the next step is the last. Any quotient coefficients
+    bound the distance from above, so a loose quotient solve can only
+    overstate lambda. Any mu leaves the bound an upper bound on the
+    distance, and for p > 2 project puts x' back in the polar subspace
+    whatever mu is, so a loose constraint solve changes only the path. The
+    constraint side takes a tenth because an error of mu enters the bound
+    at first order, while an error of c enters lambda only at second order
+    (with the full ratio the iteration stalls). No loose step certifies: a
+    column certifies only on a step whose solves all ran at _GTOL, and one
+    that meets tol after a loose solve takes one more step, at _GTOL. A
+    loose step whose relative bound did not fall sends the column's next
+    solves to _GTOL, so the forcing term alone cannot stall a column. For
+    p <= 2 nothing puts x' back in the polar subspace (see below), and the
+    constraint solves always run at _GTOL.
 
     The inner minimization leaves a residue of the constraints in x'. For
     p > 2 project removes it; J~_X is Lipschitz there. At p = p' = 2 the
@@ -240,11 +252,13 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
     X, kept = _unit_columns(project(np.asarray(X0, dtype=float)), w_d, p)
     live = np.flatnonzero(kept)  # the start of each block column
     # per block column: the best-approximation coefficients of its last
-    # iterate on the quotient side and on the constraint side, and the
-    # gradient tolerance of its next quotient solve (loose before any bound)
+    # iterate on the quotient side and on the constraint side, and its last
+    # bound relative to lambda, from which _forcing derives the gradient
+    # tolerances of its next solves (inf before any bound: loose; 0: _GTOL)
     Cq = np.zeros((0 if M is None else M.shape[1], live.size))
     Cb = np.zeros((0 if B is None else B.shape[1], live.size))
-    gtol = np.full(live.size, _GTOL_LOOSE)
+    rel = np.full(live.size, np.inf)
+    loose_b = B is not None and p > 2.0  # the constraint side runs loose too
     for it in range(max_iter + 1):
         if not live.size:
             break
@@ -252,11 +266,12 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
         if M is None:
             lam = _lp_norm(E, w_c, q)
         else:
-            Cq, lam = _best_approx(E, M, w_c, q, Cq if it else None, gtol, X, done)
+            Cq, lam = _best_approx(E, M, w_c, q, Cq if it else None, _forcing(rel, 1.0),
+                                   X, done)
             E = E - _matvecs(M, Cq.T).T
         for j in np.flatnonzero(lam < lam_tiny):
             done[j] = (0.0, X[:, j], 0.0, True)
-        live, X, E, lam, Cq, Cb, gtol = _retire(out, done, live, X, E, lam, Cq, Cb, gtol)
+        live, X, E, lam, Cq, Cb, rel = _retire(out, done, live, X, E, lam, Cq, Cb, rel)
         if not live.size:
             break
         R = T.apply_adjoint_coeffs(_jtilde(E, w_c, q, lam))
@@ -265,9 +280,9 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
         elif pp == 2.0:
             V = project(R)
         else:
-            Cb, _ = _best_approx(R, B, w_d, pp, Cb if it else None, _GTOL, X, done)
-            live, X, lam, R, Cq, Cb, gtol = _retire(out, done, live, X, lam, R, Cq, Cb,
-                                                    gtol)
+            Cb, _ = _best_approx(R, B, w_d, pp, Cb if it else None,
+                                 _forcing(rel, _FORCING_B) if loose_b else _GTOL, X, done)
+            live, X, lam, R, Cq, Cb, rel = _retire(out, done, live, X, lam, R, Cq, Cb, rel)
             if not live.size:
                 break
             V = R - _matvecs(B, Cb.T).T
@@ -279,18 +294,29 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
         JX = lam * odd_power(X, p - 1.0)
         bound = _lp_norm(V - JX, w_d, pp)
         step = ~(bound <= tol) & (it < max_iter)
-        if M is not None:  # a step whose quotient solve ran loose certifies nothing
-            step |= (gtol > _GTOL) & (it < max_iter)
-            gtol = np.clip(bound / lam, _GTOL, _GTOL_LOOSE)
-            gtol[(bound <= 10.0 * tol) | (it + 1 == max_iter)] = _GTOL
+        if M is not None or loose_b:  # a step with a loose solve certifies nothing
+            loose = _forcing(rel, 1.0 if M is not None else _FORCING_B) > _GTOL
+            step |= loose & (it < max_iter)
+            rel_new = bound / lam
+            if loose_b:  # a loose step that did not lower the bound: the next at _GTOL
+                rel_new[loose & ~(rel_new < rel)] = 0.0
+            rel_new[(bound <= 10.0 * tol) | (it + 1 == max_iter)] = 0.0
+            rel = rel_new
         X_new = odd_power(V[:, step], pp - 1.0)
         X_new, moved = _unit_columns(X_new if p <= 2.0 else project(X_new), w_d, p)
         step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
         for j in np.flatnonzero(~step):
             done[j] = (float(lam[j]), X[:, j], float(bound[j]), bool(bound[j] <= tol))
-        live, Cq, Cb, gtol = _retire(out, done, live, Cq, Cb, gtol)
+        live, Cq, Cb, rel = _retire(out, done, live, Cq, Cb, rel)
         X = X_new
     return out
+
+
+def _forcing(rel, factor):
+    """Gradient tolerances of the next best-approximation solves: factor
+    times each column's last relative bound rel, clipped to [_GTOL,
+    _GTOL_LOOSE]."""
+    return np.clip(factor * rel, _GTOL, _GTOL_LOOSE)
 
 
 def _best_approx(R, basis, w, p, C0, gtol, X, done):
