@@ -237,7 +237,6 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
         Psi[:, i] -= J[:, :i] @ np.linalg.solve(S[:i, :i].T, S[i, :i])
     rep_c = SeriesRep("linearized", list(js_p.lambdas[:m]), js_p.Y[:, :m], Psi, T.dom, T.cod)
 
-    lam_dev = [abs(js_p.lambdas[i] - lam_star[i]) for i in range(m)]
     h_dev = [sup_dev_up_to_sign(js_p.Y[:, i], h_star[:, i]) for i in range(m)]
     z1_dev = sup_dev_up_to_sign(Z[:, 0], js_p.X[:, 0]) if m else 0.0
     # unit quotient norm of the representatives: dist to the earlier span
@@ -255,7 +254,7 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
 
     rep_a.meta = {
         "variants": {"via_z": rep_b, "via_primal": rep_c},
-        "lambda_dev": lam_dev,
+        "lambda_dev": js_d.meta["lambda_match"],
         "h_match_dev": h_dev,
         "z1_equals_x1_dev": z1_dev,
         "psi_norm_dev": psi_norm_dev,
@@ -400,9 +399,12 @@ def _check_factors(A, B, who):
 
 def _norm_bound(values, *ops):
     """Product of the certified norms of ops and whether every value lies
-    under it to 1e-6 relative; (nan, None) when a norm does not certify."""
+    under it to 1e-6 relative; (nan, None) when a norm does not certify.
+    A factor that the solver finds vanishing has norm 0."""
     try:
         bound = math.prod(operator_norm(op, tol=1e-6, restarts=2) for op in ops)
+    except DeflationExhausted:
+        bound = 0.0
     except ConvergenceError:
         return float("nan"), None
     return bound, bool(np.all(np.asarray(values) <= bound * (1 + 1e-6)))
@@ -419,52 +421,46 @@ def _scaled_orth(M, w):
     return U[:, :r]
 
 
-def _degenerate(i):
-    return DegenerateDeflationError(
-        f"A x_{i+1} lies in A(X_{i+2}): "
-        f"dim A(X_{i+1}) - dim A(X_{i+2}) = 0, expected 1"
-    )
-
-
-def _complement_by_gram_schmidt(A, X, JX, D):
-    """The h_i* from A's inverse adjoint kernel, in O(n k): as (h, A z)_H =
-    <A* h, z>, A(X_{i+1})^perp = span{g_1, ..., g_i} with g_j = A*^-1 J x_j,
-    so h_i* is the i-th weighted Gram-Schmidt vector of the g_j (a thin QR of
-    sqrt(w) G), signed so that (h_i*, A x_i)_H > 0."""
-    G = D[:, None] * A._adj_inv(JX)
-    Q, R = np.linalg.qr(G)
-    AX = D[:, None] * A.apply_coeffs(X)
-    pair = np.sum(Q * AX, axis=0)
+def _complement_qr(G, AX, D, U=None):
+    """The h_i* as the columns of one thin QR. Without U, the i-th column of
+    the n x k generator matrix G is the generator of level i; with an
+    orthonormal basis U of the deepest image H_{n+1}, the generators are the
+    parts of the columns of G orthogonal to U, deepest level first. The
+    orthonormal columns are divided by D = sqrt(w) and signed so that
+    (h_i*, A x_i)_H > 0 (AX holds the D A x_i). A level whose generator drops
+    no dimension, |R_jj| <= 1e-10 of its norm before the projection and the
+    QR, or |(h_i*, A x_i)_H| <= 1e-10 ||A x_i||_H, raises
+    DegenerateDeflationError naming it."""
+    order = slice(None) if U is None else slice(None, None, -1)
+    G, AX, levels = G[:, order], AX[:, order], range(G.shape[1])[order]
     g_norm, ax_norm = np.linalg.norm(G, axis=0), np.linalg.norm(AX, axis=0)
-    for i in range(X.shape[1]):
-        if abs(R[i, i]) <= 1e-10 * g_norm[i] or abs(pair[i]) <= 1e-10 * ax_norm[i]:
-            raise _degenerate(i)
-    return Q * np.sign(pair) / D[:, None]
+    if U is not None:
+        G = G - U @ (U.T @ G)
+    Q, R = np.linalg.qr(G)
+    pair = np.sum(Q * AX, axis=0)
+    for j, i in enumerate(levels):
+        if abs(R[j, j]) <= 1e-10 * g_norm[j] or abs(pair[j]) <= 1e-10 * ax_norm[j]:
+            raise DegenerateDeflationError(
+                f"A x_{i+1} lies in A(X_{i+2}): "
+                f"dim A(X_{i+1}) - dim A(X_{i+2}) = 0, expected 1"
+            )
+    return (Q * np.sign(pair) / D[:, None])[:, order]
 
 
-def _complement_by_svd(A, X, JX, D):
-    """The h_i* for any A, from dense factorisations: one orthonormal basis
-    of the deepest image A(X_{n+1}) (the kernel of the n constraints, mapped
-    by A), extended level by level upwards by the part of A x_i orthogonal
-    to it, which is h_i*."""
-    try:
-        Z = nullspace_basis(A, JX)
-    except DeflationExhausted:
-        Z = np.zeros((A.dom.dim, 0))
-    U = _scaled_orth(A.apply_coeffs(Z), A.cod.weights)
-
-    G = D[:, None] * A.apply_coeffs(X)
-    H = np.zeros((A.cod.dim, X.shape[1]))
-    for i in reversed(range(X.shape[1])):
-        g = G[:, i]
-        v = g - U @ (U.T @ g)
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-10 * float(np.linalg.norm(g)):
-            raise _degenerate(i)
-        u = v / nv
-        U = np.column_stack([U, u])
-        H[:, i] = u / D
-    return H
+def _factored_series(kind, A, B, H):
+    """Series of T = B o A along the H-orthonormal columns h_i of H:
+    T x = sum lambda_i <x, A* h_i / ||A* h_i||> B h_i / ||B h_i|| with
+    lambda_i = ||A* h_i|| ||B h_i||; a term that either factor annihilates
+    is dropped. meta["norm_A_star_h"] keeps every ||A* h_i||."""
+    Astar = A.apply_adjoint_coeffs(H)
+    na = _lp_norm(Astar, A.dom.weights, A.dom.pprime)
+    BH = B.apply_coeffs(H)
+    nb = _lp_norm(BH, B.cod.weights, B.cod.p)
+    keep = (na != 0.0) & (nb != 0.0)
+    rep = SeriesRep(kind, (na * nb)[keep].tolist(), BH[:, keep] / nb[keep],
+                    Astar[:, keep] / na[keep], A.dom, B.cod)
+    rep.meta = {"norm_A_star_h": na.tolist()}
+    return rep
 
 
 def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
@@ -472,16 +468,19 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     """Orthogonal-complement series for T = B o A factored through a Hilbert
     space: T_n x = sum lambda_i* y_i* <x, x_i'*> with h_i* the unit vector of
     H_i = A(X_i) orthogonal to H_{i+1}, x_i'* = A*(h_i*)/||.||, y_i* =
-    B(h_i*)/||.|| and lambda_i* their norm product.
+    B(h_i*)/||.|| and lambda_i* their norm product; the complement vectors
+    h_i* are the family passed to the term builder.
 
     Neither factor needs to be compact; js_T supplies the deflation flags of
     the composition. The j-eigenvector x_i lies in X_i and J x_i does not
     vanish on it, so X_i = X_{i+1} + span{x_i} and H_i = H_{i+1} + span{A x_i}.
-    When A carries an inverse adjoint kernel (the Hardy pair), the h_i* come
-    by Gram-Schmidt on A*^-1 J x_i in O(n k); otherwise from an orthonormal
-    basis of H_{n+1}, extended upwards by the parts of the A x_i orthogonal to it.
-    The factored subspace dimension must drop by exactly one per level: an
-    A x_i that lies in H_{i+1} to 1e-10 relative raises DegenerateDeflationError.
+    The h_i* come from one thin QR. When A carries an inverse adjoint kernel
+    (the Hardy pair), its generators are the A*^-1 J x_i, in O(n k), since
+    A(X_{i+1})^perp = span{A*^-1 J x_j, j <= i}; otherwise they are the parts
+    of A x_{n-1}, ..., A x_0 orthogonal to a dense orthonormal basis of
+    H_{n+1}, in that order. The factored subspace dimension must drop by
+    exactly one per level: an A x_i that lies in H_{i+1} to 1e-10 relative
+    raises DegenerateDeflationError. A term that B annihilates is dropped.
     A negative or non-integer n_terms raises GeometryError.
     """
     _check_factors(A, B, "hilbertian_series")
@@ -492,19 +491,19 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     n = js_T.n_levels if n_terms is None else min(n_terms, js_T.n_levels)
     X, JX = js_T.X[:, :n], js_T.JX[:, :n]
     D = np.sqrt(A.cod.weights)
+    AX = D[:, None] * A.apply_coeffs(X)
     if A._adj_inv is not None:
-        H = _complement_by_gram_schmidt(A, X, JX, D)
+        H = _complement_qr(D[:, None] * A._adj_inv(JX), AX, D)
     else:
-        H = _complement_by_svd(A, X, JX, D)
+        try:
+            Z = nullspace_basis(A, JX)
+        except DeflationExhausted:
+            Z = np.zeros((A.dom.dim, 0))
+        U = _scaled_orth(A.apply_coeffs(Z), A.cod.weights)
+        H = _complement_qr(AX, AX, D, U)
 
-    Astar = A.apply_adjoint_coeffs(H)
-    na = _lp_norm(Astar, A.dom.weights, A.dom.pprime)
-    BH = B.apply_coeffs(H)
-    nb = _lp_norm(BH, B.cod.weights, B.cod.p)
-    lambdas = (na * nb).tolist()
-    bound, bounded = _norm_bound(lambdas, A, B)
-
-    rep = SeriesRep("hilbertian_perp", lambdas, BH / nb, Astar / na, A.dom, B.cod)
+    rep = _factored_series("hilbertian_perp", A, B, H)
+    bound, bounded = _norm_bound(rep.lambdas, A, B)
 
     # sampled check: T - T_n maps into the deflated codomain subspaces, on
     # which the codomain deflation functionals vanish
@@ -599,30 +598,24 @@ def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,
     which_compact = "A": T x = sum B(h_i^{A*}) lambda_i^{A*} <x, x_i^{A*}>
     which_compact = "B": T x = sum <x, J_X x_j^C> lambda_j^C lambda_j^B y_j^B
     with C_j(x) = <A x, h_j^B>_H normalized through the duality map; the
-    lambda_j^C stay bounded by ||A|| (recorded in meta).
+    lambda_j^C stay bounded by ||A|| (recorded in meta). The term builder
+    gets the extremals h_i^{A*} of A* (which_compact = "A") or h_j^B of B
+    (which_compact = "B"), both orthonormal in H; a term that the other
+    factor annihilates is dropped.
     """
     _check_factors(A, B, "half_series")
     if which_compact == "A":
         js_a = compute_jspectrum(adjoint(A), terms, tol=tol, seed=seed, restarts=restarts)
-        BH = B.apply_coeffs(js_a.X)
-        nb = _lp_norm(BH, B.cod.weights, B.cod.p)
-        keep = nb != 0.0
-        rep = SeriesRep("half_direct", (np.asarray(js_a.lambdas) * nb)[keep].tolist(),
-                        BH[:, keep] / nb[keep], js_a.Y[:, keep],
-                        A.dom, B.cod)
+        rep = _factored_series("half_direct", A, B, js_a.X)
         rep.meta = {"lambda_A_star": list(js_a.lambdas)}
         return rep
     if which_compact == "B":
         js_b = compute_jspectrum(B, terms, tol=tol, seed=seed, restarts=restarts)
-        C = A.apply_adjoint_coeffs(js_b.X)
-        nc = _lp_norm(C, A.dom.weights, A.dom.pprime)
-        keep = nc != 0.0
-        rep = SeriesRep("half_dual", (nc * np.asarray(js_b.lambdas))[keep].tolist(),
-                        js_b.Y[:, keep], C[:, keep] / nc[keep],
-                        A.dom, B.cod)
+        rep = _factored_series("half_dual", A, B, js_b.X)
+        nc = rep.meta["norm_A_star_h"]
         na, bounded = _norm_bound(nc, A)
         rep.meta = {
-            "lambda_C": nc.tolist(),
+            "lambda_C": nc,
             "lambda_C_bound": na,
             "lambda_C_bounded": bounded,
             "lambda_B": list(js_b.lambdas),

@@ -303,12 +303,54 @@ def test_hilbertian_series_functionals_annihilate_deeper_polar_subspace(factored
         assert np.max(np.abs(f @ Z)) <= 1e-12
 
 
-def test_hilbertian_series_degenerate_deflation_raises(factored_l3_l15):
+@pytest.mark.parametrize("route", ["kernel", "dense"])
+def test_hilbertian_series_degenerate_deflation_raises(factored_l3_l15, route):
     A, B, _, js = factored_l3_l15
-    # a repeated deflation functional keeps X_2 = X_1, so A(X_1) = A(X_2)
+    if route == "dense":
+        A = _dense_copy(A)
+    # a repeated deflation functional keeps X_3 = X_2, so A(X_2) = A(X_3)
     bad = dataclasses.replace(js, JX=js.JX[:, [0, 0, *range(2, js.n_levels)]])
-    with pytest.raises(DegenerateDeflationError):
+    with pytest.raises(DegenerateDeflationError, match=r"A x_2 lies in A\(X_3\)"):
         hilbertian_series(A, B, bad)
+
+
+@pytest.mark.parametrize("route", ["kernel", "dense"])
+def test_hilbertian_series_degenerate_deepest_level_raises(factored_l3_l15, route):
+    A, B, _, js = factored_l3_l15
+    if route == "dense":
+        A = _dense_copy(A)
+    # a repeated last deflation functional keeps X_5 = X_4, so A x_4 lies in
+    # A(X_5): on the dense route, in the span of the deepest basis itself
+    bad = dataclasses.replace(js, JX=js.JX[:, [0, 1, 2, 2]])
+    with pytest.raises(DegenerateDeflationError, match=r"A x_4 lies in A\(X_5\)"):
+        hilbertian_series(A, B, bad)
+
+
+def test_hilbertian_series_non_square_dense_factor():
+    # only the dense route serves an A between grids of different sizes
+    l3, l2, l15 = Space.uniform(40, 3.0), Space.uniform(64, 2.0), Space.uniform(64, 1.5)
+    rng = np.random.default_rng(20)
+    A = LinOp(rng.standard_normal((64, 40)) / 40, l3, l2)
+    B = hardy(l2, l15)
+    T = compose(B, A)
+    js = compute_jspectrum(T, 4, tol=1e-8, seed=0, restarts=2)
+    rep = hilbertian_series(A, B, js)
+    assert rep.n_terms == 4
+    assert rep.meta["h_gram_dev"] <= 1e-12
+    for i in range(rep.n_terms):
+        Z = nullspace_basis(T, js.JX[:, : i + 1])
+        f = A.dom.weights * rep.coeff_functionals[i].coeffs
+        assert np.max(np.abs(f @ Z)) <= 1e-12
+    assert rep.meta["tail_maps_into_flag_dev"] <= 1e-6
+
+
+def test_hilbertian_series_vanishing_factor(factored_l3_l15):
+    A, _, _, js = factored_l3_l15
+    zero = LinOp(np.zeros((96, 96)), A.cod, Space.uniform(96, 1.5))
+    rep = hilbertian_series(A, zero, js)
+    assert rep.n_terms == 0
+    assert rep.meta["lambda_bound"] == 0.0
+    assert rep.meta["lambda_bounded"] is True
 
 
 def _count_dense_factors(monkeypatch):
@@ -446,6 +488,16 @@ def test_half_series_on_square_of_hardy(hardy_l2, l2_256):
     assert rep.meta["lambda_C_bounded"]
 
 
+def test_half_series_vanishing_factor():
+    l3, l2, l15 = (Space.uniform(64, p) for p in (3.0, 2.0, 1.5))
+    rep = half_series(LinOp(np.zeros((64, 64)), l3, l2), hardy(l2, l15), "B", 3,
+                      tol=1e-9, seed=0, restarts=2)
+    assert rep.n_terms == 0
+    assert rep.meta["lambda_C"] == [0.0, 0.0, 0.0]
+    assert rep.meta["lambda_C_bound"] == 0.0
+    assert rep.meta["lambda_C_bounded"] is True
+
+
 # ------------------------------------------------------- shared invariants
 
 def test_truncation_error_nonincreasing_on_fixed_test_set(hardy_l3_l2, l3_256):
@@ -469,6 +521,9 @@ def _series_of_kind(kind):
     if kind == "hilbertian":
         return T, hilbertian_series(A, B, compute_jspectrum(T, 4, tol=1e-9, seed=0,
                                                             restarts=2))
+    if kind in ("half_direct", "half_dual"):
+        return T, half_series(A, B, "A" if kind == "half_direct" else "B", 4, tol=1e-9,
+                              seed=0, restarts=2)
     return T, double_series(A, B, 3, tol=1e-9, seed=0, restarts=2)
 
 
@@ -481,7 +536,7 @@ def _term_by_term(rep, x, n):
 
 
 @settings(max_examples=30)
-@given(kind=st.sampled_from(["target", "hilbertian", "double"]),
+@given(kind=st.sampled_from(["target", "hilbertian", "double", "half_direct", "half_dual"]),
        count=st.integers(1, 4), n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
 def test_block_evaluation_matches_the_term_by_term_sum(kind, count, n, seed):
     T, rep = _series_of_kind(kind)
