@@ -274,10 +274,11 @@ def flag_biorthogonal_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     nested deflation flags; reproduces the Hilbert-case coefficients exactly.
     """
     M = js.semi_orth_table("y")  # M[j, i] = <y_i, J y_j>
-    adj = T.apply_adjoint_coeffs(_jmap(js.Y, T.cod.weights, T.cod.p))
+    lam = np.asarray(js.lambdas)
+    adj = T.apply_adjoint_coeffs(js.JY / lam)  # T* J_Y y_i: J_Y y_i = J_Y(T x_i) / lambda_i
     return SeriesRep(
         "general_decay", list(js.lambdas), js.Y,
-        adj @ np.linalg.inv(M).T / np.asarray(js.lambdas), T.dom, T.cod,
+        adj @ np.linalg.inv(M).T / lam, T.dom, T.cod,
         meta={"flag_gram": M.tolist()},
     )
 
@@ -399,12 +400,9 @@ def _check_factors(A, B, who):
 
 def _norm_bound(values, *ops):
     """Product of the certified norms of ops and whether every value lies
-    under it to 1e-6 relative; (nan, None) when a norm does not certify.
-    A factor that the solver finds vanishing has norm 0."""
+    under it to 1e-6 relative; (nan, None) when a norm does not certify."""
     try:
         bound = math.prod(operator_norm(op, tol=1e-6, restarts=2) for op in ops)
-    except DeflationExhausted:
-        bound = 0.0
     except ConvergenceError:
         return float("nan"), None
     return bound, bool(np.all(np.asarray(values) <= bound * (1 + 1e-6)))

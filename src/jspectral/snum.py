@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jspec import DeflationExhausted, JSpectrum, compute_jspectrum, extremal_pair
+from .jspec import JSpectrum, compute_jspectrum, operator_norm
 from .oper import LinOp
 from .series import SeriesRep, _gram_dev, hilbert_source_series, hilbert_target_series
 from .space import ConvergenceError, GeometryError, _csv_text, _lp_norm
@@ -98,11 +98,9 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         best_name = None
         residuals = []
         for name, cand in candidates.items():
-            try:
-                norm, _, _ = extremal_pair(cand.remainder(T, k), (), seed=seed,
-                                           tol=max(tol, 1e-9), restarts=restarts)
-            except DeflationExhausted:
-                norm = 0.0  # T - F vanishes to the solver's floor
+            try:  # 0.0 when T - F vanishes to the solver's floor
+                norm = operator_norm(cand.remainder(T, k), tol=max(tol, 1e-9), seed=seed,
+                                     restarts=restarts)
             except ConvergenceError as exc:
                 residuals.append(exc.residual)
                 continue  # an uncertified norm bounds nothing

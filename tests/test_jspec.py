@@ -74,6 +74,11 @@ def test_extremal_zero_operator_signals_termination():
         extremal_pair(T, (), seed=0)
 
 
+def test_operator_norm_of_a_vanishing_operator_is_zero():
+    sp = Space.uniform(16, 2.0)
+    assert operator_norm(LinOp(np.zeros((16, 16)), sp, sp)) == 0.0
+
+
 def test_jspectrum_hilbert_levels_match_singular_values(hardy_l2):
     js = compute_jspectrum(hardy_l2, 6, tol=1e-9, seed=0, restarts=4)
     sv = svdvals(hardy_l2.dense())[:6]
@@ -124,6 +129,39 @@ def test_jspectrum_semi_orthogonality_tables(hardy_l3_l2):
                 assert abs(S[r, s] - (r == s)) <= 1e-6
     # mapping of deflated domain subspaces into codomain subspaces
     assert max(js.meta["mapping_check"]) <= 1e-6
+
+
+@settings(max_examples=12)
+@given(p=st.sampled_from([2.0, 3.0, 4.0]), q=st.sampled_from([1.5, 2.0, 3.0]),
+       seed=st.integers(0, 2**16))
+def test_mapping_check_is_bounded_by_the_certificate(p, q, seed):
+    # mapping_check[k] is the quotient norm of g = T* J_Y(T x_k) on X_{k+1},
+    # relative to ||g||. As g = lambda_k r with r the gradient's first term
+    # and J_X x_k in the span, the distance is at most lambda_k residual_k,
+    # and ||g|| >= <x_k, g> = lambda_k^2; at p = q = 2 both are equalities
+    # but for terms of second order. The slack 4 eps lambda is the rounding
+    # of the residual, a difference of two terms of dual norm lambda (over
+    # seeds 0 to 399 it reached 1.4 eps lambda, at p = 2). Domain exponents
+    # p < 2 are left out: there min_norm_coeffs (at p' > 2) can stop at its
+    # least-squares start and overstate the distance by about 1 %.
+    T = hardy(Space.uniform(64, p), Space.uniform(64, q))
+    js = compute_jspectrum(T, 3, tol=1e-9, seed=seed, restarts=4)
+    checks = js.meta["mapping_check"]
+    assert len(checks) == js.n_levels == 3
+    eps = np.finfo(float).eps
+    for check, lam, res in zip(checks, js.lambdas, js.residuals):
+        assert check * lam <= res * (1.0 + 1e-6) + 4.0 * eps * lam
+        if p == q == 2.0:
+            assert abs(check * lam - res) <= 1e-6 * res + 4.0 * eps * lam
+
+
+def test_mapping_check_of_a_full_rank_diagonal_has_one_entry_per_level():
+    # the last level's polar subspace is {0}, on which every functional vanishes
+    sp = Space.sequence(3, 2.0)
+    js = compute_jspectrum(LinOp(np.diag([0.9, 0.5, 0.1]), sp, sp), 3)
+    assert js.n_levels == 3
+    assert len(js.meta["mapping_check"]) == 3
+    assert js.meta["mapping_check"][-1] <= 1e-12
 
 
 @pytest.mark.parametrize("spectrum", [compute_jspectrum, dual_jspectrum])
@@ -719,6 +757,68 @@ def test_columns_leaving_before_the_adjoint_leave_the_others_stepping(quotient):
     if not quotient:
         lam, _, res = extremal_pair(T, [Functional(f, dom)], seed=0, tol=1e-9, restarts=8)
         assert lam > 0.0 and res <= 1e-9
+
+
+def _failing_min_norm(monkeypatch, basis, call, column):
+    """Patch the solver's min_norm_coeffs so that its call-th call (from 0)
+    on basis marks one block column failed, as the iteration limit would: a
+    ConvergenceError with the real coefficients and distances. Returns the
+    number of columns of each call on basis."""
+    inner = jspec.min_norm_coeffs
+    widths = []
+
+    def failing(target, B, *args, **kwargs):
+        c, d = inner(target, B, *args, **kwargs)
+        if B is basis:
+            widths.append(target.shape[1])
+            if len(widths) == call + 1:
+                failed = np.zeros(target.shape[1], dtype=bool)
+                failed[column] = True
+                raise ConvergenceError("iteration limit", residual=d, coeffs=c,
+                                       failed=failed)
+        return c, d
+
+    monkeypatch.setattr(jspec, "min_norm_coeffs", failing)
+    return widths
+
+
+@pytest.mark.parametrize("side", ["quotient", "constraint"])
+def test_a_failed_inner_solve_fails_only_its_start(monkeypatch, side):
+    # quotient: level 2 of the dual of Hardy L3 -> L2, where one column of a
+    # block solve fails and the others step on; constraint: level 2 of the
+    # primal at p = 3, where the one column left fails and the block ends
+    n = 128
+    H = hardy(Space.uniform(n, 3.0), Space.uniform(n, 2.0))
+    if side == "quotient":
+        S = adjoint(H)
+        js = dual_jspectrum(H, 1, tol=1e-9, seed=0, restarts=2)
+        M = js.Y
+    else:
+        S = H
+        js = compute_jspectrum(H, 1, tol=1e-9, seed=0, restarts=2)
+        M = None
+    project, B = _constraint_projector(S, js.JX)
+    basis = M if side == "quotient" else B
+    X0 = _starts(n, 4, np.random.default_rng(1))
+    widths = _failing_min_norm(monkeypatch, basis, -1, 0)  # records, fails nothing
+    want = _ascent(S, project, B, X0, 1e-9, 0.0, 4600, M)
+    assert all(out[3] for out in want)
+    if side == "quotient":
+        call, column = 1, 1
+    else:  # the break after the constraint solve: no column is left
+        call, column = widths.index(1), 0
+    assert widths[call] > column
+    _failing_min_norm(monkeypatch, basis, call, column)
+    got = _ascent(S, project, B, X0, 1e-9, 0.0, 4600, M)
+    failed = [j for j, out in enumerate(got) if not out[3]]
+    assert len(failed) == 1
+    lam, x, res, _ = got[failed[0]]
+    assert np.isnan(lam) and res == np.inf
+    assert _lp_norm(x, S.dom.weights, S.dom.p) == pytest.approx(1.0, rel=1e-12)
+    for j, (a, b) in enumerate(zip(want, got)):
+        if j != failed[0]:
+            assert (a[0], a[2], a[3]) == (b[0], b[2], b[3])
+            assert np.array_equal(a[1], b[1])
 
 
 @settings(max_examples=40)

@@ -74,7 +74,7 @@ def test_approx_numbers_uncertified_candidates_raise(monkeypatch):
     def uncertified(*args, **kwargs):
         raise ConvergenceError("no start certified", residual=1.0)
 
-    monkeypatch.setattr(snum, "extremal_pair", uncertified)
+    monkeypatch.setattr(snum, "operator_norm", uncertified)
     with pytest.raises(ConvergenceError) as err:
         approx_numbers_report(T, 2, js=js)
     assert err.value.residual == 1.0
