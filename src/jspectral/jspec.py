@@ -14,6 +14,24 @@ polar subspace and lambda never decreases. The residual certificate is the
 step's own ||r - F mu - lambda J~_X x||_{p'}, an upper bound on the weighted
 l_{p'} distance of the gradient r - lambda J~_X x to that span.
 
+The steps converge linearly, so a start whose bound has fallen at a steady
+ratio rho over its last two steps takes its next step from the Aitken
+extrapolation x~ = x' + beta (x' - x), beta = rho / (1 - rho), of its last
+two iterates x and x' (Aitken's delta-squared rule), in place of x'. T x~ is
+the same combination of T x' and T x, so x~ costs no apply; as a
+combination of two iterates it lies in the polar subspace; and it is kept
+only where it does not lower lambda: in the primal iff ||T x~|| >= ||T x'||
+(both unit), in the quotient dual, which solves the distance at x~ instead
+of x', iff it is at least the lambda of x, else that step falls back to x'
+at the coefficients of x, loose, so that it cannot certify. No start arms
+where the constraint side is solved loosely (p > 2 with constraints): there
+the two lambdas the test compares are each off by that solve's error. The
+sequence that never decreases is the lambda each step evaluates at the
+iterate it starts from (x~ where kept), and in the primal also ||T x|| at
+every iterate that T is applied to, as far as the inner solves are exact: a
+loose constraint solve can lower it by some 1e-10 relative, and a loose
+quotient solve overstates lambda.
+
 No global-optimality certificate exists for p != 2; seeded multi-start keeps
 the largest certified lambda. The starts of a level step together, as the
 columns of one n x r block: one apply and one adjoint of T per step for all
@@ -25,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -55,6 +74,10 @@ from .space import (
 # and the factor of the constraint side's forcing term (see _ascent)
 _GTOL, _GTOL_LOOSE = 1e-10, 1e-2
 _FORCING_B = 0.1
+# the Aitken extrapolation in _ascent: a column arms once the ratio of its
+# last two bounds is under _RHO_MAX and within _STEADY (relative) of the one
+# before
+_RHO_MAX, _STEADY = 0.8, 0.25
 
 
 class DeflationExhausted(RuntimeError):
@@ -207,6 +230,33 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
     distance of r - lambda J~_X x to span B; a start that finishes reports
     its last bound as its residual, and certifies if it is at most tol.
 
+    The bounds of a column fall at a nearly constant ratio rho, which
+    Aitken's delta-squared rule removes. A column whose last two bound
+    ratios agree to within _STEADY and lie under _RHO_MAX is armed
+    (_extrapolate), but not before the last step, and not where the
+    constraint solve runs loose (p > 2 with constraints, below), whose error
+    the acceptance test could not tell from a gain: its next step starts
+    from x~ = x' + beta (x' - x), beta = rho / (1 - rho), normalized, where
+    x is the iterate of this step and x' its polar successor, and T x~ is
+    the same combination of T x', which the next step applies anyway, and
+    the T x of this step. x~'s norm comes from the norm call that normalizes
+    x', and T x~'s from the lambda call, so a step still costs one apply,
+    one adjoint and three norms. In the primal x~ is kept iff lambda(x~) >=
+    lambda(x'), so each step starts at a lambda of at least that of the
+    iterate T was applied to, which the polar step does not lower: the
+    lambdas at which the steps start and those of the iterates T is applied
+    to both never decrease, up to the error of a loose constraint solve. In
+    the quotient dual the block solves the quotient at x~ in place of x',
+    warm-started at the coefficients c of x as any column is, and keeps x~
+    iff its lambda is at least lambda(x); else the column falls back to x'
+    at the coefficients c, whose residual norm bounds the distance at x'
+    from above and is at least lambda(x) when c is exact, as a loose step,
+    which cannot certify. So the lambdas at which the steps start never
+    decrease but by the error of a loose quotient solve. A candidate is a
+    combination of two iterates of the polar subspace, and the certificate
+    is the bound at the iterate the step starts from, as for any step; the
+    next arming takes two more plain steps.
+
     The columns step together: one apply and one adjoint of the whole block
     per step, column-wise norms, duality maps and projector, and one block
     call of min_norm_coeffs per side (quotient and constraints), in which
@@ -264,23 +314,56 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
     Cq = np.zeros((0 if M is None else M.shape[1], live.size))
     Cb = np.zeros((0 if B is None else B.shape[1], live.size))
     rel = np.full(live.size, np.inf)
+    # and its last bound and the ratio of its last two (nan: not known yet)
+    hist = np.full((2, live.size), np.nan)
+    ext = None  # the candidates of the armed columns, from _extrapolate
     loose_b = B is not None and p > 2.0  # the constraint side runs loose too
     for it in range(max_iter + 1):
         if not live.size:
             break
         E = T.apply_coeffs(X)
+        fell = np.zeros(live.size, dtype=bool)  # fell back from its candidate
+        cand = ext is not None
+        if cand:  # x~ and T x~ stand in for the armed columns
+            a, Xt, ca, cb, E_prev, lam_prev = ext
+            Et = ca * _columns(E, a) - cb * E_prev
+            ext = E_prev = None  # a block held past its use raises the peak memory
         if M is None:
-            lam = _lp_norm(E, w_c, q)
+            if cand:  # T x~ next to T x: one norm call; x~ is kept iff it raises lambda
+                lam = _lp_norm(_side_by_side(E, Et), w_c, q)
+                lam, lam_t = lam[:live.size], lam[live.size:]
+                up = lam_t >= lam[a]
+                if up.any():
+                    j = a[up]
+                    X, E = _put(X, j, _columns(Xt, up)), _put(E, j, _columns(Et, up))
+                    lam[j] = lam_t[up]
+            else:
+                lam = _lp_norm(E, w_c, q)
         else:
-            Cq, lam = _best_approx(E, M, w_c, q, Cq if it else None, _forcing(rel, 1.0),
-                                   X, done)
-            E = E - _matvecs(M, Cq.T).T
+            if cand:  # the quotient is solved at x~ in place of x_{t+1}
+                E1, C1 = _columns(E, a), Cq[:, a]  # T x_{t+1} and c_t, for a fall-back
+                E, Et = _put(E, a, Et), None
+            Cq, lam = _best_approx(E, M, w_c, q, Cq if it else None, _forcing(rel, 1.0), X,
+                                   done)
+            if cand:  # x~ is kept iff lambda(x~) >= lambda_t
+                back = lam[a] < lam_prev  # else x_{t+1} at its previous coefficients
+                X = _put(X, a[~back], _columns(Xt, ~back))
+                if back.any():  # as a loose step
+                    E1, C1 = _columns(E1, back), _columns(C1, back)
+                    j = a[back]
+                    E, Cq = _put(E, j, E1), _put(Cq, j, C1)
+                    lam[j] = _lp_norm(E1 - _matvecs(M, C1.T).T, w_c, q)
+                    fell[j] = True
+                E1 = None
+        Xt = Et = None
         for j in np.flatnonzero(lam < lam_tiny):
             done[j] = (0.0, X[:, j], 0.0, True)
-        live, X, E, lam, Cq, Cb, rel = _retire(out, done, live, X, E, lam, Cq, Cb, rel)
+        live, X, E, lam, Cq, Cb, rel, hist, fell = _retire(out, done, live, X, E, lam, Cq, Cb,
+                                                            rel, hist, fell)
         if not live.size:
             break
-        R = T.apply_adjoint_coeffs(_jtilde(E, w_c, q, lam))
+        Y = E if M is None else E - _matvecs(M, Cq.T).T
+        R = T.apply_adjoint_coeffs(_jtilde(Y, w_c, q, lam))
         if B is None:
             V = R
         elif pp == 2.0:
@@ -288,7 +371,8 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
         else:
             Cb, _ = _best_approx(R, B, w_d, pp, Cb if it else None,
                                  _forcing(rel, _FORCING_B) if loose_b else _GTOL, X, done)
-            live, X, lam, R, Cq, Cb, rel = _retire(out, done, live, X, lam, R, Cq, Cb, rel)
+            live, X, E, lam, R, Cq, Cb, rel, hist, fell = _retire(
+                out, done, live, X, E, lam, R, Cq, Cb, rel, hist, fell)
             if not live.size:
                 break
             V = R - _matvecs(B, Cb.T).T
@@ -297,11 +381,10 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
                 G = _matvecs(B.T, w_d * odd_power(V.T, pp - 1.0))
                 Cb = Cb + np.linalg.solve(_grams(B, h), G[:, :, None])[:, :, 0].T
                 V = R - _matvecs(B, Cb.T).T
-        JX = lam * odd_power(X, p - 1.0)
-        bound = _lp_norm(V - JX, w_d, pp)
+        bound = _lp_norm(V - lam * odd_power(X, p - 1.0), w_d, pp)
         step = ~(bound <= tol) & (it < max_iter)
         if M is not None or loose_b:  # a step with a loose solve certifies nothing
-            loose = _forcing(rel, 1.0 if M is not None else _FORCING_B) > _GTOL
+            loose = (_forcing(rel, 1.0 if M is not None else _FORCING_B) > _GTOL) | fell
             step |= loose & (it < max_iter)
             rel_new = bound / lam
             if loose_b:  # a loose step that did not lower the bound: the next at _GTOL
@@ -309,13 +392,88 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
             rel_new[(bound <= 10.0 * tol) | (it + 1 == max_iter)] = 0.0
             rel = rel_new
         X_new = odd_power(V[:, step], pp - 1.0)
-        X_new, moved = _unit_columns(X_new if p <= 2.0 else project(X_new), w_d, p)
+        X_new, moved, ext = _extrapolate(X_new if p <= 2.0 else project(X_new), X, E, lam,
+                                         bound, step, hist, T.dom,
+                                         not loose_b and it + 1 < max_iter)
         step[np.flatnonzero(step)[~moved]] = False  # stepped to zero: stop here
         for j in np.flatnonzero(~step):
             done[j] = (float(lam[j]), X[:, j], float(bound[j]), bool(bound[j] <= tol))
-        live, Cq, Cb, rel = _retire(out, done, live, Cq, Cb, rel)
+        live, Cq, Cb, rel, hist = _retire(out, done, live, Cq, Cb, rel, hist)
         X = X_new
     return out
+
+
+def _extrapolate(U, X, E, lam, bound, step, hist, dom, arm):
+    """The unit new iterates x_{t+1} of the stepping columns (U: their
+    directions, the columns where step is set; X, E, lam, bound: the block's
+    iterates x_t, their images T x_t, lambdas and bounds), the mask of those
+    that are nonzero, and the Aitken candidates of the columns it arms, as
+    (positions among the new iterates, unit candidates x~, coefficients ca
+    and cb with T x~ = ca T x_{t+1} - cb T x_t, T x_t, lambda_t), or None.
+
+    Unless arm, only normalizes. Else updates hist, the rows (last bound,
+    last bound ratio), and arms each stepping column whose bound ratio rho
+    is under _RHO_MAX and within _STEADY (relative) of the one before, and
+    then forgets that ratio, so the next arming takes two more plain steps.
+    The candidate is x~ = (1 + beta) u / s - beta x_t, normalized, with beta
+    = rho / (1 - rho), u the column of U and s = lambda_t^(p' - 1), which
+    stands in for the norm of u, not known yet: near the fixed point v =
+    lambda J~_X x, so ||u||_p = ||v||_{p'}^(p' - 1) is s up to the bound,
+    and its error moves x~ only along x_{t+1}, which the normalization
+    absorbs to second order. So ||u|| and ||x~|| come from one norm call."""
+    w, p = dom.weights, dom.p
+    if not arm:
+        return (*_unit_columns(U, w, p), None)
+    # the tests run on lists: for a few columns far cheaper than array operations
+    last, prev = hist.tolist()
+    rhos = [b / h if h > 0.0 else np.nan for b, h in zip(bound.tolist(), last)]
+    hist[0], hist[1] = bound, rhos
+    arms = [(i, j) for i, j in enumerate(step.nonzero()[0].tolist())
+            if rhos[j] < _RHO_MAX and abs(rhos[j] - prev[j]) <= _STEADY * rhos[j]]
+    if not arms:
+        return (*_unit_columns(U, w, p), None)
+    c, j = np.array(arms).T  # positions among the stepping columns, and in the block
+    rho = hist[1, j]
+    hist[1, j] = np.nan
+    beta = rho / (1.0 - rho)
+    f = (1.0 + beta) / lam[j] ** (dom.pprime - 1.0)
+    k = U.shape[1]
+    Xt = f * _columns(U, c) - beta * _columns(X, j)
+    nx = _lp_norm(_side_by_side(U, Xt), w, p)  # one norm call for u and x~
+    nx, m = nx[:k], nx[k:]
+    moved = nx != 0.0
+    ext = None
+    if not moved.all():  # a column that stepped to zero leaves with its candidate
+        ok = moved[c]
+        c, j, beta, f, m, Xt = c[ok], j[ok], beta[ok], f[ok], m[ok], Xt[:, ok]
+        c = (np.cumsum(moved) - 1)[c]  # positions among the new iterates
+    if c.size:
+        ext = (c, Xt / m, f * nx[moved][c] / m, beta / m, _columns(E, j), lam[j])
+    return _columns(U, moved) / nx[moved], moved, ext
+
+
+def _columns(A, cols):
+    """The columns cols of A (a mask, or increasing indices): A itself,
+    uncopied, if that is all of them."""
+    n = np.count_nonzero(cols) if cols.dtype == bool else cols.size
+    return A if n == A.shape[1] else A[:, cols]
+
+
+def _put(A, j, B):
+    """A copy of A with its columns j (increasing indices) set to the columns
+    of B; B itself if that is every column. The copy keeps the layout of A
+    (and B has it), in which the steps after round."""
+    if j.size == A.shape[1]:
+        return B
+    A = A.copy(order="K")
+    A[:, j] = B
+    return A
+
+
+def _side_by_side(A, B):
+    """The columns of A, then those of B, as one Fortran-ordered block: the
+    layout in which _lp_norm sums its columns, so that it copies none."""
+    return np.concatenate((A.T, B.T)).T
 
 
 def _forcing(rel, factor):
@@ -356,7 +514,7 @@ def _unit_columns(X, w, p):
     of the columns kept."""
     nx = _lp_norm(X, w, p)
     keep = nx != 0.0
-    return X[:, keep] / nx[keep], keep
+    return _columns(X, keep) / nx[keep], keep
 
 
 def _canonical_sign(x):
@@ -376,8 +534,8 @@ def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     sign. Raises DeflationExhausted when the constraints exhaust the domain,
     or when no start certifies a positive lambda and some start finds T
     vanishing, and ConvergenceError (with the best residual) when no start
-    certifies. Raises GeometryError unless tol is finite and positive and
-    restarts is at least 1.
+    certifies. Raises GeometryError unless tol is finite and positive,
+    restarts is at least 1 and max_iter is an integer of at least 0.
 
     A start finds T vanishing when lambda falls below 1e-13 max(s, 1), with
     s = max_j ||T x0_j||_Y / ||x0_j||_X over the columns of the start block
@@ -387,6 +545,8 @@ def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
         raise GeometryError(f"tol must be finite and positive, got {tol:g}")
     if restarts < 1:
         raise GeometryError(f"restarts must be at least 1, got {restarts}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise GeometryError(f"max_iter must be an integer of at least 0, got {max_iter}")
     project, B = _constraint_projector(T, constraints)
     n = T.dom.dim
     # drawn as rows, so that each start is one contiguous column of X0

@@ -215,7 +215,10 @@ def _power_sums(block, w, p):
     it would alone (tests/test_jspec.py::test_block_columns_match_single_starts;
     with the plain w @ |block|^p, which is a matrix-vector product, the
     residuals there differ by 6 %)."""
-    a = np.abs(block) ** p
+    # the power in place, as the blocks normed side by side set the solver's
+    # peak memory; in a float type, as an integer block cannot hold it
+    a = np.abs(block, dtype=np.result_type(block, 1.0))
+    a **= p
     if not a.flags.f_contiguous:
         a = np.asfortranarray(a)
     return np.matmul(a.T[:, None, :], w)[:, 0]

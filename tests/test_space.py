@@ -395,6 +395,14 @@ def test_lp_norm_neither_overflows_nor_underflows(p):
         assert np.any(space._jmap(s * v, sp.weights, p) != 0.0)
 
 
+def test_lp_norm_of_an_integer_block_is_that_of_its_float_copy():
+    # the p-th powers are taken in place, in a float array
+    sp = Space.uniform(5, 2.5)
+    block = np.arange(-5, 5).reshape(5, 2)
+    assert np.array_equal(space._lp_norm(block, sp.weights, 2.5),
+                          space._lp_norm(block.astype(float), sp.weights, 2.5))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_duality_maps_neither_overflow_nor_underflow(p):
