@@ -8,6 +8,10 @@ residual).
 
 The environment variable JSPECTRAL_OUT_DIR supplies a default directory for
 relative --out paths.
+
+Each subcommand imports the layer it uses when it runs: the module imports
+only the solver core (``jspec``, ``oper``, ``space``), so ``jspec``,
+``dual`` and ``konig`` load no other layer.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import sys
 
 import numpy as np
 
-from . import gtrig, jspec, pcpt, series, snum
-from .oper import compose, hardy
+from . import jspec
+from .oper import LinOp, compose, hardy
 from .space import ConvergenceError, GeometryError, Space
 
 
@@ -86,6 +90,8 @@ def _cmd_dual(args):
 
 
 def _cmd_series(args):
+    from . import series
+
     dom, cod = _space_pair(args)
     tests = series.random_unit_vectors(dom, 20, seed=args.seed)
     ns = list(range(1, args.levels + 1))
@@ -127,6 +133,8 @@ def _cmd_series(args):
 
 
 def _cmd_snum(args):
+    from . import snum
+
     dom, cod = _space_pair(args)
     T = hardy(dom, cod)
     js = jspec.compute_jspectrum(T, args.n_max, tol=args.tol, seed=args.seed,
@@ -148,6 +156,8 @@ def _cmd_snum(args):
 
 
 def _cmd_gtrig(args):
+    from . import gtrig
+
     if args.samples < 0:
         raise _InvalidArguments(f"--samples must be at least 0, got {args.samples}")
     g = gtrig.GenTrig(args.p, args.q)
@@ -165,6 +175,8 @@ def _cmd_gtrig(args):
 
 
 def _cmd_pcompact(args):
+    from . import pcpt
+
     if args.demo == "hardy":
         cover, report = pcpt.hardy_qcompact_demo(
             args.p, args.q, n_terms=args.terms, grid_n=args.grid_n, seed=args.seed
@@ -180,6 +192,8 @@ def _cmd_pcompact(args):
 
 
 def _cmd_alphap(args):
+    from . import series
+
     rep = series.alpha_p_report(args.p)
     _emit(args, {"alpha_p": rep["alpha_p"], "maximizer": rep["maximizer"],
                  "objective": rep["objective"], "p": args.p,
@@ -189,10 +203,10 @@ def _cmd_alphap(args):
 def _cmd_konig(args):
     if args.case == "jordan":
         sp = Space.sequence(2, 2.0)
-        T = jspec.LinOp(np.array([[0.5, 1.0], [0.0, 0.5]]), sp, sp)
+        T = LinOp(np.array([[0.5, 1.0], [0.0, 0.5]]), sp, sp)
     elif args.case == "diag":
         sp = Space.sequence(3, 2.0)
-        T = jspec.LinOp(np.diag([0.9, 0.5, 0.1]), sp, sp)
+        T = LinOp(np.diag([0.9, 0.5, 0.1]), sp, sp)
     else:
         sp = Space.uniform(args.grid_n, 2.0, args.b)
         T = hardy(sp, sp)
@@ -202,12 +216,16 @@ def _cmd_konig(args):
 
 
 def _cmd_bilap(args):
+    from . import gtrig
+
     rep = gtrig.bilaplacian_check(args.p, b=args.b, grid_n=args.grid_n,
                                   tol=args.tol, seed=args.seed)
     _emit(args, rep)
 
 
 def _cmd_hardy_norm(args):
+    from . import gtrig
+
     _emit(args, {
         "norm": gtrig.hardy_norm_formula(args.p, args.b),
         "norm_dual_form": gtrig.hardy_norm_formula(args.p, args.b, "dual"),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -138,15 +138,34 @@ class Space:
         return cls(d["nodes"], d["weights"], d["p"], d["b"])
 
 
-@dataclass(frozen=True)
-class Vec:
+class _OnSpace:
+    """Immutable coefficient array on a Space: a read-only, checked copy of
+    the coefficients. Assigning or deleting an attribute raises
+    FrozenInstanceError, as on a frozen dataclass."""
+
+    __slots__ = ("coeffs", "space")
+
+    def __init__(self, coeffs: np.ndarray, space: Space):
+        object.__setattr__(self, "coeffs", _checked_coeffs(coeffs, space))
+        object.__setattr__(self, "space", space)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs, self.space)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(coeffs={self.coeffs!r}, space={self.space!r})"
+
+
+class Vec(_OnSpace):
     """Coefficient vector living in a Space."""
 
-    coeffs: np.ndarray
-    space: Space
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _checked_coeffs(self.coeffs, self.space))
+    __slots__ = ()
 
     def norm(self):
         return norm(self)
@@ -162,18 +181,13 @@ class Vec:
         return cls(np.asarray(d["coeffs"]), Space(d["nodes"], d["weights"], d["p"], d["b"]))
 
 
-@dataclass(frozen=True)
-class Functional:
-    """Coefficient vector of a functional on its predual Space.
+class Functional(_OnSpace):
+    """Coefficient vector of a functional on its predual Space (``space``).
 
     Acts via the weighted pairing; its norm is the weighted l_{p'} norm.
     """
 
-    coeffs: np.ndarray
-    space: Space  # the predual
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _checked_coeffs(self.coeffs, self.space))
+    __slots__ = ()
 
     def norm(self):
         return _lp_norm(self.coeffs, self.space.weights, self.space.pprime)

@@ -339,3 +339,121 @@ def test_solver_paths_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert json.loads(out) == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def _run_fresh(script, *args):
+    """Standard output of script in a fresh interpreter on this checkout's src."""
+    src = os.path.dirname(os.path.dirname(jspectral.__file__))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+
+
+# The jspectral modules each entry point leaves loaded: the package, the cli,
+# then each subcommand in a child forked after `from jspectral import cli`.
+# scipy is loaded before the forks, so that the children do not each import it.
+_MODULES_LOADED = """
+import contextlib, io, json, os, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "jspectral")
+import jspectral
+out = {"import": loaded()}
+from jspectral import cli
+out["cli"] = loaded()
+import scipy.sparse.linalg, scipy.special
+for argv in json.loads(sys.argv[1]):
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            os.write(wfd, json.dumps([code, loaded()]).encode())
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    with os.fdopen(rfd) as fh:
+        out[" ".join(argv)] = json.loads(fh.read() or "null")
+    os.waitpid(pid, 0)
+print(json.dumps(out))
+"""
+
+_CORE = ["jspectral", "jspectral.jspec", "jspectral.oper", "jspectral.space"]
+
+# each subcommand, at a small size, and the layers it adds to the cli's imports
+_SUBCOMMAND_LAYERS = {
+    "jspec --grid-n 64 --levels 2": [],
+    "dual --p 3 --grid-n 64 --levels 2": [],
+    "konig --case diag --k-max 3": [],
+    "series --kind target --grid-n 64 --levels 2": ["series"],
+    "alphap --p 3": ["series"],
+    "snum --grid-n 64 --n-max 2": ["series", "snum"],
+    "gtrig --p 3 --q 1.5 --samples 5": ["gtrig"],
+    "bilap --p 3 --grid-n 64": ["gtrig"],
+    "hardy-norm --p 3": ["gtrig"],
+    "pcompact --demo hardy --p 3 --grid-n 64 --terms 4": ["gtrig", "pcpt"],
+    "pcompact --demo sobolev --grid-n 64 --terms 4": ["gtrig", "pcpt"],
+    "pcompact --demo ideal --grid-n 64": ["gtrig", "pcpt", "series"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="runs each subcommand in a fork")
+def test_each_entry_point_loads_only_its_layers():
+    runs = [cmd.split() for cmd in _SUBCOMMAND_LAYERS]
+    out = json.loads(_run_fresh(_MODULES_LOADED, json.dumps(runs)))
+    assert out.pop("import") == _CORE
+    with_cli = sorted(_CORE + ["jspectral.cli"])
+    assert out.pop("cli") == with_cli
+    assert out == {cmd: [0, sorted(with_cli + [f"jspectral.{m}" for m in layers])]
+                   for cmd, layers in _SUBCOMMAND_LAYERS.items()}
+
+
+# every public name of the package before its layers loaded on first use
+_PUBLIC = sorted("""
+    space oper jspec series snum gtrig pcpt
+    ConvergenceError Functional GeometryError Space Vec alber_decompose duality_map
+    inverse_duality_map is_j_orthogonal norm normalized_duality_map pairing semi_inner
+    LinOp adjoint apply apply_adjoint compose hardy hardy_dual identity kernel_op power
+    DeflationExhausted JSpectrum compute_jspectrum dual_jspectrum extremal_pair
+    konig_report operator_norm
+    DegenerateDeflationError SeriesRep alpha_p alpha_p_report check_decay_condition
+    double_series double_series_apply flag_biorthogonal_series half_series
+    hilbert_source_series hilbert_target_series hilbertian_series linearized_series
+    SNumberReport approx_numbers approx_numbers_report eigenvector_bound_check
+    sandwich_check
+    GenTrig bilap_eigenvalue bilaplacian_check hardy_norm_formula laplacian_residual
+    laplacian_residual_parts pi_pq
+    Cover cover_from_basis hardy_qcompact_demo ideal_inclusion_demo sobolev_embedding_demo
+""".split())
+
+# the lazy layers and names in a fresh process, before and after first access
+_LAZY_ACCESS = """
+import json, sys
+import jspectral
+layers = ("series", "snum", "gtrig", "pcpt")
+before = [m for m in layers if "jspectral." + m in sys.modules]
+listed = sorted(n for n in dir(jspectral) if not n.startswith("_"))
+resolved = [getattr(jspectral, m).__name__ for m in layers]
+print(json.dumps({"before": before, "dir": listed, "resolved": resolved}))
+"""
+
+
+def test_lazy_layers_resolve_after_a_bare_import():
+    out = json.loads(_run_fresh(_LAZY_ACCESS))
+    assert out == {"before": [], "dir": _PUBLIC,
+                   "resolved": [f"jspectral.{m}" for m in ("series", "snum", "gtrig", "pcpt")]}
+
+
+def test_star_import_binds_every_public_name_from_its_module():
+    assert sorted(jspectral.__all__) == _PUBLIC
+    names = {}
+    exec("from jspectral import *", names)
+    names.pop("__builtins__")
+    assert sorted(names) == _PUBLIC
+    for name, obj in names.items():
+        if isinstance(obj, type(jspectral)):
+            assert obj is sys.modules[f"jspectral.{name}"]
+        else:
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert set(_PUBLIC) <= set(dir(jspectral))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        jspectral.no_such_name

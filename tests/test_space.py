@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -83,6 +86,33 @@ def test_vec_and_functional_reject_non_finite_coefficients():
             Vec(np.array(bad), sp)
         with pytest.raises(GeometryError, match="finite"):
             Functional(np.array(bad), sp)
+
+
+@pytest.mark.parametrize("cls", [Vec, Functional])
+def test_vec_and_functional_are_immutable_checked_copies(cls):
+    sp = Space.uniform(4, 3.0)
+    src = np.array([1.0, -2.0, 0.5, 0.0])
+    v = cls(src, sp)
+    src[0] = 9.0  # the instance holds its own copy
+    assert v.coeffs.tolist() == [1.0, -2.0, 0.5, 0.0] and v.space is sp
+    with pytest.raises(ValueError):
+        v.coeffs[0] = 9.0
+    for field in ("coeffs", "space"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, field, getattr(v, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, field)
+    with pytest.raises(GeometryError, match="does not match"):
+        cls(np.zeros(5), sp)
+    with pytest.raises(GeometryError, match="finite"):
+        cls(np.array([0.0, np.inf, 0.0, 0.0]), sp)
+    for w in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert type(w) is cls and np.array_equal(w.coeffs, v.coeffs) and w.space == sp
+        assert not w.coeffs.flags.writeable
+    assert repr(v) == f"{cls.__name__}(coeffs={v.coeffs!r}, space={sp!r})"
+    if cls is Vec:
+        w = Vec.from_json(v.to_json())
+        assert np.array_equal(w.coeffs, v.coeffs) and w.space == sp
 
 
 # ---------------------------------------------------------------- norms
