@@ -90,17 +90,13 @@ _LAZY = {
 }
 _LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
 
+# the core modules and the names defined in them, then the lazy ones; names
+# that lazy access caches here (and a re-import keeps) come from other modules
+_CORE = {f"{__name__}.{m}" for m in ("space", "oper", "jspec")}
 __all__ = [
-    "space", "oper", "jspec", *_LAZY,
-    "ConvergenceError", "Functional", "GeometryError", "Space", "Vec",
-    "alber_decompose", "duality_map", "inverse_duality_map", "is_j_orthogonal",
-    "norm", "normalized_duality_map", "pairing", "semi_inner",
-    "LinOp", "adjoint", "apply", "apply_adjoint", "compose", "hardy", "hardy_dual",
-    "identity", "kernel_op", "power",
-    "DeflationExhausted", "JSpectrum", "compute_jspectrum", "dual_jspectrum",
-    "extremal_pair", "konig_report", "operator_norm",
-    *_LAYER_OF,
-]
+    n for n, v in list(globals().items()) if not n.startswith("_")
+    and (getattr(v, "__module__", None) in _CORE or getattr(v, "__name__", None) in _CORE)
+] + [*_LAZY, *_LAYER_OF]
 
 __version__ = "0.1.0"
 

@@ -32,10 +32,9 @@ class _InvalidArguments(ValueError):
     """Arguments that parse but that the command cannot serve."""
 
 
-def _space_pair(args, q=None):
-    dom = Space.uniform(args.grid_n, args.p, args.b)
-    cod = Space.uniform(args.grid_n, args.q if q is None else q, args.b)
-    return dom, cod
+def _space_pair(args):
+    return (Space.uniform(args.grid_n, args.p, args.b),
+            Space.uniform(args.grid_n, args.q, args.b))
 
 
 def _emit(args, doc, to_csv=None):

@@ -76,55 +76,49 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
                      n_samples: int = 100, seed: int = 0) -> Cover:
     """Cover of T(unit ball of span(basis)) from a biorthogonal expansion.
 
-    Coefficients are recovered through the weighted Gram system. The global
-    factor M (supremum of the coefficient l_{q'} norm over the unit sphere of
-    the span) moves into the vectors x_n = M T g_n so that witness
-    coefficients satisfy sum |alpha_n|^{q'} <= 1. For a Hilbert domain with
-    q' = 2 the factor is computed exactly as a largest singular value;
-    otherwise it is calibrated on seeded samples with a 5 % safety margin. The
-    reported coeff_bound always comes from a fresh sample batch.
+    With B the n x k matrix of the basis and D = sqrt(weights), the singular
+    values s of D B give the rank test (the basis is rejected when it has more
+    vectors than grid nodes, or when s_min^2 <= s_max^2 k eps, the threshold
+    of a rank test on the weighted Gram matrix). A sample f = B c / ||B c|| has the coefficients
+    c / ||B c||. The global factor M (supremum of the coefficient l_{q'} norm
+    over the unit sphere of the span) moves into the vectors x_n = M T g_n so
+    that witness coefficients satisfy sum |alpha_n|^{q'} <= 1. For a Hilbert
+    domain with q' = 2 the factor is exact, M = 1 / s_min, the norm of the
+    coefficient map on weighted-2 coordinates; otherwise it is calibrated on
+    seeded samples with a 5 % safety margin. The reported coeff_bound always
+    comes from a fresh sample batch.
     """
     if not target_q > 1:
         raise GeometryError("cover exponent must exceed 1 (np.inf allowed)")
     qq = _conjugate(target_q)
     sp = T.dom
-    Bm = np.column_stack([g.coeffs for g in basis])
-    G = (Bm * sp.weights[:, None]).T @ Bm
-    if np.linalg.matrix_rank(G) < G.shape[0]:
+    B = np.column_stack([g.coeffs for g in basis])
+    k = B.shape[1]
+    s = np.linalg.svd(np.sqrt(sp.weights)[:, None] * B, compute_uv=False)
+    # svd returns min(n, k) values: more vectors than nodes is rank-deficient
+    if len(s) < k or s[-1] ** 2 <= s[0] ** 2 * k * np.finfo(float).eps:
         raise GeometryError("basis is rank-deficient on the grid")
-    Ginv = np.linalg.inv(G)
     rng = np.random.default_rng(seed)
 
-    def coeffs_of(f_coeffs):
-        return Ginv @ (Bm.T @ (sp.weights * f_coeffs))
-
-    def sample_coeffs(count):
-        out = []
-        for _ in range(count):
-            c = rng.standard_normal(len(basis))
-            f = Bm @ c
-            nf = _lp_norm(f, sp.weights, sp.p)
-            if nf > 0:
-                out.append(coeffs_of(f / nf))
-        return out
+    def coeff_norms(count):
+        """l_{q'} norms of the coefficients c / ||B c|| of count samples."""
+        C = rng.standard_normal((count, k))
+        nf = _lp_norm(B @ C.T, sp.weights, sp.p)
+        alpha = C[nf > 0] / nf[nf > 0, None]
+        return np.sum(np.abs(alpha) ** qq, axis=1) ** (1.0 / qq)
 
     if sp.p == 2.0 and qq == 2.0:
-        # coefficient map on weighted-2 coordinates: c = Ginv B^T W^(1/2) y
-        K = Ginv @ (np.sqrt(sp.weights)[:, None] * Bm).T
-        M = float(np.linalg.norm(K, 2))
-        m_kind = "exact"
+        M, m_kind = float(1.0 / s[-1]), "exact"
     else:
-        M = max((_lq_seq(a, qq) for a in sample_coeffs(n_samples)), default=1.0)
-        M *= 1.05
+        M = 1.05 * max(coeff_norms(n_samples).tolist(), default=1.0)
         m_kind = "sampled"
 
-    images = [T.apply_coeffs(g.coeffs) for g in basis]
-    vectors = [Vec(M * im, T.cod) for im in images]
-    norms = [_lp_norm(v.coeffs, T.cod.weights, T.cod.p) for v in vectors]
-    coeff_bound = max((_lq_seq(a, qq) / M for a in sample_coeffs(n_samples)),
-                      default=0.0)
+    V = M * T.apply_coeffs(B)
+    norms = _lp_norm(V, T.cod.weights, T.cod.p).tolist()
+    coeff_bound = max((coeff_norms(n_samples) / M).tolist(), default=0.0)
     return Cover(
-        vectors, norms, float(target_q), _lq_seq(norms, target_q), coeff_bound,
+        [Vec(v, T.cod) for v in V.T], norms, float(target_q),
+        _lq_seq(norms, target_q), coeff_bound,
         meta={"M": M, "M_kind": m_kind, "coeff_exponent": qq,
               "n_samples": n_samples},
     )
@@ -150,9 +144,13 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
     images s and sin(n pi s)/(n pi) are known analytically; the reported
     image norms are those of the analytic images, in closed form through
     integral_0^pi sin(t)^q dt = B(1/2, (q+1)/2) and the exact periodic
-    reduction, with the grid route alongside.
+    reduction, with the grid route ||T f_n|| alongside (image_norms_grid, on
+    the same scale; meta["grid_norms"] holds them times the cover factor M,
+    as cover.norms do).
     For p_dom != 2 the generalized cosines cos_{p,p'}(n pi_{p,p'} t) are used,
-    restricted to p_dom in COSINE_BASIS_WINDOW.
+    restricted to p_dom in COSINE_BASIS_WINDOW, and the reported image norms
+    are the grid ones. The basis is evaluated as one n x k array and T is
+    applied to it once, inside cover_from_basis.
     """
     if n_terms < 3:
         raise GeometryError("n_terms must be at least 3: the decay fit skips the first "
@@ -164,35 +162,31 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
     ns = np.arange(1, n_terms + 1)
 
     if p_dom == 2.0:
-        basis = [Vec(np.ones(grid_n), dom)]
-        basis += [Vec(np.cos(n * np.pi * t), dom) for n in ns[1:]]
+        B = np.column_stack([np.ones(grid_n), np.cos(np.outer(t, ns[1:] * np.pi))])
         arch = beta_fn(0.5, (q_cod + 1.0) / 2.0)  # integral_0^pi sin(t)^q dt
         # ||sin(n pi .)/(n pi)||_q^q = n (n pi)^(-1-q) * arch for integer n
-        image_norms = [(1.0 / (q_cod + 1.0)) ** (1.0 / q_cod)]
-        image_norms += [
-            float((n * (n * np.pi) ** (-1.0 - q_cod) * arch) ** (1.0 / q_cod))
-            for n in ns[1:]
-        ]
-        basis_norms = [1.0] + [np.sqrt(0.5)] * (n_terms - 1)
+        image_norms = (ns * (ns * np.pi) ** (-1.0 - q_cod) * arch) ** (1.0 / q_cod)
+        image_norms[0] = (1.0 / (q_cod + 1.0)) ** (1.0 / q_cod)
+        basis_norms = [1.0, np.sqrt(0.5)]  # f_1, then every cosine
     else:
         if not (COSINE_BASIS_WINDOW[0] <= p_dom <= COSINE_BASIS_WINDOW[1]):
             raise GeometryError(f"p={p_dom:g} is outside the configured cosine-basis "
                                 f"window {COSINE_BASIS_WINDOW}")
-        pp = p_dom / (p_dom - 1.0)
-        g = GenTrig(p_dom, pp)
-        basis = [Vec(g.cos(n * g.pi_pq * t, extend=True), dom) for n in ns]
-        image_norms = [
-            _lp_norm(T.apply_coeffs(b.coeffs), cod.weights, q_cod) for b in basis
-        ]
-        basis_norms = [_lp_norm(b.coeffs, dom.weights, p_dom) for b in basis]
+        g = GenTrig(p_dom, p_dom / (p_dom - 1.0))
+        B = g.cos(np.outer(t, ns * g.pi_pq), extend=True)
+        basis_norms = _lp_norm(B, dom.weights, p_dom)
 
-    cover = cover_from_basis(T, basis, target_q, n_samples=n_samples, seed=seed)
-    grid_norms = list(cover.norms)
-    # reported norms follow the analytic-image route; grid route kept in meta
+    cover = cover_from_basis(T, [Vec(b, dom) for b in B.T], target_q,
+                             n_samples=n_samples, seed=seed)
     M = cover.meta["M"]
-    cover.meta["grid_norms"] = grid_norms
-    cover.norms = [M * v for v in image_norms]
-    cover.kp_bound = _lq_seq(cover.norms, target_q)
+    cover.meta["grid_norms"] = cover.norms
+    grid_norms = np.asarray(cover.norms) / M  # ||T f_n|| on the grid
+    if p_dom == 2.0:
+        # reported norms follow the analytic-image route
+        cover.norms = (M * image_norms).tolist()
+        cover.kp_bound = _lq_seq(cover.norms, target_q)
+    else:
+        image_norms = grid_norms
     if np.isfinite(target_q):
         # norms decay like M C / n: integral tail bound past the truncation
         C_dec = cover.norms[-1] * n_terms
@@ -202,18 +196,16 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
     else:
         cover.meta["tail_estimate"] = float(cover.norms[-1])
 
-    fit_ns = ns[1:]
-    slope, r2 = _fit_power_law(fit_ns, np.asarray(image_norms)[1:])
-    C_values = [image_norms[i] ** q_cod * float(ns[i]) ** q_cod
-                for i in range(1, n_terms)]
+    slope, r2 = _fit_power_law(ns[1:], image_norms[1:])
+    C_values = (image_norms[1:] ** q_cod * ns[1:].astype(float) ** q_cod).tolist()
     cover.meta.update({"fit_exponent": slope, "r2": r2})
     report = {
         "p_dom": p_dom,
         "q_cod": q_cod,
         "n_terms": n_terms,
         "grid_n": grid_n,
-        "image_norms": image_norms,
-        "image_norms_grid": grid_norms,
+        "image_norms": image_norms.tolist(),
+        "image_norms_grid": grid_norms.tolist(),
         "scale_M": M,
         "fit_exponent": slope,
         "r2": r2,
@@ -247,35 +239,29 @@ def sobolev_embedding_demo(m_max: int = 16, grid_n: int = 512,
     b = 2.0 * np.pi
     sp = Space.uniform(grid_n, 2.0, b)
     x = sp.nodes - np.pi
-    ms = [0] + [m for k in range(1, m_max + 1) for m in (k, -k)]
-
-    def mode(m):
-        if m == 0:
-            return np.full(grid_n, 1.0 / np.sqrt(2.0 * np.pi))
-        if m > 0:
-            return np.cos(m * x) / np.sqrt(np.pi)
-        return np.sin(-m * x) / np.sqrt(np.pi)
+    ks = np.arange(1, m_max + 1)
+    ms = [0] + [m for k in ks.tolist() for m in (k, -k)]
+    # mode m: cos(m x) for m > 0 and sin(-m x) for m < 0, over sqrt(pi)
+    modes = np.empty((grid_n, len(ms)))
+    modes[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
+    modes[:, 1::2] = np.cos(np.outer(x, ks)) / np.sqrt(np.pi)
+    modes[:, 2::2] = np.sin(np.outer(x, ks)) / np.sqrt(np.pi)
 
     weights = np.array([(1.0 + m * m) ** -0.5 for m in ms])
-    vectors = [Vec(weights[i] * mode(m), sp) for i, m in enumerate(ms)]
+    V = modes * weights
     norms = weights.tolist()
 
     rng = np.random.default_rng(seed)
-    coeff_bound = 0.0
-    for _ in range(n_samples):
-        a = rng.standard_normal(len(ms))
-        a /= np.sqrt(np.sum((a / weights) ** 2))  # now sum (1+m^2) a_m^2 = 1
-        alpha = a / weights
-        coeff_bound = max(coeff_bound, float(np.sqrt(np.sum(alpha ** 2))))
+    a = rng.standard_normal((n_samples, len(ms)))
+    a /= np.sqrt(np.sum((a / weights) ** 2, axis=1))[:, None]  # sum (1+m^2) a_m^2 = 1
+    alpha = a / weights
+    coeff_bound = float(np.max(np.sqrt(np.sum(alpha ** 2, axis=1)), initial=0.0))
 
     partial = float(np.sum(weights ** 2))
     tail_est = 2.0 / m_max
-    grid_norm_dev = max(
-        abs(_lp_norm(v.coeffs, sp.weights, 2.0) - norms[i])
-        for i, v in enumerate(vectors)
-    )
+    grid_norm_dev = float(np.max(np.abs(_lp_norm(V, sp.weights, 2.0) - weights)))
     cover = Cover(
-        vectors, norms, 2.0, float(np.sqrt(partial)), coeff_bound,
+        [Vec(v, sp) for v in V.T], norms, 2.0, float(np.sqrt(partial)), coeff_bound,
         meta={
             "tail_estimate": tail_est,
             "partial_sum": partial,

@@ -552,7 +552,7 @@ def double_series(A: LinOp, B: LinOp, terms: int, tol: float = 1e-8,
     js_b = compute_jspectrum(B, terms, tol=tol, seed=seed + 1, restarts=restarts)
     I, J = js_a.n_levels, js_b.n_levels
     wH = A.cod.weights
-    cross = np.array([[wH @ (a * b) for b in js_b.X.T] for a in js_a.X.T]).reshape(I, J)
+    cross = (wH[:, None] * js_a.X).T @ js_b.X
     lam = np.outer(js_a.lambdas, js_b.lambdas) * cross
     # by decreasing weight; ties keep the row-major (i, j) order
     order = np.argsort(-np.abs(lam), axis=None, kind="stable")

@@ -234,6 +234,8 @@ def test_missing_command_exits_2(capsys):
     (["jspec", "--grid-n", "-4"], "a Space needs at least 2 nodes"),
     (["pcompact", "--grid-n", "0"], "a Space needs at least 2 nodes"),
     (["pcompact", "--grid-n", "-4"], "a Space needs at least 2 nodes"),
+    (["pcompact", "--demo", "hardy", "--grid-n", "8", "--terms", "16"],
+     "basis is rank-deficient on the grid"),
 ])
 def test_invalid_input_exits_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2

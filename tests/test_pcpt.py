@@ -49,6 +49,16 @@ def test_cover_rank_deficient_basis_rejected(hardy_l2, l2_256):
         cover_from_basis(hardy_l2, [v, v], 2.0)
 
 
+def test_cover_more_vectors_than_nodes_rejected():
+    # svd of the 8 x 16 basis has 8 values, all of them large
+    sp = Space.uniform(8, 2.0)
+    T = hardy(sp, sp)
+    t = sp.nodes
+    basis = [Vec(np.cos(n * np.pi * t), sp) for n in range(16)]
+    with pytest.raises(GeometryError, match="rank-deficient"):
+        cover_from_basis(T, basis, 2.0)
+
+
 def test_rank_one_operator_has_length_one_cover(l2_256):
     rng = np.random.default_rng(3)
     R = LinOp(np.outer(rng.standard_normal(256), rng.standard_normal(256)) / 256,
@@ -95,6 +105,17 @@ def test_hardy_demo_into_l15_quadrature_route():
     oracle = quad(lambda s: np.abs(np.sin(n * np.pi * s) / (n * np.pi)) ** 1.5,
                   0, 1, limit=200)[0] ** (1 / 1.5)
     assert report["image_norms"][n - 1] == pytest.approx(oracle, rel=1e-8)
+
+
+def test_hardy_demo_grid_route_on_the_analytic_scale():
+    # both image-norm routes report ||T f_n||; the cover factor M stays out
+    for q in (1.5, 2.0, 3.0):
+        cover, report = hardy_qcompact_demo(2.0, q, n_terms=8, grid_n=512, seed=0)
+        grid = np.asarray(report["image_norms_grid"])
+        exact = np.asarray(report["image_norms"])
+        assert np.max(np.abs(grid - exact) / exact) <= 1e-3
+        assert cover.meta["grid_norms"] == pytest.approx(report["scale_M"] * grid,
+                                                         rel=1e-15)
 
 
 def test_hardy_demo_arch_integral_matches_quadrature():
