@@ -62,6 +62,7 @@ from .space import (
     _jtilde,
     _lp_norm,
     _matvecs,
+    _stack,
     functional_distance,
     min_norm_coeffs,
     odd_power,
@@ -587,13 +588,12 @@ def extremal_pair(T: LinOp, constraints_X: Sequence[Functional] = (), seed: int 
 
     Returns (lambda, x, residual) with ||x||_X = 1, lambda = ||Tx||_Y and the
     certified residual at most tol. Raises GeometryError for a constraint
-    off that grid, DeflationExhausted when T vanishes on the subspace and
+    off that grid (another node count, interval or weights), before any
+    start; DeflationExhausted when T vanishes on the subspace and
     ConvergenceError (with the best residual) when no start certifies.
     """
-    fs = list(constraints_X)
-    if not all(f.space.same_grid(T.dom) for f in fs):
-        raise GeometryError("constraint functionals must live on the grid of T.dom")
-    C = np.column_stack([np.zeros((T.dom.dim, 0)), *(f.coeffs for f in fs)])
+    C = _stack(list(constraints_X), T.dom,
+               "constraint functionals must live on the grid of T.dom")
     lam, x, res = _best_start(T, C, np.random.default_rng(seed), restarts, tol, max_iter)
     return lam, Vec(x, T.dom), res
 

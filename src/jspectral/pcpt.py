@@ -19,7 +19,7 @@ import numpy as np
 
 from .gtrig import GenTrig, beta_fn
 from .oper import LinOp, compose, hardy
-from .space import GeometryError, Space, Vec, _csv_text, _lp_norm
+from .space import GeometryError, Space, Vec, _csv_text, _lp_norm, _stack
 
 # window of domain exponents in which the generalized-cosine family is treated
 # as a basis of L_p; a conservative desk-scale choice, not a literature constant
@@ -86,17 +86,19 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
     domain with q' = 2 the factor is exact, M = 1 / s_min, the norm of the
     coefficient map on weighted-2 coordinates; otherwise it is calibrated on
     seeded samples with a 5 % safety margin. The reported coeff_bound always
-    comes from a fresh sample batch.
+    comes from a fresh sample batch. Raises GeometryError for a target_q not
+    above 1, a basis vector off the grid of T.dom, an empty basis and a
+    rank-deficient one.
     """
     if not target_q > 1:
         raise GeometryError("cover exponent must exceed 1 (np.inf allowed)")
     qq = _conjugate(target_q)
     sp = T.dom
-    B = np.column_stack([g.coeffs for g in basis])
+    B = _stack(basis, sp, "basis vectors live on a different grid")
     k = B.shape[1]
     s = np.linalg.svd(np.sqrt(sp.weights)[:, None] * B, compute_uv=False)
     # svd returns min(n, k) values: more vectors than nodes is rank-deficient
-    if len(s) < k or s[-1] ** 2 <= s[0] ** 2 * k * np.finfo(float).eps:
+    if not k or len(s) < k or s[-1] ** 2 <= s[0] ** 2 * k * np.finfo(float).eps:
         raise GeometryError("basis is rank-deficient on the grid")
     rng = np.random.default_rng(seed)
 

@@ -38,6 +38,7 @@ from .space import (
     _csv_text,
     _jmap,
     _lp_norm,
+    _stack,
     functional_distance,
     sup_dev_up_to_sign,
 )
@@ -103,14 +104,15 @@ class SeriesRep:
                                    lambda f: T.apply_adjoint_coeffs(f) - adj(f))
 
     def reconstruction_errors(self, T: LinOp, test_vectors, ns) -> list[tuple[int, float]]:
-        """Max over the test set of ||Tx - T_N x||_cod for each N; the test
-        set goes through each remainder T - T_N as one block."""
-        if not all(x.space.same_grid(self.dom) for x in test_vectors):
-            raise GeometryError("vector does not live on the series domain grid")
-        X = _columns(test_vectors, self.dom)
+        """Max over the list test_vectors of ||Tx - T_N x||_cod for each N.
+        T is applied to the test set once, as one block, and each partial sum
+        T_N is subtracted from that (bitwise remainder(T, N) of the block).
+        Raises GeometryError for a test vector off the grid of the domain."""
+        X = _stack(test_vectors, self.dom, "vector does not live on the series domain grid")
+        TX = T.apply_coeffs(X)
         rows = []
         for n in ns:
-            errs = _lp_norm(self.remainder(T, n).apply_coeffs(X), self.cod.weights, self.cod.p)
+            errs = _lp_norm(TX - self._sum_terms(X, slice(n)), self.cod.weights, self.cod.p)
             rows.append((int(n), float(np.max(errs, initial=0.0))))
         return rows
 
@@ -132,19 +134,14 @@ class SeriesRep:
 
 
 def random_unit_vectors(space: Space, count: int, seed: int = 0) -> list[Vec]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(space.dim)
-        out.append(Vec(v / _lp_norm(v, space.weights, space.p), space))
-    return out
-
-
-def _columns(vectors, space):
-    """The coefficients of vectors as the columns of a dim x len(vectors) array."""
-    if not vectors:
-        return np.zeros((space.dim, 0))
-    return np.column_stack([v.coeffs for v in vectors])
+    """count Gaussian vectors on space, each scaled to unit norm. They are
+    drawn as one count x dim block, which is the stream of count single
+    draws, so vector i does not depend on count. A negative count raises
+    GeometryError."""
+    if count < 0:
+        raise GeometryError(f"count must be at least 0, got {count!r}")
+    V = np.random.default_rng(seed).standard_normal((count, space.dim)).T
+    return [Vec(v, space) for v in (V / _lp_norm(V, space.weights, space.p)).T]
 
 
 def _weighted_gram(V, space):
@@ -243,7 +240,8 @@ def linearized_series(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     psi_norm_dev = [abs(functional_distance(Psi[:, i], J[:, :i], T.dom) - 1.0)
                     for i in range(m)]
 
-    X = _columns(random_unit_vectors(T.dom, n_check, seed=seed + 17), T.dom)
+    X = _stack(random_unit_vectors(T.dom, n_check, seed=seed + 17), T.dom,
+               "vector does not live on the series domain grid")
     scale = max(lam_star[0], 1e-300) if lam_star else 1.0
     ra, rb, rc = (rep._sum_terms(X) for rep in (rep_a, rep_b, rep_c))
 
@@ -302,16 +300,9 @@ def check_decay_condition(js: JSpectrum, mode: str = "lambda",
         holds = lam <= bounds * (1 + 1e-12)
     elif mode == "gelfand":
         bounds = 2.0 ** (1 - idx) / (2.0 ** idx - 1.0)
-        status = []
-        for k in range(n):
-            if lam[k] <= bounds[k]:
-                status.append("holds")
-            elif lam[k] / (2.0 ** (k + 1) - 1.0) > bounds[k]:
-                status.append("violated")
-            else:
-                status.append("undetermined")
-        report["status"] = status
-        holds = np.array([s == "holds" for s in status])
+        holds = lam <= bounds
+        report["status"] = np.select([holds, lam / (2.0 ** idx - 1.0) > bounds],
+                                     ["holds", "violated"], "undetermined").tolist()
     elif mode == "lp":
         if T is not None:
             dom, cod = T.dom, T.cod
@@ -505,7 +496,8 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
 
     # sampled check: T - T_n maps into the deflated codomain subspaces, on
     # which the codomain deflation functionals vanish
-    X = _columns(random_unit_vectors(A.dom, 3, seed=5), A.dom)
+    X = _stack(random_unit_vectors(A.dom, 3, seed=5), A.dom,
+               "vector does not live on the series domain grid")
     R = rep.remainder(T, n).apply_coeffs(X)
     nu = _lp_norm(R, B.cod.weights, B.cod.p)
     ok = nu > 0.0

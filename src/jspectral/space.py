@@ -196,6 +196,16 @@ class Functional(_OnSpace):
 # ---------------------------------------------------------------------------
 # array-level kernels (shared with the solvers; objects wrap these)
 
+def _stack(vectors, space, message):
+    """The coefficients of the Vecs or Functionals in the list vectors as the
+    columns of a space.dim x len(vectors) array (space.dim x 0 for none).
+    Every vector must live on the grid of space: one that does not raises
+    GeometryError(message), before anything is stacked."""
+    if not all(v.space.same_grid(space) for v in vectors):
+        raise GeometryError(message)
+    return np.column_stack([np.zeros((space.dim, 0)), *(v.coeffs for v in vectors)])
+
+
 def _lp_norm(coeffs, w, p):
     """Weighted l_p norm of a vector (a float), or of each column of an
     n x r block (an array of r norms).
@@ -522,15 +532,14 @@ def alber_decompose(x: Vec, M_basis: list[Vec]) -> tuple[Vec, Vec]:
     """Split x = m + v with m in span(M_basis) and v James-orthogonal to M.
 
     m is the best approximation argmin ||x - m||_p over the span; strict
-    convexity of the norm (p > 1) makes the decomposition unique.
+    convexity of the norm (p > 1) makes the decomposition unique. Raises
+    GeometryError for a basis vector off the grid of x (a basis that mixes
+    grids included) and for a linearly dependent basis.
     """
     sp = x.space
+    B = _stack(M_basis, sp, "basis vectors live on a different grid")
     if not M_basis:
         return Vec(np.zeros(sp.dim), sp), x
-    B = np.column_stack([m.coeffs for m in M_basis])
-    for m in M_basis:
-        if not m.space.same_grid(sp):
-            raise GeometryError("basis vectors live on a different grid")
     sw = np.sqrt(sp.weights)
     if np.linalg.matrix_rank(B * sw[:, None]) < B.shape[1]:
         raise GeometryError("Alber decomposition needs a linearly independent basis")

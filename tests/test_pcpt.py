@@ -49,6 +49,15 @@ def test_cover_rank_deficient_basis_rejected(hardy_l2, l2_256):
         cover_from_basis(hardy_l2, [v, v], 2.0)
 
 
+@pytest.mark.parametrize("off_grid, message", [(True, "different grid"),
+                                               (False, "rank-deficient")])
+def test_cover_rejects_a_basis_off_the_grid_and_an_empty_basis(off_grid, message):
+    sp = Space.uniform(16, 2.0)
+    basis = [Vec(np.ones(16), Space.uniform(16, 2.0, b=2.0))] if off_grid else []
+    with pytest.raises(GeometryError, match=message):
+        cover_from_basis(hardy(sp, sp), basis, 2.0)
+
+
 def test_cover_more_vectors_than_nodes_rejected():
     # svd of the 8 x 16 basis has 8 values, all of them large
     sp = Space.uniform(8, 2.0)

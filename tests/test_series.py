@@ -553,6 +553,37 @@ def test_block_evaluation_matches_the_term_by_term_sum(kind, count, n, seed):
     assert abs(err - want) <= 1e-13 * want
 
 
+def test_random_unit_vectors_are_the_single_draws():
+    sp = Space.uniform(64, 3.0)
+    rng = np.random.default_rng(11)
+    want = [rng.standard_normal(64) for _ in range(5)]
+    got = random_unit_vectors(sp, 5, seed=11)
+    for v, x in zip(want, got):
+        assert np.array_equal(x.coeffs, v / _lp_norm(v, sp.weights, sp.p))
+    assert len(got) == 5 and random_unit_vectors(sp, 0) == []
+    with pytest.raises(GeometryError, match="count"):
+        random_unit_vectors(sp, -1)
+
+
+def test_reconstruction_errors_apply_the_operator_once(hardy_l2, l2_256):
+    rep = hilbert_target_series(hardy_l2, compute_jspectrum(hardy_l2, 3, tol=1e-9, seed=0,
+                                                            restarts=2))
+    applies = []
+
+    def fwd(x):
+        applies.append(x.shape)
+        return hardy_l2.apply_coeffs(x)
+
+    T = LinOp._from_kernels(l2_256, l2_256, fwd, hardy_l2.apply_adjoint_coeffs)
+    tests = random_unit_vectors(l2_256, 4, seed=16)
+    rows = rep.reconstruction_errors(T, tests, [1, 2, 3])
+    assert applies == [(256, 4)]
+    X = np.column_stack([x.coeffs for x in tests])
+    for n, err in rows:  # bitwise the remainder T - T_N of the block
+        R = rep.remainder(hardy_l2, n).apply_coeffs(X)
+        assert err == float(np.max(_lp_norm(R, l2_256.weights, 2.0)))
+
+
 def test_series_export(hardy_l2, l2_256):
     js = compute_jspectrum(hardy_l2, 2, tol=1e-9, seed=0, restarts=2)
     rep = hilbert_target_series(hardy_l2, js)

@@ -402,6 +402,13 @@ def test_alber_rejects_dependent_basis():
         alber_decompose(Vec(sp.nodes.copy(), sp), [b1, b2])
 
 
+def test_alber_rejects_a_basis_on_mixed_grids():
+    sp, coarse = Space.uniform(16, 2.5), Space.uniform(8, 2.5)
+    basis = [Vec(np.ones(16), sp), Vec(np.ones(8), coarse)]
+    with pytest.raises(GeometryError, match="different grid"):
+        alber_decompose(Vec(sp.nodes.copy(), sp), basis)
+
+
 def test_min_norm_iteration_limit_reports_residual():
     sp = Space.uniform(32, 1.5)
     rng = np.random.default_rng(31)
