@@ -2,13 +2,14 @@
 
     python3 perf/record.py --out BENCH_22.json --label after
     python3 perf/record.py --out BENCH_22.json --label before --checkout DIR
+    python3 perf/record.py --out BENCH_27.json --pairs 5 --parent DIR
 
 Runs ``python3 bench/run.py --workload all --seed 7 --seconds 8 --trace 0``
 in the checkout (by default the one this script lives in) and keeps the
 summary, the last JSON line it prints, and the run environment it reports
-for each workload. Then, in this process, it solves each bench workload once
-for each of the bench's first task seeds (7000 to 7019 at seed 7) with the
-checkout's ``jspectral`` and counts the applies and adjoints of its
+for each workload. Then, in a fresh process, it solves each bench workload
+once for each of the bench's first task seeds (7000 to 7019 at seed 7) with
+the checkout's ``jspectral`` and counts the applies and adjoints of its
 operators by wrapping the two kernels of ``LinOp``; it reports them per
 certified level. Before that, it times 30 in-process re-imports each of
 ``jspectral`` and ``jspectral.cli`` as ``bench/worker.py`` times set-up:
@@ -18,6 +19,17 @@ cache, not the checkout). It keeps the median and the ``jspectral`` modules
 each import leaves loaded. The record goes into the output file under the
 label, next to the records of other labels, which it keeps. ``bench/`` is
 only read.
+
+With ``--pairs N --parent DIR`` it runs the bench N times on each side, in
+pairs that alternate between the parent checkout DIR (label ``before``) and
+the checkout (``--label``, by default ``after``), the parent first in even
+pairs and the checkout first in odd ones. Each label keeps the summary of
+every run ("runs") and the environment of its first; the kernel counts and
+import times are recorded once per label. "pairs" holds, for each workload
+and end-to-end metric, each side's median and quartiles (inclusive method)
+over its runs and the number of pairs in which the checkout read better
+than the parent, and in which they tied, in the direction that
+BENCHMARK.json gives the metric.
 """
 
 from __future__ import annotations
@@ -109,22 +121,79 @@ def kernel_counts():
     return out
 
 
+def layer_counts(checkout):
+    """import_times and kernel_counts of the checkout, from a fresh process,
+    so that each checkout's jspectral is imported into a process of its own."""
+    proc = subprocess.run([sys.executable, __file__, "--layers", "--checkout", str(checkout)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _spread(values):
+    """Median and quartiles of the values of one side."""
+    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                   if len(values) > 1 else values * 3)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def pair_stats(before, after, better):
+    """For each metric of the runs: both sides' spreads and the pairs in which
+    after read better than before, and tied, in the direction better[metric]
+    gives it ("lower" when it names none)."""
+    out = {}
+    for name, m in sorted(after[0]["metrics"].items()):
+        b = [run["metrics"][name]["value"] for run in before]
+        a = [run["metrics"][name]["value"] for run in after]
+        sign = -1.0 if better.get(name.split(".")[-1], "lower") == "higher" else 1.0
+        out[name] = {"unit": m["unit"], "before": _spread(b), "after": _spread(a),
+                     "after_better": sum(sign * (y - x) < 0 for x, y in zip(b, a)),
+                     "ties": sum(x == y for x, y in zip(b, a)), "pairs": len(a)}
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to update")
-    ap.add_argument("--label", required=True, help="the name of this record, e.g. before")
+    ap.add_argument("--out", help="the BENCH_<n>.json file to update")
+    ap.add_argument("--label", default="after", help="the name of this record (default: after)")
     ap.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent),
                     help="the checkout to measure (default: this one)")
+    ap.add_argument("--pairs", type=int, default=0,
+                    help="run the bench this many times per side, alternating with --parent")
+    ap.add_argument("--parent", help="the parent checkout, recorded as 'before'")
+    ap.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     checkout = Path(args.checkout).resolve()
-    summary, env = bench_summary(checkout)
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
-    record = {"command": " ".join(["python3", "bench/run.py", *BENCH_ARGS]),
-              "summary": summary, "env": env, "imports": import_times(checkout),
-              "kernels": kernel_counts()}
+    if args.layers:  # the child of layer_counts
+        sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+        print(json.dumps({"imports": import_times(checkout), "kernels": kernel_counts()}))
+        return 0
+    if not args.out or (args.pairs > 0) != (args.parent is not None):
+        ap.error("--out is required, and --pairs N (N > 0) and --parent go together")
+    if args.pairs and args.label == "before":
+        ap.error("with --pairs, 'before' is the parent's label")
+    command = " ".join(["python3", "bench/run.py", *BENCH_ARGS])
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc[args.label] = record
+    if not args.pairs:
+        summary, env = bench_summary(checkout)
+        doc[args.label] = {"command": command, "summary": summary, "env": env,
+                           **layer_counts(checkout)}
+    else:
+        sides = {"before": Path(args.parent).resolve(), args.label: checkout}
+        runs = {label: [] for label in sides}
+        envs = {}
+        for i in range(args.pairs):
+            for label in ("before", args.label)[:: 1 if i % 2 == 0 else -1]:
+                summary, env = bench_summary(sides[label])
+                runs[label].append(summary)
+                envs.setdefault(label, env)
+        for label, path in sides.items():
+            doc[label] = {"command": command, "runs": runs[label], "env": envs[label],
+                          **layer_counts(path)}
+        better = {m["name"]: m["better"] for m in
+                  json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]}
+        doc["pairs"] = {"after": args.label, "n": args.pairs,
+                        "metrics": pair_stats(runs["before"], runs[args.label], better)}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

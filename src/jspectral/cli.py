@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jspec
 from .oper import LinOp, compose, hardy
-from .space import ConvergenceError, GeometryError, Space
+from .space import ConvergenceError, GeometryError, Space, _count
 
 
 class _InvalidArguments(ValueError):
@@ -157,10 +157,8 @@ def _cmd_snum(args):
 def _cmd_gtrig(args):
     from . import gtrig
 
-    if args.samples < 0:
-        raise _InvalidArguments(f"--samples must be at least 0, got {args.samples}")
     g = gtrig.GenTrig(args.p, args.q)
-    xs = np.linspace(0.0, g.pi_pq / 2.0, args.samples)
+    xs = np.linspace(0.0, g.pi_pq / 2.0, _count(args.samples, "--samples"))
     sins, coss = g.sin(xs), g.cos(xs)
     doc = {
         "p": args.p,

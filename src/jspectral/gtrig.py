@@ -76,7 +76,8 @@ class GenTrig:
 
     def _evaluate(self, x, extend, cosine):
         """sin_pq or cos_pq at x (a scalar or an array), through the point
-        reduced to the first quarter period."""
+        reduced to the first quarter period; GeometryError for an x that is
+        not finite, with extend or without."""
         # imported here: at module level it adds ~23 MB and ~0.3 s to every
         # package import
         from scipy.special import betaincinv
@@ -84,6 +85,8 @@ class GenTrig:
         # a scalar runs through the array kernel too, so that it gets the
         # same bits as the array element (numpy's scalar pow may differ)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.all(np.isfinite(xs)):
+            raise GeometryError("x must be finite")
         half = self.pi_pq / 2.0
         if extend:
             t, ssign, csign = self._branch(xs)

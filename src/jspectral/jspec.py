@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -56,12 +55,14 @@ from .space import (
     GeometryError,
     Space,
     Vec,
+    _count,
     _csv_text,
     _grams,
     _jmap,
     _jtilde,
     _lp_norm,
     _matvecs,
+    _rng,
     _stack,
     functional_distance,
     min_norm_coeffs,
@@ -536,7 +537,7 @@ def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     or when no start certifies a positive lambda and some start finds T
     vanishing, and ConvergenceError (with the best residual) when no start
     certifies. Raises GeometryError unless tol is finite and positive,
-    restarts is at least 1 and max_iter is an integer of at least 0.
+    restarts is an integer of at least 1 and max_iter one of at least 0.
 
     A start finds T vanishing when lambda falls below 1e-13 max(s, 1), with
     s = max_j ||T x0_j||_Y / ||x0_j||_X over the columns of the start block
@@ -544,10 +545,9 @@ def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     on ||T|| for one block apply, not the n applies of a Frobenius norm."""
     if not (np.isfinite(tol) and tol > 0.0):
         raise GeometryError(f"tol must be finite and positive, got {tol:g}")
-    if restarts < 1:
-        raise GeometryError(f"restarts must be at least 1, got {restarts}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
-        raise GeometryError(f"max_iter must be an integer of at least 0, got {max_iter}")
+    restarts = _count(restarts, "restarts", 1)
+    max_iter = _count(max_iter, "max_iter",
+                      below=f"max_iter must be an integer of at least 0, got {max_iter}")
     project, B = _constraint_projector(T, constraints)
     n = T.dom.dim
     # drawn as rows, so that each start is one contiguous column of X0
@@ -594,7 +594,7 @@ def extremal_pair(T: LinOp, constraints_X: Sequence[Functional] = (), seed: int 
     """
     C = _stack(list(constraints_X), T.dom,
                "constraint functionals must live on the grid of T.dom")
-    lam, x, res = _best_start(T, C, np.random.default_rng(seed), restarts, tol, max_iter)
+    lam, x, res = _best_start(T, C, _rng(seed), restarts, tol, max_iter)
     return lam, Vec(x, T.dom), res
 
 
@@ -609,23 +609,25 @@ def operator_norm(T: LinOp, tol: float = 1e-8, seed: int = 42, restarts: int = 4
     return lam
 
 
-def _deflate(S: LinOp, n_levels, tol, restarts, rngs, quotient):
-    """The deflation flag of S: level k certifies x_k on the polar subspace
-    of the columns J_X x_j (j < k) of js.JX, with starts from the k-th
-    generator of rngs, and appends x_k, y_k = S x_k / lambda_k, J_X x_k and
-    J_Y(S x_k) to js.X, js.Y, js.JX and js.JY. With quotient, S is an
-    adjoint measured by the distance to the span of js.Y, the quotient norm
-    of the dual problem. Stops once S vanishes; raises ConvergenceError,
-    naming the level, when a level fails to certify or exceeds the one
-    before, and GeometryError for a negative n_levels."""
-    if n_levels < 0:
-        raise GeometryError(f"the number of levels must be at least 0, got {n_levels}")
+def _deflate(S: LinOp, n_levels, tol, restarts, seed, quotient):
+    """The deflation flag of S: level k (from 0) certifies x_k on the polar
+    subspace of the columns J_X x_j (j < k) of js.JX, with its starts drawn
+    from the generator of seed + 101 k, and appends x_k, y_k = S x_k /
+    lambda_k, J_X x_k and J_Y(S x_k) to js.X, js.Y, js.JX and js.JY. So a
+    level draws the same starts whatever the levels before it drew, in the
+    primal and in the dual alike. With quotient, S is an adjoint measured by
+    the distance to the span of js.Y, the quotient norm of the dual problem.
+    Stops once S vanishes; raises ConvergenceError, naming the level, when a
+    level fails to certify or exceeds the one before, and GeometryError
+    unless n_levels and seed are integers of at least 0."""
+    n_levels = _count(n_levels, "the number of levels")
+    seed = _count(seed, "seed")
     name, where = ("T*", "dual level") if quotient else ("T", "level")
     empty_d, empty_c = np.zeros((S.dom.dim, 0)), np.zeros((S.cod.dim, 0))
     js = JSpectrum(X=empty_d, Y=empty_c, JX=empty_d, JY=empty_c, dom=S.dom, cod=S.cod)
-    for level, rng in zip(range(n_levels), rngs):
+    for level in range(n_levels):
         try:
-            lam, x, res = _best_start(S, js.JX, rng, restarts, tol,
+            lam, x, res = _best_start(S, js.JX, _rng(seed + 101 * level), restarts, tol,
                                       M=js.Y if quotient and js.n_levels else None)
         except DeflationExhausted:
             js.meta["terminated"] = f"restriction of {name} is zero after level {level}"
@@ -656,7 +658,8 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     """Deflate through polar subspaces and emit the j-spectrum.
 
     Appends J_X x_k to the constraint set after each level; stops early when
-    the restriction of T becomes numerically zero. T maps the polar subspace
+    the restriction of T becomes numerically zero. Level k (from 0) draws its
+    starts from the generator of seed + 101 k. T maps the polar subspace
     X_{k+1} into the codomain subspace Y_{k+1} exactly when the functional
     T* J_Y(T x_k) vanishes on X_{k+1}; meta["mapping_check"][k] is its
     quotient norm there (functional_distance to the span of J_X x_0, ...,
@@ -665,8 +668,7 @@ def compute_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42
     least <x_k, T* J_Y(T x_k)> = lambda_k^2, each entry times lambda_k is
     at most residual_k, with equality at p = q = 2.
     """
-    rngs = (np.random.default_rng(seed + 101 * level) for level in range(n_levels))
-    js = _deflate(T, n_levels, tol, restarts, rngs, quotient=False)
+    js = _deflate(T, n_levels, tol, restarts, seed, quotient=False)
     G = T.apply_adjoint_coeffs(js.JY)  # column k: T* J_Y(T x_k)
     js.meta["mapping_check"] = [
         functional_distance(G[:, k], js.JX[:, : k + 1], T.dom)
@@ -694,13 +696,13 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     quotient norm: their distance to the accumulated span is 1; full dual
     norms may exceed 1; as full images they carry the biorthogonality that
     makes the linearized series exact), the columns of X and Y. JX and JY
-    hold J_{Y*} psi_k and J_{X*}(T* psi_k); all levels draw from one generator.
+    hold J_{Y*} psi_k and J_{X*}(T* psi_k). Level k (from 0) draws its starts
+    from the generator of seed + 101 k, as in compute_jspectrum.
     Cross-checks stored in meta: lambda_i* against the supplied primal
     spectrum (or a fresh first level) and the first dual extremal against
     J_Y(T x_1)/lambda_1.
     """
-    js = _deflate(adjoint(T), n_levels, tol, restarts,
-                  itertools.repeat(np.random.default_rng(seed)), quotient=True)
+    js = _deflate(adjoint(T), n_levels, tol, restarts, seed, quotient=True)
 
     if primal is None:
         lam1, x1, _ = extremal_pair(T, (), seed=seed, tol=tol, restarts=restarts)
@@ -725,10 +727,10 @@ def konig_report(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42
     ("values"), plus the dense-eigenvalue reference |lambda_hat_n|."""
     if not T.dom.same_grid(T.cod) or T.dom.p != T.cod.p:
         raise GeometryError("the eigenvalue comparison needs T acting on one space")
-    if not 1 <= n <= T.dom.dim:
+    n = _count(n, "n", 1)
+    if n > T.dom.dim:
         raise GeometryError(f"level n = {n} is outside 1..{T.dom.dim}, the dimension of T")
-    if k_max < 0:
-        raise GeometryError(f"k_max must be at least 0, got {k_max}")
+    k_max, seed = _count(k_max, "k_max"), _count(seed, "seed")
     from .oper import power as _power
 
     vals = []

@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .space import Functional, GeometryError, Space, Vec, _csv_text, _readonly
+from .space import Functional, GeometryError, Space, Vec, _count, _csv_text, _readonly
 
 
 def _nodal(w, x):
@@ -152,11 +152,10 @@ def _repeat(kernel, k):
 
 
 def power(T: LinOp, k: int) -> LinOp:
-    """T applied k times (lazy)."""
+    """T applied k times (lazy), k an integer of at least 1."""
     if not T.dom.same_grid(T.cod):
         raise GeometryError("powers need a square operator (same grid)")
-    if k < 1:
-        raise GeometryError("power requires k >= 1")
+    k = _count(k, "k", 1)
     return LinOp._from_kernels(T.dom, T.cod, _repeat(T._fwd, k), _repeat(T._adj, k))
 
 

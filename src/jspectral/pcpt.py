@@ -19,7 +19,7 @@ import numpy as np
 
 from .gtrig import GenTrig, beta_fn
 from .oper import LinOp, compose, hardy
-from .space import GeometryError, Space, Vec, _csv_text, _lp_norm, _stack
+from .space import GeometryError, Space, Vec, _count, _csv_text, _lp_norm, _rng, _stack
 
 # window of domain exponents in which the generalized-cosine family is treated
 # as a basis of L_p; a conservative desk-scale choice, not a literature constant
@@ -87,11 +87,13 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
     coefficient map on weighted-2 coordinates; otherwise it is calibrated on
     seeded samples with a 5 % safety margin. The reported coeff_bound always
     comes from a fresh sample batch. Raises GeometryError for a target_q not
-    above 1, a basis vector off the grid of T.dom, an empty basis and a
-    rank-deficient one.
+    above 1, an n_samples or seed that is not an integer of at least 0, a
+    basis vector off the grid of T.dom, an empty basis and a rank-deficient
+    one.
     """
     if not target_q > 1:
         raise GeometryError("cover exponent must exceed 1 (np.inf allowed)")
+    n_samples, rng = _count(n_samples, "n_samples"), _rng(seed)
     qq = _conjugate(target_q)
     sp = T.dom
     B = _stack(basis, sp, "basis vectors live on a different grid")
@@ -100,7 +102,6 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
     # svd returns min(n, k) values: more vectors than nodes is rank-deficient
     if not k or len(s) < k or s[-1] ** 2 <= s[0] ** 2 * k * np.finfo(float).eps:
         raise GeometryError("basis is rank-deficient on the grid")
-    rng = np.random.default_rng(seed)
 
     def coeff_norms(count):
         """l_{q'} norms of the coefficients c / ||B c|| of count samples."""
@@ -154,9 +155,8 @@ def hardy_qcompact_demo(p_dom: float = 2.0, q_cod: float = 2.0,
     are the grid ones. The basis is evaluated as one n x k array and T is
     applied to it once, inside cover_from_basis.
     """
-    if n_terms < 3:
-        raise GeometryError("n_terms must be at least 3: the decay fit skips the first "
-                            "term and needs two more")
+    n_terms = _count(n_terms, "n_terms", 3, below="n_terms must be at least 3: the decay "
+                     "fit skips the first term and needs two more")
     dom = Space.uniform(grid_n, p_dom)
     cod = Space.uniform(grid_n, q_cod)
     T = hardy(dom, cod)
@@ -236,8 +236,7 @@ def sobolev_embedding_demo(m_max: int = 16, grid_n: int = 512,
     one; the norm sequence (1+m^2)^(-1/2) is analytic (the grid realization's
     quadrature deviation is reported, not asserted).
     """
-    if m_max < 4:
-        raise GeometryError("sobolev_embedding_demo needs m_max >= 4")
+    m_max = _count(m_max, "m_max", 4)
     b = 2.0 * np.pi
     sp = Space.uniform(grid_n, 2.0, b)
     x = sp.nodes - np.pi
@@ -253,8 +252,7 @@ def sobolev_embedding_demo(m_max: int = 16, grid_n: int = 512,
     V = modes * weights
     norms = weights.tolist()
 
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n_samples, len(ms)))
+    a = _rng(seed).standard_normal((_count(n_samples, "n_samples"), len(ms)))
     a /= np.sqrt(np.sum((a / weights) ** 2, axis=1))[:, None]  # sum (1+m^2) a_m^2 = 1
     alpha = a / weights
     coeff_bound = float(np.max(np.sqrt(np.sum(alpha ** 2, axis=1)), initial=0.0))

@@ -35,9 +35,11 @@ from .space import (
     GeometryError,
     Space,
     Vec,
+    _count,
     _csv_text,
     _jmap,
     _lp_norm,
+    _rng,
     _stack,
     functional_distance,
     sup_dev_up_to_sign,
@@ -92,28 +94,36 @@ class SeriesRep:
         fwd, _ = self._partial(terms)
         return fwd(x)
 
-    def apply_truncated(self, x: Vec, n_terms: int | None = None) -> Vec:
+    def _apply(self, x: Vec, terms) -> Vec:
+        """_sum_terms of the Vec x, which must live on the domain grid."""
         if not x.space.same_grid(self.dom):
             raise GeometryError("vector does not live on the series domain grid")
-        return Vec(self._sum_terms(x.coeffs, slice(n_terms)), self.cod)
+        return Vec(self._sum_terms(x.coeffs, terms), self.cod)
+
+    def apply_truncated(self, x: Vec, n_terms: int | None = None) -> Vec:
+        """T_N x for N = n_terms, an integer of at least 0 (all terms if None)."""
+        return self._apply(x, slice(None if n_terms is None else _count(n_terms, "n_terms")))
 
     def remainder(self, T: LinOp, n: int) -> LinOp:
-        """Lazy T - T_n, applied in O(n k) beside T."""
-        fwd, adj = self._partial(slice(n))
+        """Lazy T - T_n, applied in O(n k) beside T; n is an integer of at
+        least 0."""
+        fwd, adj = self._partial(slice(_count(n, "n")))
         return LinOp._from_kernels(T.dom, T.cod, lambda x: T.apply_coeffs(x) - fwd(x),
                                    lambda f: T.apply_adjoint_coeffs(f) - adj(f))
 
     def reconstruction_errors(self, T: LinOp, test_vectors, ns) -> list[tuple[int, float]]:
-        """Max over the list test_vectors of ||Tx - T_N x||_cod for each N.
-        T is applied to the test set once, as one block, and each partial sum
-        T_N is subtracted from that (bitwise remainder(T, N) of the block).
-        Raises GeometryError for a test vector off the grid of the domain."""
+        """Max over the list test_vectors of ||Tx - T_N x||_cod for each N in
+        ns. T is applied to the test set once, as one block, and each partial
+        sum T_N is subtracted from that (bitwise remainder(T, N) of the block).
+        Raises GeometryError for a test vector off the grid of the domain and
+        for an N that is not an integer of at least 0."""
+        ns = [_count(n, "N") for n in ns]
         X = _stack(test_vectors, self.dom, "vector does not live on the series domain grid")
         TX = T.apply_coeffs(X)
         rows = []
         for n in ns:
             errs = _lp_norm(TX - self._sum_terms(X, slice(n)), self.cod.weights, self.cod.p)
-            rows.append((int(n), float(np.max(errs, initial=0.0))))
+            rows.append((n, float(np.max(errs, initial=0.0))))
         return rows
 
     @staticmethod
@@ -136,11 +146,9 @@ class SeriesRep:
 def random_unit_vectors(space: Space, count: int, seed: int = 0) -> list[Vec]:
     """count Gaussian vectors on space, each scaled to unit norm. They are
     drawn as one count x dim block, which is the stream of count single
-    draws, so vector i does not depend on count. A negative count raises
-    GeometryError."""
-    if count < 0:
-        raise GeometryError(f"count must be at least 0, got {count!r}")
-    V = np.random.default_rng(seed).standard_normal((count, space.dim)).T
+    draws, so vector i does not depend on count. A count or seed that is not
+    an integer of at least 0 raises GeometryError."""
+    V = _rng(seed).standard_normal((_count(count, "count"), space.dim)).T
     return [Vec(v, space) for v in (V / _lp_norm(V, space.weights, space.p)).T]
 
 
@@ -470,12 +478,12 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     H_{n+1}, in that order. The factored subspace dimension must drop by
     exactly one per level: an A x_i that lies in H_{i+1} to 1e-10 relative
     raises DegenerateDeflationError. A term that B annihilates is dropped.
-    A negative or non-integer n_terms raises GeometryError.
+    An n_terms that is not an integer of at least 0 raises GeometryError.
     """
     _check_factors(A, B, "hilbertian_series")
-    if n_terms is not None and (isinstance(n_terms, bool)
-                                or not isinstance(n_terms, (int, np.integer)) or n_terms < 0):
-        raise GeometryError(f"n_terms must be an integer at least 0, got {n_terms!r}")
+    if n_terms is not None:
+        n_terms = _count(n_terms, "n_terms",
+                         below=f"n_terms must be an integer of at least 0, got {n_terms}")
     T = compose(B, A)
     n = js_T.n_levels if n_terms is None else min(n_terms, js_T.n_levels)
     X, JX = js_T.X[:, :n], js_T.JX[:, :n]
@@ -565,7 +573,10 @@ def double_series(A: LinOp, B: LinOp, terms: int, tol: float = 1e-8,
 
 def double_series_apply(rep: SeriesRep, x: Vec, n_i: int, n_j: int,
                         order: str = "row") -> Vec:
-    """Apply the I x J block of a double series in row- or column-major order."""
+    """Apply the I x J block of a double series, I = n_i and J = n_j
+    (integers of at least 0), in row- or column-major order, to x, which must
+    live on the domain grid."""
+    n_i, n_j = _count(n_i, "n_i"), _count(n_j, "n_j")
     if rep.kind != "double":
         raise GeometryError("double_series_apply needs a double series")
     pairs = rep.meta["order"]
@@ -578,7 +589,7 @@ def double_series_apply(rep: SeriesRep, x: Vec, n_i: int, n_j: int,
         items.sort(key=lambda t: (t[2], t[1]))
     else:
         raise GeometryError("order must be 'row' or 'col'")
-    return Vec(rep._sum_terms(x.coeffs, [k for k, _, _ in items]), rep.cod)
+    return rep._apply(x, [k for k, _, _ in items])
 
 
 def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,

@@ -18,7 +18,7 @@ import numpy as np
 from .jspec import JSpectrum, compute_jspectrum, operator_norm
 from .oper import LinOp
 from .series import SeriesRep, _gram_dev, hilbert_source_series, hilbert_target_series
-from .space import ConvergenceError, GeometryError, _csv_text, _lp_norm
+from .space import ConvergenceError, GeometryError, _count, _csv_text, _lp_norm
 
 
 @dataclass
@@ -75,12 +75,14 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
     A candidate whose norm does not certify is skipped; ConvergenceError is
     raised when no candidate certifies at some n. A candidate with T - F
     numerically zero (the solver finds T - F vanishing) counts with norm 0.
+    An n_max that is not an integer of at least 0 raises GeometryError.
     """
     if T.dom.p != 2.0 and T.cod.p != 2.0:
         raise GeometryError(
             "approximation numbers need a Hilbert side (exponent 2); "
             "mixed-mixed cases are out of scope"
         )
+    n_max, seed = _count(n_max, "n_max"), _count(seed, "seed")  # checked even where unused
     U, s, V = _scaled_svd(T, min(n_max, T.dom.dim, T.cod.dim))
     if T.dom.p == 2.0 and T.cod.p == 2.0:  # singular values of the scaled matrix
         vals = s.tolist() + [0.0] * (n_max - len(s))
@@ -146,11 +148,12 @@ def sandwich_check(js: JSpectrum, a, tol: float = 1e-6) -> SNumberReport:
 def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
                   tol: float = 1e-6, a_values=None, **kw) -> dict:
     """For a Hilbert domain: a_i(T) <= ||T h_i|| = lambda_i on the orthonormal
-    j-eigenvectors h_i = x_i. Returns the slacks and the orthonormality of
-    the h_i (an upstream flag if it fails)."""
+    j-eigenvectors h_i = x_i, for the first n_max levels (an integer of at
+    least 0; all if None). Returns the slacks and the orthonormality of the
+    h_i (an upstream flag if it fails)."""
     if T.dom.p != 2.0:
         raise GeometryError("eigenvector_bound_check needs a Hilbert domain")
-    n = js.n_levels if n_max is None else min(n_max, js.n_levels)
+    n = js.n_levels if n_max is None else min(_count(n_max, "n_max"), js.n_levels)
     if a_values is None:
         a_values = approx_numbers(T, n, js=js, **kw)
     th = _lp_norm(T.apply_coeffs(js.X[:, :n]), T.cod.weights, T.cod.p).tolist()

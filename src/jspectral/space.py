@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -34,6 +35,25 @@ class ConvergenceError(RuntimeError):
         self.failed = failed
 
 
+def _count(value, name, minimum=0, below=None):
+    """value as an int, if it is an integer (not a bool) of at least minimum:
+    the one check of every count and seed, called name in its message.
+    Anything else raises a one-line GeometryError; below, when given, is the
+    message for an integer under minimum."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integer and value >= minimum:
+        return int(value)
+    if integer:
+        raise GeometryError(below or f"{name} must be at least {minimum}, got {value}")
+    raise GeometryError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _rng(seed):
+    """The generator of seed, an integer of at least 0: the one place where a
+    seed becomes a np.random.Generator."""
+    return np.random.default_rng(_count(seed, "seed"))
+
+
 def _readonly(a):
     a = np.asarray(a, dtype=float).copy()
     a.setflags(write=False)
@@ -51,6 +71,9 @@ def _checked_coeffs(coeffs, space):
     return coeffs
 
 
+_TOO_FEW = "a Space needs at least 2 nodes"
+
+
 class Space:
     """Discretized L_p(0, b): nodes, positive quadrature weights, exponent p."""
 
@@ -62,7 +85,7 @@ class Space:
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
             raise GeometryError("nodes and weights must be 1-d arrays of equal length")
         if nodes.size < 2:
-            raise GeometryError("a Space needs at least 2 nodes")
+            raise GeometryError(_TOO_FEW)
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
                 and np.isfinite(b)):
             raise GeometryError("nodes, weights and b must be finite")
@@ -84,16 +107,16 @@ class Space:
     @classmethod
     def uniform(cls, n, p, b=1.0):
         """Composite midpoint rule with n cells on (0, b), n at least 2."""
-        if n < 2:
-            raise GeometryError("a Space needs at least 2 nodes")
+        n = _count(n, "n", 2, below=_TOO_FEW)
         h = b / n
         nodes = (np.arange(n) + 0.5) * h
         return cls(nodes, np.full(n, h), p, b)
 
     @classmethod
     def sequence(cls, dim, p):
-        """Plain weighted-l_p coordinate space: unit weights, b = dim."""
-        return cls(np.arange(dim) + 0.5, np.ones(dim), p, float(dim))
+        """Plain weighted-l_p coordinate space: unit weights, b = dim (at
+        least 2); the midpoint rule with unit cells."""
+        return cls.uniform(dim, p, dim)
 
     @property
     def dim(self):

@@ -236,6 +236,17 @@ def test_missing_command_exits_2(capsys):
     (["pcompact", "--grid-n", "-4"], "a Space needs at least 2 nodes"),
     (["pcompact", "--demo", "hardy", "--grid-n", "8", "--terms", "16"],
      "basis is rank-deficient on the grid"),
+    *((argv + ["--seed", "-1"], "seed must be at least 0, got -1") for argv in (
+        ["jspec", "--grid-n", "64", "--levels", "2"],
+        ["dual", "--grid-n", "64", "--levels", "2"],
+        ["series", "--grid-n", "64", "--levels", "2"],
+        ["snum", "--grid-n", "64", "--n-max", "2"],
+        ["konig", "--case", "diag", "--k-max", "2"],
+        ["bilap", "--grid-n", "64"],
+        ["pcompact", "--demo", "hardy", "--grid-n", "64", "--terms", "8"],
+        ["pcompact", "--demo", "sobolev", "--grid-n", "64"],
+        ["pcompact", "--demo", "ideal", "--grid-n", "64"],
+    )),
 ])
 def test_invalid_input_exits_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2

@@ -87,6 +87,18 @@ def test_out_of_range_requires_extension_flag():
         g.cos(-0.5)
 
 
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, [0.1, np.nan]],
+                         ids=["nan", "inf", "-inf", "array"])
+@pytest.mark.parametrize("extend", [False, True])
+def test_non_finite_x_raises(x, extend):
+    # with extend these returned nan (and np.mod warned for inf); without it
+    # the message said x was out of range
+    g = GenTrig(3.0, 1.5)
+    for f in (g.sin, g.cos):
+        with pytest.raises(GeometryError, match="^x must be finite$"):
+            f(x, extend=extend)
+
+
 def test_extension_symmetry_and_periodicity():
     g = GenTrig(3.0, 1.5)
     x = 0.3 * g.pi_pq

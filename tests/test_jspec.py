@@ -391,6 +391,28 @@ def test_extremal_pair_rejects_max_iter_that_cannot_work(hardy_l3_l2, max_iter):
         extremal_pair(hardy_l3_l2, (), max_iter=max_iter)
 
 
+@pytest.mark.parametrize("solve", [
+    compute_jspectrum,
+    lambda T, n, **kw: dual_jspectrum(T, n, primal=JSpectrum(), **kw),
+], ids=["primal", "dual"])
+def test_level_k_draws_from_its_own_seed(monkeypatch, solve):
+    # both deflations start level k from default_rng(seed + 101 k), whatever
+    # the levels before it drew, so one level can be solved again alone
+    states = []
+    best_start = jspec._best_start
+
+    def spy(T, constraints, rng, *args, **kw):
+        states.append(rng.bit_generator.state)
+        return best_start(T, constraints, rng, *args, **kw)
+
+    monkeypatch.setattr(jspec, "_best_start", spy)
+    T = hardy(Space.uniform(64, 3.0), Space.uniform(64, 1.5))
+    js = solve(T, 3, tol=1e-8, seed=5, restarts=3)
+    assert js.n_levels == len(states) == 3
+    assert states == [np.random.default_rng(5 + 101 * k).bit_generator.state
+                      for k in range(3)]
+
+
 def test_empty_jspectrum_and_derived_fields():
     js = JSpectrum()
     assert (js.n_levels, js.lambdas, js.nus, js.converged, js.meta) == (0, [], [], [], {})

@@ -450,6 +450,20 @@ def test_double_series_order_swap(hardy_l2, l2_256):
     assert dev <= bound + 1e-12
 
 
+def test_double_series_apply_checks_the_grid_as_apply_truncated_does(hardy_l2, l2_256):
+    dd = double_series(hardy_l2, hardy_l2, 2, tol=1e-9, seed=0, restarts=2)
+    for sp in (Space.uniform(128, 2.0), Space.uniform(256, 2.0, b=2.0)):
+        x = Vec(np.ones(sp.dim), sp)
+        for apply in (lambda: double_series_apply(dd, x, 2, 2),
+                      lambda: dd.apply_truncated(x)):
+            with pytest.raises(GeometryError,
+                               match="^vector does not live on the series domain grid$"):
+                apply()
+    x = Vec(np.ones(256), l2_256)
+    assert np.array_equal(double_series_apply(dd, x, 2, 2, "row").coeffs,
+                          dd.apply_truncated(x).coeffs)
+
+
 def test_double_series_rank_one_factor(l2_256):
     rng = np.random.default_rng(11)
     u = rng.standard_normal(256)

@@ -16,15 +16,30 @@ from jspectral import (
     Space,
     Vec,
     alber_decompose,
+    approx_numbers,
+    compute_jspectrum,
+    cover_from_basis,
+    double_series,
+    double_series_apply,
+    dual_jspectrum,
     duality_map,
+    eigenvector_bound_check,
+    extremal_pair,
+    hardy,
+    hardy_qcompact_demo,
+    hilbert_target_series,
     inverse_duality_map,
     is_j_orthogonal,
+    konig_report,
     norm,
     normalized_duality_map,
     pairing,
+    power,
     semi_inner,
+    sobolev_embedding_demo,
+    space,
 )
-from jspectral import space
+from jspectral.series import random_unit_vectors
 from jspectral.space import min_norm_coeffs, sup_dev_up_to_sign
 
 
@@ -643,3 +658,104 @@ def test_min_norm_steps_on_sparse_residual(monkeypatch):
     _, d = min_norm_coeffs(target, B, w, 1.5)
     assert len(calls) <= 12  # reweighted least-squares steps alone take 20
     assert d <= space._lp_norm(s, w, 1.5)
+
+
+# ------------------------------------------------------- counts and seeds
+
+@pytest.fixture(scope="module")
+def small():
+    """Small objects for the count and seed table: Hardy L3 -> L2 and
+    L2 -> L2 at grid 32, a target series and a double series of the latter."""
+    l2, l3 = Space.uniform(32, 2.0), Space.uniform(32, 3.0)
+    H = hardy(l2, l2)
+    js = compute_jspectrum(H, 2, tol=1e-9, seed=0, restarts=2)
+    return {
+        "l2": l2,
+        "T": hardy(l3, l2),
+        "H": H,
+        "js": js,
+        "rep": hilbert_target_series(H, js),
+        "double": double_series(H, H, 2, tol=1e-9, seed=0, restarts=2),
+        "x": random_unit_vectors(l2, 1, seed=1)[0],
+    }
+
+
+def _cover(s, **kw):
+    sp = s["l2"]
+    basis = [Vec(np.cos(n * np.pi * sp.nodes), sp) for n in range(1, 4)]
+    return cover_from_basis(s["H"], basis, 2.0, **kw)
+
+
+# each row: a call of the public API with one bad count or seed, and the
+# GeometryError it raises (before the one count rule, each of these raised
+# another error, or none, and some returned a wrong answer)
+@pytest.mark.parametrize("call, message", [
+    (lambda s: compute_jspectrum(s["T"], 2, seed=-1),
+     "seed must be at least 0, got -1"),
+    (lambda s: dual_jspectrum(s["T"], 2, seed=-1),
+     "seed must be at least 0, got -1"),
+    (lambda s: extremal_pair(s["T"], seed=-1), "seed must be at least 0, got -1"),
+    (lambda s: random_unit_vectors(s["l2"], 3, seed=-1),
+     "seed must be at least 0, got -1"),
+    (lambda s: _cover(s, seed=-1), "seed must be at least 0, got -1"),
+    (lambda s: s["rep"].apply_truncated(s["x"], -1), "n_terms must be at least 0, got -1"),
+    (lambda s: s["rep"].remainder(s["H"], -1), "n must be at least 0, got -1"),
+    (lambda s: s["rep"].reconstruction_errors(s["H"], [s["x"]], [-1]),
+     "N must be at least 0, got -1"),
+    (lambda s: eigenvector_bound_check(s["H"], s["js"], n_max=-1),
+     "n_max must be at least 0, got -1"),
+    (lambda s: approx_numbers(s["H"], -1), "n_max must be at least 0, got -1"),
+    (lambda s: approx_numbers(s["H"], 2.5),
+     "n_max must be an integer of at least 0, got 2.5"),
+    (lambda s: hardy_qcompact_demo(n_terms=3.5, grid_n=64),
+     "n_terms must be an integer of at least 3, got 3.5"),
+    (lambda s: sobolev_embedding_demo(4.5, grid_n=64),
+     "m_max must be an integer of at least 4, got 4.5"),
+    (lambda s: _cover(s, n_samples=-1), "n_samples must be at least 0, got -1"),
+    (lambda s: power(s["H"], 2.5), "k must be an integer of at least 1, got 2.5"),
+    (lambda s: power(s["H"], True), "k must be an integer of at least 1, got True"),
+    (lambda s: compute_jspectrum(s["T"], True),
+     "the number of levels must be an integer of at least 0, got True"),
+    (lambda s: compute_jspectrum(s["T"], 2, restarts=True),
+     "restarts must be an integer of at least 1, got True"),
+    (lambda s: extremal_pair(s["T"], max_iter=True),
+     "max_iter must be an integer of at least 0, got True"),
+    (lambda s: konig_report(s["H"], True, 1),
+     "n must be an integer of at least 1, got True"),
+    (lambda s: konig_report(s["H"], 1.5, 2),
+     "n must be an integer of at least 1, got 1.5"),
+    (lambda s: Space.uniform(2.5, 2.0), "n must be an integer of at least 2, got 2.5"),
+    (lambda s: random_unit_vectors(s["l2"], 2.5),
+     "count must be an integer of at least 0, got 2.5"),
+    (lambda s: double_series_apply(s["double"], s["x"], -1, 2),
+     "n_i must be at least 0, got -1"),
+    # seeds that these calls never draw from
+    (lambda s: konig_report(s["H"], 1, 0, seed=-1), "seed must be at least 0, got -1"),
+    (lambda s: approx_numbers(s["H"], 2, seed=-1), "seed must be at least 0, got -1"),
+], ids=[
+    "compute_jspectrum-seed", "dual_jspectrum-seed", "extremal_pair-seed",
+    "random_unit_vectors-seed", "cover_from_basis-seed", "apply_truncated-n_terms",
+    "remainder-n", "reconstruction_errors-ns", "eigenvector_bound_check-n_max",
+    "approx_numbers-negative", "approx_numbers-fraction", "hardy_qcompact_demo-n_terms",
+    "sobolev_embedding_demo-m_max", "cover_from_basis-n_samples", "power-fraction",
+    "power-bool", "compute_jspectrum-levels-bool", "compute_jspectrum-restarts-bool",
+    "extremal_pair-max_iter-bool", "konig_report-n-bool", "konig_report-n-fraction",
+    "Space.uniform-fraction", "random_unit_vectors-count-fraction", "double_series_apply-n_i",
+    "konig_report-unused-seed", "approx_numbers-unused-seed",
+])
+def test_bad_counts_and_seeds_raise_one_line(small, call, message):
+    with pytest.raises(GeometryError) as err:
+        call(small)
+    assert str(err.value) == message
+
+
+def test_count_accepts_numpy_integers_and_returns_an_int():
+    for value in (3, np.int64(3), np.uint8(3)):
+        got = space._count(value, "n", 3)
+        assert got == 3 and type(got) is int
+    assert Space.sequence(np.int32(3), 2.0) == Space.sequence(3, 2.0)
+    for value in (2, 2.0, 3.0, "3", None, np.bool_(True), False):
+        with pytest.raises(GeometryError, match="^n must be"):
+            space._count(value, "n", 3)
+    with pytest.raises(GeometryError, match="^too few$"):
+        space._count(2, "n", 3, below="too few")
