@@ -1,35 +1,35 @@
 """Record one point of the performance trajectory in a BENCH_<n>.json file.
 
-    python3 perf/record.py --out BENCH_22.json --label after
-    python3 perf/record.py --out BENCH_22.json --label before --checkout DIR
-    python3 perf/record.py --out BENCH_27.json --pairs 5 --parent DIR
+    python3 perf/record.py --out BENCH_27.json --parent DIR [--pairs 10]
 
 Runs ``python3 bench/run.py --workload all --seed 7 --seconds 8 --trace 0``
-in the checkout (by default the one this script lives in) and keeps the
-summary, the last JSON line it prints, and the run environment it reports
-for each workload. Then, in a fresh process, it solves each bench workload
+N times (``--pairs``, 10 by default) in each of two checkouts: the parent
+checkout DIR, recorded as ``before``, and the checkout to measure
+(``--checkout``, by default the one this script lives in), recorded as
+``after``. The runs go in pairs that alternate between the two sides, the
+parent first in even pairs and the checkout first in odd ones, so that a
+drift of the machine over the session falls on both sides alike. Each label
+keeps the summary of every run, the last JSON line it prints ("runs"), the
+run environment its first run reports for each workload ("env"), and whether
+its ``src/`` held changes that are not committed ("uncommitted", null outside
+a git checkout): the commit in "env" is the checkout's HEAD, which an
+uncommitted tree does not match, so only its src_sha256 identifies it then.
+"pairs" holds, for each workload and end-to-end metric, each side's median
+and quartiles (inclusive method) over its runs and the number of pairs in
+which after read better than before, and in which they tied, in the
+direction that BENCHMARK.json gives the metric.
+
+Then, once per label and in a fresh process, it solves each bench workload
 once for each of the bench's first task seeds (7000 to 7019 at seed 7) with
-the checkout's ``jspectral`` and counts the applies and adjoints of its
+that checkout's ``jspectral`` and counts the applies and adjoints of its
 operators by wrapping the two kernels of ``LinOp``; it reports them per
 certified level. Before that, it times 30 in-process re-imports each of
 ``jspectral`` and ``jspectral.cli`` as ``bench/worker.py`` times set-up:
 third-party modules stay loaded, the ``jspectral`` modules are dropped before
 each import, and their bytecode is compiled beforehand (into a temporary
 cache, not the checkout). It keeps the median and the ``jspectral`` modules
-each import leaves loaded. The record goes into the output file under the
-label, next to the records of other labels, which it keeps. ``bench/`` is
-only read.
-
-With ``--pairs N --parent DIR`` it runs the bench N times on each side, in
-pairs that alternate between the parent checkout DIR (label ``before``) and
-the checkout (``--label``, by default ``after``), the parent first in even
-pairs and the checkout first in odd ones. Each label keeps the summary of
-every run ("runs") and the environment of its first; the kernel counts and
-import times are recorded once per label. "pairs" holds, for each workload
-and end-to-end metric, each side's median and quartiles (inclusive method)
-over its runs and the number of pairs in which the checkout read better
-than the parent, and in which they tied, in the direction that
-BENCHMARK.json gives the metric.
+each import leaves loaded. Other keys of the output file are kept.
+``bench/`` is only read.
 """
 
 from __future__ import annotations
@@ -151,15 +151,21 @@ def pair_stats(before, after, better):
     return out
 
 
+def uncommitted(checkout):
+    """Whether src/ of the checkout differs from its HEAD; None outside git."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                          capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="the BENCH_<n>.json file to update")
-    ap.add_argument("--label", default="after", help="the name of this record (default: after)")
-    ap.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent),
-                    help="the checkout to measure (default: this one)")
-    ap.add_argument("--pairs", type=int, default=0,
-                    help="run the bench this many times per side, alternating with --parent")
     ap.add_argument("--parent", help="the parent checkout, recorded as 'before'")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="bench runs per side, alternating between them (default: 10)")
+    ap.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent),
+                    help="the checkout to measure, recorded as 'after' (default: this one)")
     ap.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     checkout = Path(args.checkout).resolve()
@@ -167,33 +173,25 @@ def main():
         sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
         print(json.dumps({"imports": import_times(checkout), "kernels": kernel_counts()}))
         return 0
-    if not args.out or (args.pairs > 0) != (args.parent is not None):
-        ap.error("--out is required, and --pairs N (N > 0) and --parent go together")
-    if args.pairs and args.label == "before":
-        ap.error("with --pairs, 'before' is the parent's label")
-    command = " ".join(["python3", "bench/run.py", *BENCH_ARGS])
+    if not (args.out and args.parent and args.pairs >= 1):
+        ap.error("--out and --parent are required, and --pairs must be at least 1")
+    sides = {"before": Path(args.parent).resolve(), "after": checkout}
+    runs = {label: [] for label in sides}
+    envs = {}
+    for i in range(args.pairs):
+        for label in ("before", "after")[:: 1 if i % 2 == 0 else -1]:
+            summary, env = bench_summary(sides[label])
+            runs[label].append(summary)
+            envs.setdefault(label, env)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    if not args.pairs:
-        summary, env = bench_summary(checkout)
-        doc[args.label] = {"command": command, "summary": summary, "env": env,
-                           **layer_counts(checkout)}
-    else:
-        sides = {"before": Path(args.parent).resolve(), args.label: checkout}
-        runs = {label: [] for label in sides}
-        envs = {}
-        for i in range(args.pairs):
-            for label in ("before", args.label)[:: 1 if i % 2 == 0 else -1]:
-                summary, env = bench_summary(sides[label])
-                runs[label].append(summary)
-                envs.setdefault(label, env)
-        for label, path in sides.items():
-            doc[label] = {"command": command, "runs": runs[label], "env": envs[label],
-                          **layer_counts(path)}
-        better = {m["name"]: m["better"] for m in
-                  json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]}
-        doc["pairs"] = {"after": args.label, "n": args.pairs,
-                        "metrics": pair_stats(runs["before"], runs[args.label], better)}
+    command = " ".join(["python3", "bench/run.py", *BENCH_ARGS])
+    for label, path in sides.items():
+        doc[label] = {"command": command, "runs": runs[label], "env": envs[label],
+                      "uncommitted": uncommitted(path), **layer_counts(path)}
+    better = {m["name"]: m["better"] for m in
+              json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]}
+    doc["pairs"] = {"n": args.pairs, "metrics": pair_stats(runs["before"], runs["after"], better)}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -526,6 +526,16 @@ def _canonical_sign(x):
     return x
 
 
+def _solver_args(tol, restarts, seed):
+    """tol, restarts and seed as each entry of the solver takes them, checked
+    before any work, so also where a call runs no solve: GeometryError unless
+    tol is finite and positive, restarts an integer of at least 1 and seed
+    one of at least 0."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise GeometryError(f"tol must be finite and positive, got {tol:g}")
+    return tol, _count(restarts, "restarts", 1), _count(seed, "seed")
+
+
 def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     """Largest certified lambda over the all-ones start and restarts - 1
     Gaussian starts drawn from rng, on the polar subspace of the columns of
@@ -536,16 +546,13 @@ def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
     sign. Raises DeflationExhausted when the constraints exhaust the domain,
     or when no start certifies a positive lambda and some start finds T
     vanishing, and ConvergenceError (with the best residual) when no start
-    certifies. Raises GeometryError unless tol is finite and positive,
-    restarts is an integer of at least 1 and max_iter one of at least 0.
+    certifies. tol and restarts come checked by _solver_args; raises
+    GeometryError unless max_iter is an integer of at least 0.
 
     A start finds T vanishing when lambda falls below 1e-13 max(s, 1), with
     s = max_j ||T x0_j||_Y / ||x0_j||_X over the columns of the start block
     before projection (the plain codomain norm, also with M): a lower bound
     on ||T|| for one block apply, not the n applies of a Frobenius norm."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise GeometryError(f"tol must be finite and positive, got {tol:g}")
-    restarts = _count(restarts, "restarts", 1)
     max_iter = _count(max_iter, "max_iter",
                       below=f"max_iter must be an integer of at least 0, got {max_iter}")
     project, B = _constraint_projector(T, constraints)
@@ -594,6 +601,7 @@ def extremal_pair(T: LinOp, constraints_X: Sequence[Functional] = (), seed: int 
     """
     C = _stack(list(constraints_X), T.dom,
                "constraint functionals must live on the grid of T.dom")
+    tol, restarts, seed = _solver_args(tol, restarts, seed)
     lam, x, res = _best_start(T, C, _rng(seed), restarts, tol, max_iter)
     return lam, Vec(x, T.dom), res
 
@@ -618,10 +626,11 @@ def _deflate(S: LinOp, n_levels, tol, restarts, seed, quotient):
     primal and in the dual alike. With quotient, S is an adjoint measured by
     the distance to the span of js.Y, the quotient norm of the dual problem.
     Stops once S vanishes; raises ConvergenceError, naming the level, when a
-    level fails to certify or exceeds the one before, and GeometryError
-    unless n_levels and seed are integers of at least 0."""
+    level fails to certify or exceeds the one before, and GeometryError,
+    also for 0 levels, for an n_levels that is not an integer of at least 0
+    and for a tol, restarts or seed that _solver_args rejects."""
     n_levels = _count(n_levels, "the number of levels")
-    seed = _count(seed, "seed")
+    tol, restarts, seed = _solver_args(tol, restarts, seed)
     name, where = ("T*", "dual level") if quotient else ("T", "level")
     empty_d, empty_c = np.zeros((S.dom.dim, 0)), np.zeros((S.cod.dim, 0))
     js = JSpectrum(X=empty_d, Y=empty_c, JX=empty_d, JY=empty_c, dom=S.dom, cod=S.cod)
@@ -730,7 +739,7 @@ def konig_report(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42
     n = _count(n, "n", 1)
     if n > T.dom.dim:
         raise GeometryError(f"level n = {n} is outside 1..{T.dom.dim}, the dimension of T")
-    k_max, seed = _count(k_max, "k_max"), _count(seed, "seed")
+    k_max, (tol, restarts, seed) = _count(k_max, "k_max"), _solver_args(tol, restarts, seed)
     from .oper import power as _power
 
     vals = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jspec import JSpectrum, compute_jspectrum, operator_norm
+from .jspec import JSpectrum, _solver_args, compute_jspectrum, operator_norm
 from .oper import LinOp
 from .series import SeriesRep, _gram_dev, hilbert_source_series, hilbert_target_series
 from .space import ConvergenceError, GeometryError, _count, _csv_text, _lp_norm
@@ -75,14 +75,16 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
     A candidate whose norm does not certify is skipped; ConvergenceError is
     raised when no candidate certifies at some n. A candidate with T - F
     numerically zero (the solver finds T - F vanishing) counts with norm 0.
-    An n_max that is not an integer of at least 0 raises GeometryError.
+    An n_max that is not an integer of at least 0 raises GeometryError, as
+    do a tol, restarts or seed that the solver rejects, on either route.
     """
     if T.dom.p != 2.0 and T.cod.p != 2.0:
         raise GeometryError(
             "approximation numbers need a Hilbert side (exponent 2); "
             "mixed-mixed cases are out of scope"
         )
-    n_max, seed = _count(n_max, "n_max"), _count(seed, "seed")  # checked even where unused
+    # tol, restarts and seed are checked also on the exact route, which never solves
+    n_max, (tol, restarts, seed) = _count(n_max, "n_max"), _solver_args(tol, restarts, seed)
     U, s, V = _scaled_svd(T, min(n_max, T.dom.dim, T.cod.dim))
     if T.dom.p == 2.0 and T.cod.p == 2.0:  # singular values of the scaled matrix
         vals = s.tolist() + [0.0] * (n_max - len(s))

@@ -84,8 +84,7 @@ class Space:
         weights = _readonly(weights)
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
             raise GeometryError("nodes and weights must be 1-d arrays of equal length")
-        if nodes.size < 2:
-            raise GeometryError(_TOO_FEW)
+        _count(nodes.size, "n", 2, below=_TOO_FEW)
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
                 and np.isfinite(b)):
             raise GeometryError("nodes, weights and b must be finite")

@@ -53,6 +53,8 @@ def test_space_invariants_enforced():
     for n in (1, 0, -4):  # rejected before the cell width b / n is formed
         with pytest.raises(GeometryError, match="at least 2 nodes"):
             Space.uniform(n, 2.0)
+    with pytest.raises(GeometryError, match="at least 2 nodes"):
+        Space(np.array([0.5]), np.ones(1), 2.0, 1.0)
     with pytest.raises(GeometryError):
         Space(np.array([0.5, 0.25, 0.75]), np.ones(3) / 3, 2.0, 1.0)  # not increasing
     with pytest.raises(GeometryError):
@@ -732,6 +734,12 @@ def _cover(s, **kw):
     # seeds that these calls never draw from
     (lambda s: konig_report(s["H"], 1, 0, seed=-1), "seed must be at least 0, got -1"),
     (lambda s: approx_numbers(s["H"], 2, seed=-1), "seed must be at least 0, got -1"),
+    # tol and restarts of calls that run no solve
+    (lambda s: compute_jspectrum(s["T"], 0, restarts=0), "restarts must be at least 1, got 0"),
+    (lambda s: dual_jspectrum(s["T"], 0, tol=np.nan), "tol must be finite and positive, got nan"),
+    (lambda s: konig_report(s["H"], 1, 0, restarts=0), "restarts must be at least 1, got 0"),
+    (lambda s: approx_numbers(s["H"], 2, restarts=0), "restarts must be at least 1, got 0"),
+    (lambda s: approx_numbers(s["H"], 2, tol=-1.0), "tol must be finite and positive, got -1"),
 ], ids=[
     "compute_jspectrum-seed", "dual_jspectrum-seed", "extremal_pair-seed",
     "random_unit_vectors-seed", "cover_from_basis-seed", "apply_truncated-n_terms",
@@ -742,6 +750,8 @@ def _cover(s, **kw):
     "extremal_pair-max_iter-bool", "konig_report-n-bool", "konig_report-n-fraction",
     "Space.uniform-fraction", "random_unit_vectors-count-fraction", "double_series_apply-n_i",
     "konig_report-unused-seed", "approx_numbers-unused-seed",
+    "compute_jspectrum-no-level-restarts", "dual_jspectrum-no-level-tol",
+    "konig_report-no-power-restarts", "approx_numbers-exact-restarts", "approx_numbers-exact-tol",
 ])
 def test_bad_counts_and_seeds_raise_one_line(small, call, message):
     with pytest.raises(GeometryError) as err:
