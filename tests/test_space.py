@@ -736,7 +736,8 @@ def _cover(s, **kw):
     (lambda s: approx_numbers(s["H"], 2, seed=-1), "seed must be at least 0, got -1"),
     # tol and restarts of calls that run no solve
     (lambda s: compute_jspectrum(s["T"], 0, restarts=0), "restarts must be at least 1, got 0"),
-    (lambda s: dual_jspectrum(s["T"], 0, tol=np.nan), "tol must be finite and positive, got nan"),
+    (lambda s: compute_jspectrum(s["T"], 0, tol=np.nan),
+     "tol must be finite and positive, got nan"),
     (lambda s: konig_report(s["H"], 1, 0, restarts=0), "restarts must be at least 1, got 0"),
     (lambda s: approx_numbers(s["H"], 2, restarts=0), "restarts must be at least 1, got 0"),
     (lambda s: approx_numbers(s["H"], 2, tol=-1.0), "tol must be finite and positive, got -1"),
@@ -750,7 +751,7 @@ def _cover(s, **kw):
     "extremal_pair-max_iter-bool", "konig_report-n-bool", "konig_report-n-fraction",
     "Space.uniform-fraction", "random_unit_vectors-count-fraction", "double_series_apply-n_i",
     "konig_report-unused-seed", "approx_numbers-unused-seed",
-    "compute_jspectrum-no-level-restarts", "dual_jspectrum-no-level-tol",
+    "compute_jspectrum-no-level-restarts", "compute_jspectrum-no-level-tol",
     "konig_report-no-power-restarts", "approx_numbers-exact-restarts", "approx_numbers-exact-tol",
 ])
 def test_bad_counts_and_seeds_raise_one_line(small, call, message):
