@@ -38,7 +38,8 @@ def _space_pair(args):
 
 
 def _emit(args, doc, to_csv=None):
-    """Write doc as JSON, or the text of to_csv() under --format csv."""
+    """Write doc as JSON, or the text of to_csv() under --format csv; an
+    --out that cannot be written is an invalid argument."""
     if args.out_format == "csv":
         if to_csv is None:
             raise _InvalidArguments("this command has no CSV form")
@@ -49,8 +50,11 @@ def _emit(args, doc, to_csv=None):
         path = args.out
         if not os.path.isabs(path):
             path = os.path.join(os.environ.get("JSPECTRAL_OUT_DIR", ""), path)
-        with open(path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _InvalidArguments(f"cannot write --out {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 

@@ -23,12 +23,14 @@ import math
 import numpy as np
 
 from .oper import compose, hardy, hardy_dual
-from .space import GeometryError, Space, _csv_text, odd_power, sup_dev_up_to_sign
+from .space import (GeometryError, Space, _choice, _csv_text, _real, odd_power,
+                    sup_dev_up_to_sign)
 
 
 def _check_exponents(p, q, who):
-    if not (1 < p < np.inf and 1 < q < np.inf):
-        raise GeometryError(f"{who} needs p, q in (1, inf)")
+    """p and q as floats, if both are finite and above 1."""
+    message = f"{who} needs p, q in (1, inf)"
+    return _real(p, "p", 1, message=message), _real(q, "q", 1, message=message)
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -43,7 +45,7 @@ def beta_fn(a: float, b: float) -> float:
 
 def pi_pq(p: float, q: float) -> float:
     """pi_{p,q} = 2 integral_0^1 (1 - t^q)^(-1/p) dt = (2/q) B(1/p', 1/q)."""
-    _check_exponents(p, q, "pi_pq")
+    p, q = _check_exponents(p, q, "pi_pq")
     return float((2.0 / q) * beta_fn((p - 1.0) / p, 1.0 / q))
 
 
@@ -52,9 +54,7 @@ class GenTrig:
     incomplete Beta function."""
 
     def __init__(self, p, q):
-        _check_exponents(p, q, "GenTrig")
-        self.p = float(p)
-        self.q = float(q)
+        self.p, self.q = _check_exponents(p, q, "GenTrig")
         self._a = 1.0 / self.q
         self._bb = (self.p - 1.0) / self.p  # = 1/p'
         self.pi_pq = pi_pq(self.p, self.q)
@@ -116,13 +116,13 @@ def hardy_norm_formula(p: float, b: float = 1.0, direction: str = "forward") -> 
 
     direction "forward" evaluates the L_p -> L_2 expression, "dual" the
     L_2 -> L_{p'} one; the two expressions are identical term by term.
-    Raises GeometryError when the norm is not a finite float (it grows like
-    b^(3/2 - 1/p)).
+    Raises GeometryError unless p is finite and above 1, b finite and
+    positive and direction one of the two, and when the norm is not a finite
+    float (it grows like b^(3/2 - 1/p)).
     """
-    if not (1 < p < np.inf and 0 < b < np.inf):
-        raise GeometryError("hardy_norm_formula needs p in (1, inf), b in (0, inf)")
-    if direction not in ("forward", "dual"):
-        raise GeometryError("direction must be 'forward' or 'dual'")
+    message = "hardy_norm_formula needs p in (1, inf), b in (0, inf)"
+    p, b = _real(p, "p", 1, message=message), _real(b, "b", 0, message=message)
+    direction = _choice(direction, "direction", ("forward", "dual"))
     pp = p / (p - 1.0)
     try:
         if direction == "forward":
@@ -178,11 +178,20 @@ def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
     whose own accuracy is limited by the endpoint smoothness of u (for the
     "(p,2)" slope condition the flux is only Hoelder at b, so that term
     decays slower than second order).
+
+    Raises GeometryError unless p and q are finite and above 1, lam finite,
+    b finite and positive, kind one of the three and u finite, on at least
+    16 nodes.
     """
+    kind = _choice(kind, "kind", ("(p,2)", "(2,p')", "bilap"))
+    p, q, lam = _real(p, "p", 1), _real(q, "q", 1), _real(lam, "lam")
+    b = _real(b, "b", 0)
     u = np.asarray(u, dtype=float)
     n = u.size
     if n < 16:
         raise GeometryError("residual check needs at least 16 grid nodes")
+    if not np.all(np.isfinite(u)):
+        raise GeometryError("u must be finite")
     h = b / n
     xs = (np.arange(n) + 0.5) * h
 
@@ -204,7 +213,7 @@ def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
             _endpoint_slope(xs[:3], u[:3], 0.0),
             _endpoint_value(xs[-3:], u[-3:], b),
         ]
-    elif kind == "bilap":
+    else:  # "bilap"
         d2 = _second_diff(u, h)
         flux = odd_power(d2, p - 1.0)
         lhs = _second_diff(flux, h)
@@ -216,8 +225,6 @@ def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
             _endpoint_value(xs[1:4], flux[:3], 0.0),
             _endpoint_slope(xs[-4:-1], flux[-3:], b),
         ]
-    else:
-        raise GeometryError("kind must be '(p,2)', '(2,p')' or 'bilap'")
 
     margin = 0.05 * b
     keep = (inner_x >= margin) & (inner_x <= b - margin)
@@ -234,7 +241,9 @@ def laplacian_residual(u, p: float, q: float, lam: float, b: float, kind: str) -
 
 
 def bilap_eigenvalue(p: float, b: float) -> float:
-    """lam for the unit-amplitude sin_{2,p'} first eigenfunction of 'bilap'."""
+    """lam for the unit-amplitude sin_{2,p'} first eigenfunction of 'bilap',
+    for p finite and above 1 and b finite and positive."""
+    p, b = _real(p, "p", 1), _real(b, "b", 0)
     pp = p / (p - 1.0)
     omega = pi_pq(2.0, pp) / (2.0 * b)
     return (pp / 2.0) ** p * omega ** (2.0 * p)
@@ -260,8 +269,7 @@ def bilaplacian_check(p: float, b: float = 1.0, grid_n: int = 512,
     """
     from .jspec import extremal_pair
 
-    if not (1 < p < np.inf):
-        raise GeometryError("bilaplacian_check needs p in (1, inf)")
+    p = _real(p, "p", 1)
     pp = p / (p - 1.0)
     dom = Space.uniform(grid_n, p, b)
     mid = Space.uniform(grid_n, 2.0, b)

@@ -55,6 +55,7 @@ from .space import (
     GeometryError,
     Space,
     Vec,
+    _choice,
     _count,
     _csv_text,
     _grams,
@@ -62,6 +63,7 @@ from .space import (
     _jtilde,
     _lp_norm,
     _matvecs,
+    _real,
     _rng,
     _stack,
     functional_distance,
@@ -130,7 +132,9 @@ class JSpectrum:
     def semi_orth_table(self, side="x"):
         """Matrix of semi-inner products (v_r, v_s) = <v_s, J v_r>; delta_{rs}
         expected for r <= s. The duality maps are the stored ones: JX, and
-        JY / lambda = J_Y y (J is positively homogeneous)."""
+        JY / lambda = J_Y y (J is positively homogeneous). side is "x" or
+        "y"."""
+        side = _choice(side, "side", ("x", "y"))
         if not self.n_levels:
             return np.zeros((0, 0))
         if side == "x":
@@ -531,9 +535,15 @@ def _solver_args(tol, restarts, seed):
     before any work, so also where a call runs no solve: GeometryError unless
     tol is finite and positive, restarts an integer of at least 1 and seed
     one of at least 0."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise GeometryError(f"tol must be finite and positive, got {tol:g}")
-    return tol, _count(restarts, "restarts", 1), _count(seed, "seed")
+    return _real(tol, "tol", 0), _count(restarts, "restarts", 1), _count(seed, "seed")
+
+
+def _spectrum_of(js, dom, cod, who):
+    """GeometryError unless the spectrum js was computed between dom and cod
+    (the same grids and exponents), the spaces of the operator beside it."""
+    if js.dom != dom or js.cod != cod:
+        raise GeometryError(f"{who} needs a spectrum from {dom!r} to {cod!r}, "
+                            f"got one from {js.dom!r} to {js.cod!r}")
 
 
 def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):

@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .space import Functional, GeometryError, Space, Vec, _count, _csv_text, _readonly
+from .space import Functional, GeometryError, Space, Vec, _count, _csv_text, _readonly, _real
 
 
 def _nodal(w, x):
@@ -169,9 +169,8 @@ def identity(dom: Space, cod: Space | None = None) -> LinOp:
 
 
 def scale(T: LinOp, c: float) -> LinOp:
-    """c T (lazy)."""
-    if not np.isfinite(c):
-        raise GeometryError("scale factor must be finite")
+    """c T (lazy); c is a finite real number."""
+    c = _real(c, "the scale factor")
     fwd, adj = T._fwd, T._adj
     return LinOp._from_kernels(T.dom, T.cod, lambda x: c * fwd(x), lambda f: c * adj(f))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gtrig import GenTrig, beta_fn
 from .oper import LinOp, compose, hardy
-from .space import GeometryError, Space, Vec, _count, _csv_text, _lp_norm, _rng, _stack
+from .space import GeometryError, Space, Vec, _count, _csv_text, _lp_norm, _real, _rng, _stack
 
 # window of domain exponents in which the generalized-cosine family is treated
 # as a basis of L_p; a conservative desk-scale choice, not a literature constant
@@ -86,13 +86,12 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
     domain with q' = 2 the factor is exact, M = 1 / s_min, the norm of the
     coefficient map on weighted-2 coordinates; otherwise it is calibrated on
     seeded samples with a 5 % safety margin. The reported coeff_bound always
-    comes from a fresh sample batch. Raises GeometryError for a target_q not
-    above 1, an n_samples or seed that is not an integer of at least 0, a
-    basis vector off the grid of T.dom, an empty basis and a rank-deficient
-    one.
+    comes from a fresh sample batch. Raises GeometryError for a target_q that
+    is not a real number above 1 (inf allowed), an n_samples or seed that is
+    not an integer of at least 0, a basis vector off the grid of T.dom, an
+    empty basis and a rank-deficient one.
     """
-    if not target_q > 1:
-        raise GeometryError("cover exponent must exceed 1 (np.inf allowed)")
+    target_q = _real(target_q, "target_q", 1, infinite=True)
     n_samples, rng = _count(n_samples, "n_samples"), _rng(seed)
     qq = _conjugate(target_q)
     sp = T.dom
@@ -120,7 +119,7 @@ def cover_from_basis(T: LinOp, basis: list[Vec], target_q: float,
     norms = _lp_norm(V, T.cod.weights, T.cod.p).tolist()
     coeff_bound = max((coeff_norms(n_samples) / M).tolist(), default=0.0)
     return Cover(
-        [Vec(v, T.cod) for v in V.T], norms, float(target_q),
+        [Vec(v, T.cod) for v in V.T], norms, target_q,
         _lq_seq(norms, target_q), coeff_bound,
         meta={"M": M, "M_kind": m_kind, "coeff_exponent": qq,
               "n_samples": n_samples},

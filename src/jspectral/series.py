@@ -23,6 +23,7 @@ from numpy.linalg import svd
 from .jspec import (
     DeflationExhausted,
     JSpectrum,
+    _spectrum_of,
     compute_jspectrum,
     dual_jspectrum,
     nullspace_basis,
@@ -35,10 +36,12 @@ from .space import (
     GeometryError,
     Space,
     Vec,
+    _choice,
     _count,
     _csv_text,
     _jmap,
     _lp_norm,
+    _real,
     _rng,
     _stack,
     functional_distance,
@@ -177,9 +180,11 @@ def hilbert_target_series(T: LinOp, js: JSpectrum) -> SeriesRep:
 
     h_i = T x_i / lambda_i are orthonormal in the weighted 2-inner product
     and xi_i(x) = lambda_i^{-1} (Tx, h_i)_H, realized as T* h_i / lambda_i.
+    js must be a spectrum computed between T.dom and T.cod.
     """
     if T.cod.p != 2.0:
         raise GeometryError("hilbert_target_series needs codomain exponent 2")
+    _spectrum_of(js, T.dom, T.cod, "hilbert_target_series")
     dev = _check_orthonormal(js.Y, T.cod, 1e-6, "target-side vectors h_i")
     return SeriesRep(
         "hilbert_target", list(js.lambdas), js.Y,
@@ -192,10 +197,12 @@ def hilbert_source_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """Expansion Th = sum lambda_i (h, h_i)_H y_i for a Hilbert domain.
 
     h_i = x_i are orthonormal in H; emits the Gram condition number of the
-    first N target vectors y_i as a finite-N basis diagnostic.
+    first N target vectors y_i as a finite-N basis diagnostic. js must be a
+    spectrum computed between T.dom and T.cod.
     """
     if T.dom.p != 2.0:
         raise GeometryError("hilbert_source_series needs domain exponent 2")
+    _spectrum_of(js, T.dom, T.cod, "hilbert_source_series")
     dev = _check_orthonormal(js.X, T.dom, 1e-6, "source-side vectors h_i")
     G = _weighted_gram(js.Y, T.cod)
     cond = float(np.linalg.cond(G)) if G.size else 1.0
@@ -278,7 +285,9 @@ def flag_biorthogonal_series(T: LinOp, js: JSpectrum) -> SeriesRep:
 
     Solves the triangular system xi_i(y_j) = delta_ij restricted to the
     nested deflation flags; reproduces the Hilbert-case coefficients exactly.
+    js must be a spectrum computed between T.dom and T.cod.
     """
+    _spectrum_of(js, T.dom, T.cod, "flag_biorthogonal_series")
     M = js.semi_orth_table("y")  # M[j, i] = <y_i, J y_j>
     lam = np.asarray(js.lambdas)
     adj = T.apply_adjoint_coeffs(js.JY / lam)  # T* J_Y y_i: J_Y y_i = J_Y(T x_i) / lambda_i
@@ -297,8 +306,15 @@ def check_decay_condition(js: JSpectrum, mode: str = "lambda",
     mode "gelfand": c_n <= 2^(1-n)(2^n-1)^(-1), certified through the
                     sandwich (2^n-1)^(-1) lambda_n <= c_n <= lambda_n; the
                     status is "holds"/"violated"/"undetermined" per level
-    mode "lp":      lambda_n <= (1+alpha_p)^(1-n), same-exponent spaces only
+    mode "lp":      lambda_n <= (1+alpha_p)^(1-n), same-exponent spaces only;
+                    the exponents are those of the spectrum, which needs
+                    T or a level for them
+
+    A T, when given, must be the operator whose spectrum js is.
     """
+    mode = _choice(mode, "mode", ("lambda", "gelfand", "lp"))
+    if T is not None:
+        _spectrum_of(js, T.dom, T.cod, "check_decay_condition")
     lam = np.asarray(js.lambdas)
     n = lam.size
     idx = np.arange(1, n + 1)
@@ -311,21 +327,15 @@ def check_decay_condition(js: JSpectrum, mode: str = "lambda",
         holds = lam <= bounds
         report["status"] = np.select([holds, lam / (2.0 ** idx - 1.0) > bounds],
                                      ["holds", "violated"], "undetermined").tolist()
-    elif mode == "lp":
-        if T is not None:
-            dom, cod = T.dom, T.cod
-        elif n:
-            dom, cod = js.dom, js.cod
-        else:
+    else:  # "lp": with T given, js has T's spaces (checked above)
+        if js.dom is None or js.cod is None or not (n or T is not None):
             raise GeometryError("the lp decay mode needs T or a level for its exponents")
-        if dom.p != cod.p:
+        if js.dom.p != js.cod.p:
             raise GeometryError("the lp decay mode needs equal domain/codomain exponents")
-        a = alpha_p(dom.p)
+        a = alpha_p(js.dom.p)
         bounds = (1.0 + a) ** (1 - idx)
         holds = lam <= bounds * (1 + 1e-12)
         report["alpha_p"] = a
-    else:
-        raise GeometryError("mode must be 'lambda', 'gelfand' or 'lp'")
     report["bounds"] = bounds.tolist()
     report["holds"] = [bool(h) for h in holds]
     viol = np.nonzero(~holds)[0]
@@ -357,8 +367,8 @@ def alpha_p(p: float) -> float:
 
 
 def alpha_p_report(p: float) -> dict:
-    if not (1 < p < np.inf):
-        raise GeometryError("alpha_p needs p in (1, inf)")
+    """alpha_p with its maximizer and objective, for p finite and above 1."""
+    p = _real(p, "p", 1)
     ms = np.linspace(0.0, 1.0, 10_002)[1:-1]  # a scan of 1e4 interior points
     vals = _alpha_objective(ms, p)
     k = int(np.argmax(vals))
@@ -478,9 +488,11 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     H_{n+1}, in that order. The factored subspace dimension must drop by
     exactly one per level: an A x_i that lies in H_{i+1} to 1e-10 relative
     raises DegenerateDeflationError. A term that B annihilates is dropped.
-    An n_terms that is not an integer of at least 0 raises GeometryError.
+    An n_terms that is not an integer of at least 0, and a js_T not computed
+    between A.dom and B.cod, raise GeometryError.
     """
     _check_factors(A, B, "hilbertian_series")
+    _spectrum_of(js_T, A.dom, B.cod, "hilbertian_series")
     if n_terms is not None:
         n_terms = _count(n_terms, "n_terms",
                          below=f"n_terms must be an integer of at least 0, got {n_terms}")
@@ -575,20 +587,16 @@ def double_series_apply(rep: SeriesRep, x: Vec, n_i: int, n_j: int,
                         order: str = "row") -> Vec:
     """Apply the I x J block of a double series, I = n_i and J = n_j
     (integers of at least 0), in row- or column-major order, to x, which must
-    live on the domain grid."""
+    live on the domain grid; order is "row" or "col"."""
     n_i, n_j = _count(n_i, "n_i"), _count(n_j, "n_j")
+    order = _choice(order, "order", ("row", "col"))
     if rep.kind != "double":
         raise GeometryError("double_series_apply needs a double series")
     pairs = rep.meta["order"]
     items = [
         (k, i, j) for k, (i, j) in enumerate(pairs) if i < n_i and j < n_j
     ]
-    if order == "row":
-        items.sort(key=lambda t: (t[1], t[2]))
-    elif order == "col":
-        items.sort(key=lambda t: (t[2], t[1]))
-    else:
-        raise GeometryError("order must be 'row' or 'col'")
+    items.sort(key=lambda t: (t[1], t[2]) if order == "row" else (t[2], t[1]))
     return rep._apply(x, [k for k, _, _ in items])
 
 
@@ -605,21 +613,19 @@ def half_series(A: LinOp, B: LinOp, which_compact: str, terms: int,
     factor annihilates is dropped.
     """
     _check_factors(A, B, "half_series")
-    if which_compact == "A":
+    if _choice(which_compact, "which_compact", ("A", "B")) == "A":
         js_a = compute_jspectrum(adjoint(A), terms, tol=tol, seed=seed, restarts=restarts)
         rep = _factored_series("half_direct", A, B, js_a.X)
         rep.meta = {"lambda_A_star": list(js_a.lambdas)}
         return rep
-    if which_compact == "B":
-        js_b = compute_jspectrum(B, terms, tol=tol, seed=seed, restarts=restarts)
-        rep = _factored_series("half_dual", A, B, js_b.X)
-        nc = rep.meta["norm_A_star_h"]
-        na, bounded = _norm_bound(nc, A)
-        rep.meta = {
-            "lambda_C": nc,
-            "lambda_C_bound": na,
-            "lambda_C_bounded": bounded,
-            "lambda_B": list(js_b.lambdas),
-        }
-        return rep
-    raise GeometryError("which_compact must be 'A' or 'B'")
+    js_b = compute_jspectrum(B, terms, tol=tol, seed=seed, restarts=restarts)
+    rep = _factored_series("half_dual", A, B, js_b.X)
+    nc = rep.meta["norm_A_star_h"]
+    na, bounded = _norm_bound(nc, A)
+    rep.meta = {
+        "lambda_C": nc,
+        "lambda_C_bound": na,
+        "lambda_C_bounded": bounded,
+        "lambda_B": list(js_b.lambdas),
+    }
+    return rep

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jspec import JSpectrum, _solver_args, compute_jspectrum, operator_norm
+from .jspec import JSpectrum, _solver_args, _spectrum_of, compute_jspectrum, operator_norm
 from .oper import LinOp
 from .series import SeriesRep, _gram_dev, hilbert_source_series, hilbert_target_series
-from .space import ConvergenceError, GeometryError, _count, _csv_text, _lp_norm
+from .space import ConvergenceError, GeometryError, _count, _csv_text, _lp_norm, _real
 
 
 @dataclass
@@ -76,7 +76,8 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
     raised when no candidate certifies at some n. A candidate with T - F
     numerically zero (the solver finds T - F vanishing) counts with norm 0.
     An n_max that is not an integer of at least 0 raises GeometryError, as
-    do a tol, restarts or seed that the solver rejects, on either route.
+    do a tol, restarts or seed that the solver rejects and a js not computed
+    between T.dom and T.cod, on either route.
     """
     if T.dom.p != 2.0 and T.cod.p != 2.0:
         raise GeometryError(
@@ -85,6 +86,8 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
         )
     # tol, restarts and seed are checked also on the exact route, which never solves
     n_max, (tol, restarts, seed) = _count(n_max, "n_max"), _solver_args(tol, restarts, seed)
+    if js is not None:
+        _spectrum_of(js, T.dom, T.cod, "approx_numbers_report")
     U, s, V = _scaled_svd(T, min(n_max, T.dom.dim, T.cod.dim))
     if T.dom.p == 2.0 and T.cod.p == 2.0:  # singular values of the scaled matrix
         vals = s.tolist() + [0.0] * (n_max - len(s))
@@ -130,8 +133,10 @@ def sandwich_check(js: JSpectrum, a, tol: float = 1e-6) -> SNumberReport:
     """Check (2^n - 1)^(-1) lambda_n <= a_n <= lambda_n with slack reporting.
 
     A violation beyond the combined tolerance flags an under-shot lambda_n,
-    since the j-eigenvalues are computed variationally from below.
+    since the j-eigenvalues are computed variationally from below. tol must
+    be finite and positive.
     """
+    tol = _real(tol, "tol", 0)
     a = list(a)
     n = min(len(a), js.n_levels)
     lower, upper, slo, sup, passed = [], [], [], [], []
@@ -151,10 +156,13 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
                   tol: float = 1e-6, a_values=None, **kw) -> dict:
     """For a Hilbert domain: a_i(T) <= ||T h_i|| = lambda_i on the orthonormal
     j-eigenvectors h_i = x_i, for the first n_max levels (an integer of at
-    least 0; all if None). Returns the slacks and the orthonormality of the
+    least 0; all if None), with js computed between T.dom and T.cod and tol
+    finite and positive. Returns the slacks and the orthonormality of the
     h_i (an upstream flag if it fails)."""
     if T.dom.p != 2.0:
         raise GeometryError("eigenvector_bound_check needs a Hilbert domain")
+    _spectrum_of(js, T.dom, T.cod, "eigenvector_bound_check")
+    tol = _real(tol, "tol", 0)
     n = js.n_levels if n_max is None else min(_count(n_max, "n_max"), js.n_levels)
     if a_values is None:
         a_values = approx_numbers(T, n, js=js, **kw)

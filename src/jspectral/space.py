@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 from dataclasses import FrozenInstanceError
 
@@ -46,6 +47,32 @@ def _count(value, name, minimum=0, below=None):
     if integer:
         raise GeometryError(below or f"{name} must be at least {minimum}, got {value}")
     raise GeometryError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _real(value, name, above=None, infinite=False, message=None):
+    """value as a float, if it is a real number (not a bool) that is not nan,
+    finite unless infinite, and greater than above when given: the one check
+    of every real argument, called name in its message. Anything else raises
+    a one-line GeometryError, message when given."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    v = float(value) if real else math.nan
+    if v == v and (infinite or math.isfinite(v)) and (above is None or v > above):
+        return v
+    bound = [] if infinite else ["finite"]
+    bound += [] if above is None else ["positive" if above == 0 else f"above {above:g}"]
+    got = f"{v:g}" if real else repr(value)
+    text = f"{name} must be {' and '.join(bound) or 'a number'}, got {got}"
+    raise GeometryError(message or text)
+
+
+def _choice(value, name, options):
+    """value, if it is one of the strings options: the one check of every
+    named option. Anything else raises a one-line GeometryError that lists
+    them."""
+    if isinstance(value, str) and value in options:
+        return value
+    *rest, last = (f"'{o}'" for o in options)
+    raise GeometryError(f"{name} must be {', '.join(rest)} or {last}")
 
 
 def _rng(seed):
@@ -85,28 +112,25 @@ class Space:
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
             raise GeometryError("nodes and weights must be 1-d arrays of equal length")
         _count(nodes.size, "n", 2, below=_TOO_FEW)
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
-                and np.isfinite(b)):
-            raise GeometryError("nodes, weights and b must be finite")
-        if not (b > 0):
-            raise GeometryError("interval length b must be positive")
+        b = _real(b, "b", 0)
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise GeometryError("nodes and weights must be finite")
         if np.any(weights <= 0):
             raise GeometryError("quadrature weights must be strictly positive")
         if abs(weights.sum() - b) > 1e-12 * b:
             raise GeometryError("weights must sum to b (within 1e-12 relative)")
         if np.any(np.diff(nodes) <= 0) or nodes[0] <= 0 or nodes[-1] >= b:
             raise GeometryError("nodes must be strictly increasing inside (0, b)")
-        if not (1 < p < np.inf):
-            raise GeometryError("exponent p must lie in (1, inf)")
         self.nodes = nodes
         self.weights = weights
-        self.p = float(p)
-        self.b = float(b)
+        self.p = _real(p, "p", 1)
+        self.b = b
 
     @classmethod
     def uniform(cls, n, p, b=1.0):
-        """Composite midpoint rule with n cells on (0, b), n at least 2."""
-        n = _count(n, "n", 2, below=_TOO_FEW)
+        """Composite midpoint rule with n cells on (0, b), n at least 2 and b
+        finite and positive."""
+        n, b = _count(n, "n", 2, below=_TOO_FEW), _real(b, "b", 0)
         h = b / n
         nodes = (np.arange(n) + 0.5) * h
         return cls(nodes, np.full(n, h), p, b)
@@ -379,10 +403,12 @@ def semi_inner(x: Vec, h: Vec) -> float:
 
 
 def is_j_orthogonal(x: Vec, y: Vec, tol: float = 1e-10) -> bool:
-    """James orthogonality of x to y, tested through (x, y) = 0.
+    """James orthogonality of x to y, tested through (x, y) = 0, to the
+    relative tolerance tol (finite and positive).
 
     Equivalent to ||x|| <= ||x + t y|| for every real t.
     """
+    tol = _real(tol, "tol", 0)
     nx = norm(x)
     if nx == 0.0:
         raise GeometryError("James orthogonality is undefined for x = 0")

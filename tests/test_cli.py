@@ -330,6 +330,16 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "rel.json").exists()
 
 
+def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "missing" / "res.json"
+    assert main(["--out", str(path), "hardy-norm", "--p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: invalid arguments: cannot write --out {path}: "
+                            "No such file or directory\n")
+    assert not path.parent.exists()
+
+
 # the solver paths run on numpy alone: scipy.special is imported on first use
 # by GenTrig.sin/cos and scipy.sparse.linalg by snum, neither loaded here
 _SCIPY_FREE_RUN = """

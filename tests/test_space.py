@@ -12,11 +12,16 @@ from scipy.integrate import quad
 from jspectral import (
     ConvergenceError,
     Functional,
+    GenTrig,
     GeometryError,
+    JSpectrum,
     Space,
     Vec,
     alber_decompose,
     approx_numbers,
+    approx_numbers_report,
+    bilap_eigenvalue,
+    check_decay_condition,
     compute_jspectrum,
     cover_from_basis,
     double_series,
@@ -25,20 +30,27 @@ from jspectral import (
     duality_map,
     eigenvector_bound_check,
     extremal_pair,
+    flag_biorthogonal_series,
     hardy,
+    hardy_norm_formula,
     hardy_qcompact_demo,
+    hilbert_source_series,
     hilbert_target_series,
+    hilbertian_series,
     inverse_duality_map,
     is_j_orthogonal,
     konig_report,
+    laplacian_residual_parts,
     norm,
     normalized_duality_map,
     pairing,
     power,
+    sandwich_check,
     semi_inner,
     sobolev_embedding_demo,
     space,
 )
+from jspectral.oper import scale
 from jspectral.series import random_unit_vectors
 from jspectral.space import min_norm_coeffs, sup_dev_up_to_sign
 
@@ -770,3 +782,118 @@ def test_count_accepts_numpy_integers_and_returns_an_int():
             space._count(value, "n", 3)
     with pytest.raises(GeometryError, match="^too few$"):
         space._count(2, "n", 3, below="too few")
+
+
+# ------------------------------------------- reals, options and spectra
+
+@pytest.fixture(scope="module")
+def wide(small):
+    """The objects of the count and seed table, with Hardy L2 -> L2 on (0, 2)
+    and Hardy L2 -> L3 on (0, 1), both beside spectra of other operators,
+    and a smooth u on 64 nodes."""
+    l2 = small["l2"]
+    l2_wide = Space.uniform(32, 2.0, b=2.0)
+    return {**small, "H2": hardy(l2_wide, l2_wide), "T23": hardy(l2, Space.uniform(32, 3.0)),
+            "u": np.sin(np.linspace(0.01, 1.0, 64))}
+
+
+def _mismatch(who, want, got="Space(n=32, p=2, b=1) to Space(n=32, p=2, b=1)"):
+    return f"{who} needs a spectrum from {want}, got one from {got}"
+
+
+_ON_0_2 = "Space(n=32, p=2, b=2) to Space(n=32, p=2, b=2)"
+_L2_L3 = "Space(n=32, p=2, b=1) to Space(n=32, p=3, b=1)"
+_NAN = float("nan")
+
+
+# each row: a call of the public API with one bad real number or spectrum,
+# and the GeometryError it raises (before the one rule for reals, options
+# and spectra, each of these raised another error, or none, and most
+# returned a wrong answer)
+@pytest.mark.parametrize("call, message", [
+    # a spectrum on (0, 1) beside an operator on (0, 2), or of L2 -> L2
+    # beside an operator L2 -> L3
+    (lambda s: hilbert_target_series(s["H2"], s["js"]),
+     _mismatch("hilbert_target_series", _ON_0_2)),
+    (lambda s: hilbert_source_series(s["T23"], s["js"]),
+     _mismatch("hilbert_source_series", _L2_L3)),
+    (lambda s: flag_biorthogonal_series(s["H2"], s["js"]),
+     _mismatch("flag_biorthogonal_series", _ON_0_2)),
+    (lambda s: check_decay_condition(s["js"], "lp", T=s["H2"]),
+     _mismatch("check_decay_condition", _ON_0_2)),
+    (lambda s: hilbertian_series(s["H2"], s["H2"], s["js"]),
+     _mismatch("hilbertian_series", _ON_0_2)),
+    (lambda s: approx_numbers_report(s["T23"], 2, js=s["js"]),
+     _mismatch("approx_numbers_report", _L2_L3)),
+    (lambda s: eigenvector_bound_check(s["H2"], s["js"]),
+     _mismatch("eigenvector_bound_check", _ON_0_2)),
+    (lambda s: check_decay_condition(JSpectrum(lambdas=[0.5, 0.2]), "lp"),
+     "the lp decay mode needs T or a level for its exponents"),
+    # reals out of range or not numbers
+    (lambda s: bilap_eigenvalue(3, -1), "b must be finite and positive, got -1"),
+    (lambda s: bilap_eigenvalue(1, 1), "p must be finite and above 1, got 1"),
+    (lambda s: bilap_eigenvalue(3, 0), "b must be finite and positive, got 0"),
+    (lambda s: laplacian_residual_parts(s["u"], 0.5, 2.0, 1.0, 1.0, "(p,2)"),
+     "p must be finite and above 1, got 0.5"),
+    (lambda s: laplacian_residual_parts(s["u"], 2.0, 2.0, _NAN, 1.0, "(p,2)"),
+     "lam must be finite, got nan"),
+    (lambda s: laplacian_residual_parts(np.where(s["u"] > 0.5, _NAN, s["u"]), 2.0, 2.0,
+                                        1.0, 1.0, "(p,2)"),
+     "u must be finite"),
+    (lambda s: s["js"].semi_orth_table("z"), "side must be 'x' or 'y'"),
+    (lambda s: sandwich_check(s["js"], [0.5, 0.1], tol=_NAN),
+     "tol must be finite and positive, got nan"),
+    (lambda s: eigenvector_bound_check(s["H"], s["js"], tol=_NAN),
+     "tol must be finite and positive, got nan"),
+    (lambda s: is_j_orthogonal(s["x"], s["x"], _NAN), "tol must be finite and positive, got nan"),
+    (lambda s: extremal_pair(s["T"], tol=True), "tol must be finite and positive, got True"),
+    (lambda s: scale(s["T"], True), "the scale factor must be finite, got True"),
+    (lambda s: Space.uniform(8, 2.0, True), "b must be finite and positive, got True"),
+    (lambda s: hardy_norm_formula(3, True),
+     "hardy_norm_formula needs p in (1, inf), b in (0, inf)"),
+    (lambda s: Space.uniform(8, "2"), "p must be finite and above 1, got '2'"),
+    (lambda s: Space.uniform(8, 2.0, "2"), "b must be finite and positive, got '2'"),
+    (lambda s: GenTrig("3", 2), "GenTrig needs p, q in (1, inf)"),
+    (lambda s: compute_jspectrum(s["T"], 1, tol="1e-8"),
+     "tol must be finite and positive, got '1e-8'"),
+    (lambda s: scale(s["T"], "2"), "the scale factor must be finite, got '2'"),
+], ids=[
+    "hilbert_target_series-grid", "hilbert_source_series-exponent",
+    "flag_biorthogonal_series-grid", "check_decay_condition-grid", "hilbertian_series-grid",
+    "approx_numbers_report-exponent", "eigenvector_bound_check-grid",
+    "check_decay_condition-lp-hand-built", "bilap_eigenvalue-negative-b",
+    "bilap_eigenvalue-p-1", "bilap_eigenvalue-b-0", "laplacian_residual_parts-p",
+    "laplacian_residual_parts-nan-lam", "laplacian_residual_parts-nan-u",
+    "semi_orth_table-side", "sandwich_check-nan-tol", "eigenvector_bound_check-nan-tol",
+    "is_j_orthogonal-nan-tol", "extremal_pair-bool-tol", "scale-bool", "Space.uniform-bool-b",
+    "hardy_norm_formula-bool-b", "Space.uniform-string-p", "Space.uniform-string-b",
+    "GenTrig-string-p", "compute_jspectrum-string-tol", "scale-string",
+])
+def test_bad_reals_and_spectra_raise_one_line(wide, call, message):
+    with pytest.raises(GeometryError) as err:
+        call(wide)
+    assert str(err.value) == message
+
+
+def test_real_and_choice_return_what_they_check():
+    for value in (3, np.int64(3), np.float32(3.0), 3.0):
+        got = space._real(value, "p", 1)
+        assert got == 3.0 and type(got) is float
+    assert space._real(np.inf, "q", 1, infinite=True) == np.inf
+    assert space._real(-2.5, "lam") == -2.5
+    for value, message in ((np.inf, "q must be finite and above 1, got inf"),
+                           (1.0, "q must be finite and above 1, got 1"),
+                           (None, "q must be finite and above 1, got None")):
+        with pytest.raises(GeometryError) as err:
+            space._real(value, "q", 1)
+        assert str(err.value) == message
+    with pytest.raises(GeometryError, match="^q must be finite and above 1, got "):
+        space._real(np.bool_(True), "q", 1)
+    with pytest.raises(GeometryError, match="^q must be above 1, got nan$"):
+        space._real(np.nan, "q", 1, infinite=True)
+    with pytest.raises(GeometryError, match="^pinned$"):
+        space._real(0.0, "b", 0, message="pinned")
+    assert space._choice("col", "order", ("row", "col")) == "col"
+    for value in ("diag", None, ["row"]):
+        with pytest.raises(GeometryError, match="^order must be 'row' or 'col'$"):
+            space._choice(value, "order", ("row", "col"))
