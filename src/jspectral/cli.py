@@ -9,6 +9,11 @@ residual).
 The environment variable JSPECTRAL_OUT_DIR supplies a default directory for
 relative --out paths.
 
+Each subcommand is declared once, as one row of ``_COMMANDS``: its help, the
+flags of ``_SHARED`` it reads, its own flags and its handler. A handler
+returns ``(doc, to_csv)``, with ``to_csv`` None where the command has no CSV
+form, and ``main`` writes that through ``_emit``.
+
 Each subcommand imports the layer it uses when it runs: the module imports
 only the solver core (``jspec``, ``oper``, ``space``), so ``jspec``,
 ``dual`` and ``konig`` load no other layer.
@@ -78,7 +83,7 @@ def _cmd_jspec(args):
     T = hardy(dom, cod)
     js = jspec.compute_jspectrum(T, args.levels, tol=args.tol, seed=args.seed,
                                  restarts=args.restarts)
-    _emit(args, _js_doc(js, args), js.to_csv)
+    return _js_doc(js, args), js.to_csv
 
 
 def _cmd_dual(args):
@@ -89,7 +94,7 @@ def _cmd_dual(args):
     doc = _js_doc(js, args)
     doc["lambda_match"] = js.meta.get("lambda_match")
     doc["first_dual_vector_dev"] = js.meta.get("first_dual_vector_dev")
-    _emit(args, doc, js.to_csv)
+    return doc, js.to_csv
 
 
 def _cmd_series(args):
@@ -132,7 +137,7 @@ def _cmd_series(args):
         "grid_n": args.grid_n,
         "seed": args.seed,
     }
-    _emit(args, doc, lambda: series.SeriesRep.error_table_csv(errors))
+    return doc, lambda: series.SeriesRep.error_table_csv(errors)
 
 
 def _cmd_snum(args):
@@ -155,7 +160,7 @@ def _cmd_snum(args):
         "tol": args.tol,
         "grid_n": args.grid_n,
     }
-    _emit(args, doc, table.to_csv)
+    return doc, table.to_csv
 
 
 def _cmd_gtrig(args):
@@ -172,33 +177,31 @@ def _cmd_gtrig(args):
         "sin_pq": sins.tolist(),
         "cos_pq": coss.tolist(),
     }
-    _emit(args, doc, lambda: gtrig._table_csv(xs, sins, coss))
+    return doc, lambda: gtrig._table_csv(xs, sins, coss)
 
 
 def _cmd_pcompact(args):
     from . import pcpt
 
+    if args.demo == "ideal":
+        return pcpt.ideal_inclusion_demo(grid_n=args.grid_n, seed=args.seed), None
     if args.demo == "hardy":
         cover, report = pcpt.hardy_qcompact_demo(
             args.p, args.q, n_terms=args.terms, grid_n=args.grid_n, seed=args.seed
         )
-        _emit(args, report, cover.to_csv)
-    elif args.demo == "sobolev":
+    else:
         cover, report = pcpt.sobolev_embedding_demo(args.terms, grid_n=args.grid_n,
                                                     seed=args.seed)
-        _emit(args, report, cover.to_csv)
-    else:
-        report = pcpt.ideal_inclusion_demo(grid_n=args.grid_n, seed=args.seed)
-        _emit(args, report)
+    return report, cover.to_csv
 
 
 def _cmd_alphap(args):
     from . import series
 
     rep = series.alpha_p_report(args.p)
-    _emit(args, {"alpha_p": rep["alpha_p"], "maximizer": rep["maximizer"],
-                 "objective": rep["objective"], "p": args.p,
-                 "method": "grid scan (1e4 points) + golden-section refinement"})
+    return {"alpha_p": rep["alpha_p"], "maximizer": rep["maximizer"],
+            "objective": rep["objective"], "p": args.p,
+            "method": "grid scan (1e4 points) + golden-section refinement"}, None
 
 
 def _cmd_konig(args):
@@ -213,26 +216,69 @@ def _cmd_konig(args):
         T = hardy(sp, sp)
     rep = jspec.konig_report(T, args.n, args.k_max, tol=args.tol, seed=args.seed)
     rep["case"] = args.case
-    _emit(args, rep)
+    return rep, None
 
 
 def _cmd_bilap(args):
     from . import gtrig
 
-    rep = gtrig.bilaplacian_check(args.p, b=args.b, grid_n=args.grid_n,
-                                  tol=args.tol, seed=args.seed)
-    _emit(args, rep)
+    return gtrig.bilaplacian_check(args.p, b=args.b, grid_n=args.grid_n,
+                                   tol=args.tol, seed=args.seed), None
 
 
 def _cmd_hardy_norm(args):
     from . import gtrig
 
-    _emit(args, {
+    return {
         "norm": gtrig.hardy_norm_formula(args.p, args.b),
         "norm_dual_form": gtrig.hardy_norm_formula(args.p, args.b, "dual"),
         "p": args.p,
         "b": args.b,
-    })
+    }, None
+
+
+# the flags that several subcommands read, in the order they are added
+_SHARED = {
+    "--p": dict(type=float, default=2.0),
+    "--q": dict(type=float, default=2.0),
+    "--b": dict(type=float, default=1.0),
+    "--grid-n": dict(type=int, default=1024),
+    "--tol": dict(type=float, default=1e-8),
+    "--seed": dict(type=int, default=42),
+    "--restarts": dict(type=int, default=8),
+}
+
+# name -> (help, the shared flags it reads, its own flags, handler); a
+# subcommand's flags are added in that order
+_COMMANDS = {
+    "jspec": ("deflation j-spectrum of the Hardy operator", tuple(_SHARED),
+              {"--levels": dict(type=int, default=4)}, _cmd_jspec),
+    "dual": ("j-spectrum of the adjoint with duality checks", tuple(_SHARED),
+             {"--levels": dict(type=int, default=4)}, _cmd_dual),
+    "series": ("series representations and reconstruction errors", tuple(_SHARED),
+               {"--kind": dict(choices=("target", "source", "linearized", "hilbertian",
+                                        "double", "half-direct", "half-dual"),
+                               default="target"),
+                "--levels": dict(type=int, default=6)}, _cmd_series),
+    "snum": ("approximation numbers and sandwich bounds", tuple(_SHARED),
+             {"--n-max": dict(type=int, default=5)}, _cmd_snum),
+    "gtrig": ("generalized sine/cosine table", ("--p", "--q"),
+              {"--samples": dict(type=int, default=50)}, _cmd_gtrig),
+    "pcompact": ("p-compactness demonstrations", ("--p", "--q", "--grid-n", "--seed"),
+                 {"--demo": dict(choices=("hardy", "sobolev", "ideal"), default="hardy"),
+                  "--terms": dict(type=int, default=64)}, _cmd_pcompact),
+    "alphap": ("projection constant alpha_p", (),
+               {"--p": dict(type=float, required=True)}, _cmd_alphap),
+    "konig": ("lambda_n(T^k)^(1/k) sequences", ("--b", "--grid-n", "--tol", "--seed"),
+              {"--case": dict(choices=("jordan", "diag", "hardy"), default="jordan"),
+               "--n": dict(type=int, default=1),
+               "--k-max": dict(type=int, default=20)}, _cmd_konig),
+    "bilap": ("bi-Laplacian extremal check for H*H",
+              ("--p", "--b", "--grid-n", "--tol", "--seed"), {}, _cmd_bilap),
+    "hardy-norm": ("closed-form Hardy operator norm", (),
+                   {"--p": dict(type=float, required=True),
+                    "--b": dict(type=float, default=1.0)}, _cmd_hardy_norm),
+}
 
 
 def build_parser():
@@ -244,74 +290,13 @@ def build_parser():
     ap.add_argument("--format", dest="out_format", choices=("json", "csv"),
                     default="json")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    flags = {
-        "--p": dict(type=float, default=2.0),
-        "--q": dict(type=float, default=2.0),
-        "--b": dict(type=float, default=1.0),
-        "--grid-n": dict(type=int, default=1024),
-        "--tol": dict(type=float, default=1e-8),
-        "--seed": dict(type=int, default=42),
-        "--restarts": dict(type=int, default=8),
-    }
-
-    def common(sp_, *names):
-        """Add the named shared flags to sp_; all of them when none is named."""
-        for name in names or flags:
-            sp_.add_argument(name, **flags[name])
-
-    s = sub.add_parser("jspec", help="deflation j-spectrum of the Hardy operator")
-    common(s)
-    s.add_argument("--levels", type=int, default=4)
-    s.set_defaults(func=_cmd_jspec)
-
-    s = sub.add_parser("dual", help="j-spectrum of the adjoint with duality checks")
-    common(s)
-    s.add_argument("--levels", type=int, default=4)
-    s.set_defaults(func=_cmd_dual)
-
-    s = sub.add_parser("series", help="series representations and reconstruction errors")
-    common(s)
-    s.add_argument("--kind", choices=("target", "source", "linearized", "hilbertian",
-                                      "double", "half-direct", "half-dual"), default="target")
-    s.add_argument("--levels", type=int, default=6)
-    s.set_defaults(func=_cmd_series)
-
-    s = sub.add_parser("snum", help="approximation numbers and sandwich bounds")
-    common(s)
-    s.add_argument("--n-max", type=int, default=5)
-    s.set_defaults(func=_cmd_snum)
-
-    s = sub.add_parser("gtrig", help="generalized sine/cosine table")
-    common(s, "--p", "--q")
-    s.add_argument("--samples", type=int, default=50)
-    s.set_defaults(func=_cmd_gtrig)
-
-    s = sub.add_parser("pcompact", help="p-compactness demonstrations")
-    common(s, "--p", "--q", "--grid-n", "--seed")
-    s.add_argument("--demo", choices=("hardy", "sobolev", "ideal"), default="hardy")
-    s.add_argument("--terms", type=int, default=64)
-    s.set_defaults(func=_cmd_pcompact)
-
-    s = sub.add_parser("alphap", help="projection constant alpha_p")
-    s.add_argument("--p", type=float, required=True)
-    s.set_defaults(func=_cmd_alphap)
-
-    s = sub.add_parser("konig", help="lambda_n(T^k)^(1/k) sequences")
-    common(s, "--b", "--grid-n", "--tol", "--seed")
-    s.add_argument("--case", choices=("jordan", "diag", "hardy"), default="jordan")
-    s.add_argument("--n", type=int, default=1)
-    s.add_argument("--k-max", type=int, default=20)
-    s.set_defaults(func=_cmd_konig)
-
-    s = sub.add_parser("bilap", help="bi-Laplacian extremal check for H*H")
-    common(s, "--p", "--b", "--grid-n", "--tol", "--seed")
-    s.set_defaults(func=_cmd_bilap)
-
-    s = sub.add_parser("hardy-norm", help="closed-form Hardy operator norm")
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--b", type=float, default=1.0)
-    s.set_defaults(func=_cmd_hardy_norm)
+    for name, (help_, shared, own, handler) in _COMMANDS.items():
+        s = sub.add_parser(name, help=help_)
+        for flag in shared:
+            s.add_argument(flag, **_SHARED[flag])
+        for flag, spec in own.items():
+            s.add_argument(flag, **spec)
+        s.set_defaults(func=handler)
     return ap
 
 
@@ -319,7 +304,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args.func(args)
+        _emit(args, *args.func(args))
     except (GeometryError, _InvalidArguments) as exc:
         print(f"error: invalid arguments: {exc}", file=sys.stderr)
         return 2

@@ -719,8 +719,11 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     from the generator of seed + 101 k, as in compute_jspectrum.
     Cross-checks stored in meta: lambda_i* against the supplied primal
     spectrum (or a fresh first level) and the first dual extremal against
-    J_Y(T x_1)/lambda_1.
+    J_Y(T x_1)/lambda_1. A primal spectrum with levels must be computed
+    between T.dom and T.cod.
     """
+    if primal is not None and primal.n_levels:
+        _spectrum_of(primal, T.dom, T.cod, "dual_jspectrum")
     js = _deflate(adjoint(T), n_levels, tol, restarts, seed, quotient=True)
 
     if primal is None:

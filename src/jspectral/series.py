@@ -107,9 +107,17 @@ class SeriesRep:
         """T_N x for N = n_terms, an integer of at least 0 (all terms if None)."""
         return self._apply(x, slice(None if n_terms is None else _count(n_terms, "n_terms")))
 
+    def _operator_of(self, T, who):
+        """GeometryError unless T maps between the spaces of the series (the
+        same grids and exponents), as the operator it represents must."""
+        if T.dom != self.dom or T.cod != self.cod:
+            raise GeometryError(f"{who} needs an operator from {self.dom!r} to {self.cod!r}, "
+                                f"got one from {T.dom!r} to {T.cod!r}")
+
     def remainder(self, T: LinOp, n: int) -> LinOp:
-        """Lazy T - T_n, applied in O(n k) beside T; n is an integer of at
-        least 0."""
+        """Lazy T - T_n, applied in O(n k) beside T, an operator between the
+        spaces of the series; n is an integer of at least 0."""
+        self._operator_of(T, "remainder")
         fwd, adj = self._partial(slice(_count(n, "n")))
         return LinOp._from_kernels(T.dom, T.cod, lambda x: T.apply_coeffs(x) - fwd(x),
                                    lambda f: T.apply_adjoint_coeffs(f) - adj(f))
@@ -118,8 +126,10 @@ class SeriesRep:
         """Max over the list test_vectors of ||Tx - T_N x||_cod for each N in
         ns. T is applied to the test set once, as one block, and each partial
         sum T_N is subtracted from that (bitwise remainder(T, N) of the block).
-        Raises GeometryError for a test vector off the grid of the domain and
-        for an N that is not an integer of at least 0."""
+        Raises GeometryError for a T that does not map between the spaces of
+        the series, for a test vector off the grid of the domain and for an N
+        that is not an integer of at least 0."""
+        self._operator_of(T, "reconstruction_errors")
         ns = [_count(n, "N") for n in ns]
         X = _stack(test_vectors, self.dom, "vector does not live on the series domain grid")
         TX = T.apply_coeffs(X)

@@ -157,7 +157,8 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
     """For a Hilbert domain: a_i(T) <= ||T h_i|| = lambda_i on the orthonormal
     j-eigenvectors h_i = x_i, for the first n_max levels (an integer of at
     least 0; all if None), with js computed between T.dom and T.cod and tol
-    finite and positive. Returns the slacks and the orthonormality of the
+    finite and positive, and a_values, when given, holding at least one
+    entry per level checked. Returns the slacks and the orthonormality of the
     h_i (an upstream flag if it fails)."""
     if T.dom.p != 2.0:
         raise GeometryError("eigenvector_bound_check needs a Hilbert domain")
@@ -166,6 +167,8 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
     n = js.n_levels if n_max is None else min(_count(n_max, "n_max"), js.n_levels)
     if a_values is None:
         a_values = approx_numbers(T, n, js=js, **kw)
+    elif len(a_values) < n:
+        raise GeometryError(f"a_values needs at least {n} entries, got {len(a_values)}")
     th = _lp_norm(T.apply_coeffs(js.X[:, :n]), T.cod.weights, T.cod.p).tolist()
     slacks = [th[i] - a_values[i] for i in range(n)]
     return {

@@ -53,9 +53,13 @@ def _real(value, name, above=None, infinite=False, message=None):
     """value as a float, if it is a real number (not a bool) that is not nan,
     finite unless infinite, and greater than above when given: the one check
     of every real argument, called name in its message. Anything else raises
-    a one-line GeometryError, message when given."""
+    a one-line GeometryError, message when given. A number beyond the float
+    range counts as an infinity of its sign."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    v = float(value) if real else math.nan
+    try:
+        v = float(value) if real else math.nan
+    except OverflowError:
+        v = math.inf if value > 0 else -math.inf
     if v == v and (infinite or math.isfinite(v)) and (above is None or v > above):
         return v
     bound = [] if infinite else ["finite"]

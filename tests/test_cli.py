@@ -8,7 +8,7 @@ import pytest
 
 import jspectral
 from jspectral import LinOp, Space, gtrig, jspec, series
-from jspectral.cli import main
+from jspectral.cli import build_parser, main
 from jspectral.pcpt import Cover
 from jspectral.snum import SNumberReport
 
@@ -192,6 +192,35 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+_SOLVER = {"p": 2.0, "q": 2.0, "b": 1.0, "grid_n": 1024, "tol": 1e-08, "seed": 42, "restarts": 8}
+
+
+# each row: a subcommand line and every flag it parses to, with its default,
+# in the order the subcommand adds them
+_PARSED = [
+    (["jspec"], {"command": "jspec", **_SOLVER, "levels": 4}),
+    (["dual"], {"command": "dual", **_SOLVER, "levels": 4}),
+    (["series"], {"command": "series", **_SOLVER, "kind": "target", "levels": 6}),
+    (["snum"], {"command": "snum", **_SOLVER, "n_max": 5}),
+    (["gtrig"], {"command": "gtrig", "p": 2.0, "q": 2.0, "samples": 50}),
+    (["pcompact"], {"command": "pcompact", "p": 2.0, "q": 2.0, "grid_n": 1024, "seed": 42,
+                    "demo": "hardy", "terms": 64}),
+    (["alphap", "--p", "2"], {"command": "alphap", "p": 2.0}),
+    (["konig"], {"command": "konig", "b": 1.0, "grid_n": 1024, "tol": 1e-08, "seed": 42,
+                 "case": "jordan", "n": 1, "k_max": 20}),
+    (["bilap"], {"command": "bilap", "p": 2.0, "b": 1.0, "grid_n": 1024, "tol": 1e-08,
+                 "seed": 42}),
+    (["hardy-norm", "--p", "2"], {"command": "hardy-norm", "p": 2.0, "b": 1.0}),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", _PARSED, ids=[argv[0] for argv, _ in _PARSED])
+def test_subcommand_flags_and_defaults(argv, parsed):
+    got = vars(build_parser().parse_args(argv))
+    got.pop("func")
+    assert list(got.items()) == list({"out": None, "out_format": "json", **parsed}.items())
 
 
 def test_missing_command_exits_2(capsys):

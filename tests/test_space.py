@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pickle
 
 import numpy as np
@@ -804,6 +805,11 @@ def _mismatch(who, want, got="Space(n=32, p=2, b=1) to Space(n=32, p=2, b=1)"):
 _ON_0_2 = "Space(n=32, p=2, b=2) to Space(n=32, p=2, b=2)"
 _L2_L3 = "Space(n=32, p=2, b=1) to Space(n=32, p=3, b=1)"
 _NAN = float("nan")
+_ON_0_1 = "Space(n=32, p=2, b=1) to Space(n=32, p=2, b=1)"
+
+
+def _wrong_operator(who):
+    return f"{who} needs an operator from {_ON_0_1}, got one from {_ON_0_2}"
 
 
 # each row: a call of the public API with one bad real number or spectrum,
@@ -829,6 +835,15 @@ _NAN = float("nan")
      _mismatch("eigenvector_bound_check", _ON_0_2)),
     (lambda s: check_decay_condition(JSpectrum(lambdas=[0.5, 0.2]), "lp"),
      "the lp decay mode needs T or a level for its exponents"),
+    # a series on (0, 1) evaluated against an operator on (0, 2)
+    (lambda s: s["rep"].remainder(s["H2"], 1), _wrong_operator("remainder")),
+    (lambda s: s["rep"].reconstruction_errors(s["H2"], [s["x"]], [1]),
+     _wrong_operator("reconstruction_errors")),
+    (lambda s: s["rep"].to_json(s["H2"], [s["x"]], [1]),
+     _wrong_operator("reconstruction_errors")),
+    (lambda s: dual_jspectrum(s["H2"], 1, primal=s["js"]), _mismatch("dual_jspectrum", _ON_0_2)),
+    (lambda s: eigenvector_bound_check(s["H"], s["js"], a_values=[0.5]),
+     "a_values needs at least 2 entries, got 1"),
     # reals out of range or not numbers
     (lambda s: bilap_eigenvalue(3, -1), "b must be finite and positive, got -1"),
     (lambda s: bilap_eigenvalue(1, 1), "p must be finite and above 1, got 1"),
@@ -857,17 +872,21 @@ _NAN = float("nan")
     (lambda s: compute_jspectrum(s["T"], 1, tol="1e-8"),
      "tol must be finite and positive, got '1e-8'"),
     (lambda s: scale(s["T"], "2"), "the scale factor must be finite, got '2'"),
+    (lambda s: Space.uniform(8, 10**400), "p must be finite and above 1, got inf"),
 ], ids=[
     "hilbert_target_series-grid", "hilbert_source_series-exponent",
     "flag_biorthogonal_series-grid", "check_decay_condition-grid", "hilbertian_series-grid",
     "approx_numbers_report-exponent", "eigenvector_bound_check-grid",
-    "check_decay_condition-lp-hand-built", "bilap_eigenvalue-negative-b",
+    "check_decay_condition-lp-hand-built", "remainder-grid", "reconstruction_errors-grid",
+    "to_json-grid", "dual_jspectrum-primal-grid", "eigenvector_bound_check-short-a_values",
+    "bilap_eigenvalue-negative-b",
     "bilap_eigenvalue-p-1", "bilap_eigenvalue-b-0", "laplacian_residual_parts-p",
     "laplacian_residual_parts-nan-lam", "laplacian_residual_parts-nan-u",
     "semi_orth_table-side", "sandwich_check-nan-tol", "eigenvector_bound_check-nan-tol",
     "is_j_orthogonal-nan-tol", "extremal_pair-bool-tol", "scale-bool", "Space.uniform-bool-b",
     "hardy_norm_formula-bool-b", "Space.uniform-string-p", "Space.uniform-string-b",
     "GenTrig-string-p", "compute_jspectrum-string-tol", "scale-string",
+    "Space.uniform-huge-integer-p",
 ])
 def test_bad_reals_and_spectra_raise_one_line(wide, call, message):
     with pytest.raises(GeometryError) as err:
@@ -880,6 +899,7 @@ def test_real_and_choice_return_what_they_check():
         got = space._real(value, "p", 1)
         assert got == 3.0 and type(got) is float
     assert space._real(np.inf, "q", 1, infinite=True) == np.inf
+    assert space._real(10**400, "q", 1, infinite=True) == math.inf
     assert space._real(-2.5, "lam") == -2.5
     for value, message in ((np.inf, "q must be finite and above 1, got inf"),
                            (1.0, "q must be finite and above 1, got 1"),
