@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .oper import compose, hardy, hardy_dual
-from .space import (GeometryError, Space, _choice, _csv_text, _real, odd_power,
+from .space import (GeometryError, Space, _array, _choice, _csv_text, _real, odd_power,
                     sup_dev_up_to_sign)
 
 
@@ -77,16 +77,15 @@ class GenTrig:
     def _evaluate(self, x, extend, cosine):
         """sin_pq or cos_pq at x (a scalar or an array), through the point
         reduced to the first quarter period; GeometryError for an x that is
-        not finite, with extend or without."""
+        not a finite real number or array of them (no bools, complex numbers
+        or strings), with extend or without."""
         # imported here: at module level it adds ~23 MB and ~0.3 s to every
         # package import
         from scipy.special import betaincinv
 
         # a scalar runs through the array kernel too, so that it gets the
         # same bits as the array element (numpy's scalar pow may differ)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(xs)):
-            raise GeometryError("x must be finite")
+        xs = np.atleast_1d(_array(x, "x"))
         half = self.pi_pq / 2.0
         if extend:
             t, ssign, csign = self._branch(xs)
@@ -102,7 +101,7 @@ class GenTrig:
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def table_csv(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = _array(xs, "x")
         return _table_csv(xs, self.sin(xs, extend=True), self.cos(xs, extend=True))
 
 
@@ -180,18 +179,16 @@ def laplacian_residual_parts(u, p: float, q: float, lam: float, b: float,
     decays slower than second order).
 
     Raises GeometryError unless p and q are finite and above 1, lam finite,
-    b finite and positive, kind one of the three and u finite, on at least
-    16 nodes.
+    b finite and positive, kind one of the three and u a finite 1-d array of
+    real numbers on at least 16 nodes.
     """
     kind = _choice(kind, "kind", ("(p,2)", "(2,p')", "bilap"))
     p, q, lam = _real(p, "p", 1), _real(q, "q", 1), _real(lam, "lam")
     b = _real(b, "b", 0)
-    u = np.asarray(u, dtype=float)
+    u = _array(u, "u", 1)
     n = u.size
     if n < 16:
         raise GeometryError("residual check needs at least 16 grid nodes")
-    if not np.all(np.isfinite(u)):
-        raise GeometryError("u must be finite")
     h = b / n
     xs = (np.arange(n) + 0.5) * h
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oper import LinOp, adjoint
+from .oper import LinOp, adjoint, power
 from .space import (
     ConvergenceError,
     Functional,
@@ -538,12 +538,14 @@ def _solver_args(tol, restarts, seed):
     return _real(tol, "tol", 0), _count(restarts, "restarts", 1), _count(seed, "seed")
 
 
-def _spectrum_of(js, dom, cod, who):
-    """GeometryError unless the spectrum js was computed between dom and cod
-    (the same grids and exponents), the spaces of the operator beside it."""
-    if js.dom != dom or js.cod != cod:
-        raise GeometryError(f"{who} needs a spectrum from {dom!r} to {cod!r}, "
-                            f"got one from {js.dom!r} to {js.cod!r}")
+def _between(obj, dom, cod, who, what="a spectrum"):
+    """GeometryError unless obj, a spectrum or what else what names, was
+    built between dom and cod (the same grids and exponents), the spaces of
+    the object beside it: a spectrum beside its operator, an operator beside
+    its series."""
+    if obj.dom != dom or obj.cod != cod:
+        raise GeometryError(f"{who} needs {what} from {dom!r} to {cod!r}, "
+                            f"got one from {obj.dom!r} to {obj.cod!r}")
 
 
 def _best_start(T, constraints, rng, restarts, tol, max_iter=4600, M=None):
@@ -723,7 +725,7 @@ def dual_jspectrum(T: LinOp, n_levels: int, tol: float = 1e-8, seed: int = 42,
     between T.dom and T.cod.
     """
     if primal is not None and primal.n_levels:
-        _spectrum_of(primal, T.dom, T.cod, "dual_jspectrum")
+        _between(primal, T.dom, T.cod, "dual_jspectrum")
     js = _deflate(adjoint(T), n_levels, tol, restarts, seed, quotient=True)
 
     if primal is None:
@@ -753,11 +755,9 @@ def konig_report(T: LinOp, n: int, k_max: int, tol: float = 1e-8, seed: int = 42
     if n > T.dom.dim:
         raise GeometryError(f"level n = {n} is outside 1..{T.dom.dim}, the dimension of T")
     k_max, (tol, restarts, seed) = _count(k_max, "k_max"), _solver_args(tol, restarts, seed)
-    from .oper import power as _power
-
     vals = []
     for k in range(1, k_max + 1):
-        js = compute_jspectrum(_power(T, k), n_levels=n, tol=tol, seed=seed,
+        js = compute_jspectrum(power(T, k), n_levels=n, tol=tol, seed=seed,
                                restarts=restarts)
         if js.n_levels < n:
             raise ConvergenceError(f"deflation exhausted before level {n} at power {k}")

@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .space import Functional, GeometryError, Space, Vec, _count, _csv_text, _readonly, _real
+from .space import Functional, GeometryError, Space, Vec, _array, _count, _csv_text, _real
 
 
 def _nodal(w, x):
@@ -50,11 +50,9 @@ class LinOp:
     __slots__ = ("matrix", "dom", "cod", "_fwd", "_adj", "_adj_inv")
 
     def __init__(self, matrix, dom: Space, cod: Space):
-        matrix = _readonly(matrix)
+        matrix = _array(matrix, "the operator matrix")
         if matrix.shape != (cod.dim, dom.dim):
             raise GeometryError("matrix shape does not match the spaces")
-        if not np.all(np.isfinite(matrix)):
-            raise GeometryError("operator matrix has non-finite entries")
         w_d, w_c = dom.weights, cod.weights
         self.matrix = matrix
         self.dom = dom
@@ -107,8 +105,17 @@ class LinOp:
 
     @classmethod
     def from_csv(cls, text, dom, cod):
-        rows = [[float(v) for v in row] for row in csv.reader(io.StringIO(text)) if row]
-        return cls(np.asarray(rows), dom, cod)
+        rows = [[_number(v) for v in row] for row in csv.reader(io.StringIO(text)) if row]
+        return cls(rows, dom, cod)
+
+
+def _number(cell):
+    """The float a CSV cell spells, or the cell itself, which the matrix
+    check then rejects."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def apply(T: LinOp, v: Vec) -> Vec:
@@ -240,9 +247,6 @@ def kernel_op(dom: Space, cod: Space, k) -> LinOp:
     _require_common_grid(dom, cod)
     x = cod.nodes[:, None]
     y = dom.nodes[None, :]
-    K = np.asarray(k(x, y), dtype=float)
-    K = np.broadcast_to(K, (cod.dim, dom.dim)).copy()
-    if not np.all(np.isfinite(K)):
-        raise GeometryError("kernel produced non-finite values")
+    K = np.broadcast_to(_array(k(x, y), "the kernel k"), (cod.dim, dom.dim))
     mask = np.tril(np.ones((cod.dim, dom.dim)), -1) + np.eye(cod.dim) * 0.5
     return LinOp(K * mask * dom.weights[None, :], dom, cod)

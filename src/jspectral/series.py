@@ -23,7 +23,7 @@ from numpy.linalg import svd
 from .jspec import (
     DeflationExhausted,
     JSpectrum,
-    _spectrum_of,
+    _between,
     compute_jspectrum,
     dual_jspectrum,
     nullspace_basis,
@@ -107,17 +107,10 @@ class SeriesRep:
         """T_N x for N = n_terms, an integer of at least 0 (all terms if None)."""
         return self._apply(x, slice(None if n_terms is None else _count(n_terms, "n_terms")))
 
-    def _operator_of(self, T, who):
-        """GeometryError unless T maps between the spaces of the series (the
-        same grids and exponents), as the operator it represents must."""
-        if T.dom != self.dom or T.cod != self.cod:
-            raise GeometryError(f"{who} needs an operator from {self.dom!r} to {self.cod!r}, "
-                                f"got one from {T.dom!r} to {T.cod!r}")
-
     def remainder(self, T: LinOp, n: int) -> LinOp:
         """Lazy T - T_n, applied in O(n k) beside T, an operator between the
         spaces of the series; n is an integer of at least 0."""
-        self._operator_of(T, "remainder")
+        _between(T, self.dom, self.cod, "remainder", "an operator")
         fwd, adj = self._partial(slice(_count(n, "n")))
         return LinOp._from_kernels(T.dom, T.cod, lambda x: T.apply_coeffs(x) - fwd(x),
                                    lambda f: T.apply_adjoint_coeffs(f) - adj(f))
@@ -129,7 +122,7 @@ class SeriesRep:
         Raises GeometryError for a T that does not map between the spaces of
         the series, for a test vector off the grid of the domain and for an N
         that is not an integer of at least 0."""
-        self._operator_of(T, "reconstruction_errors")
+        _between(T, self.dom, self.cod, "reconstruction_errors", "an operator")
         ns = [_count(n, "N") for n in ns]
         X = _stack(test_vectors, self.dom, "vector does not live on the series domain grid")
         TX = T.apply_coeffs(X)
@@ -194,7 +187,7 @@ def hilbert_target_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """
     if T.cod.p != 2.0:
         raise GeometryError("hilbert_target_series needs codomain exponent 2")
-    _spectrum_of(js, T.dom, T.cod, "hilbert_target_series")
+    _between(js, T.dom, T.cod, "hilbert_target_series")
     dev = _check_orthonormal(js.Y, T.cod, 1e-6, "target-side vectors h_i")
     return SeriesRep(
         "hilbert_target", list(js.lambdas), js.Y,
@@ -212,7 +205,7 @@ def hilbert_source_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     """
     if T.dom.p != 2.0:
         raise GeometryError("hilbert_source_series needs domain exponent 2")
-    _spectrum_of(js, T.dom, T.cod, "hilbert_source_series")
+    _between(js, T.dom, T.cod, "hilbert_source_series")
     dev = _check_orthonormal(js.X, T.dom, 1e-6, "source-side vectors h_i")
     G = _weighted_gram(js.Y, T.cod)
     cond = float(np.linalg.cond(G)) if G.size else 1.0
@@ -297,7 +290,7 @@ def flag_biorthogonal_series(T: LinOp, js: JSpectrum) -> SeriesRep:
     nested deflation flags; reproduces the Hilbert-case coefficients exactly.
     js must be a spectrum computed between T.dom and T.cod.
     """
-    _spectrum_of(js, T.dom, T.cod, "flag_biorthogonal_series")
+    _between(js, T.dom, T.cod, "flag_biorthogonal_series")
     M = js.semi_orth_table("y")  # M[j, i] = <y_i, J y_j>
     lam = np.asarray(js.lambdas)
     adj = T.apply_adjoint_coeffs(js.JY / lam)  # T* J_Y y_i: J_Y y_i = J_Y(T x_i) / lambda_i
@@ -324,7 +317,7 @@ def check_decay_condition(js: JSpectrum, mode: str = "lambda",
     """
     mode = _choice(mode, "mode", ("lambda", "gelfand", "lp"))
     if T is not None:
-        _spectrum_of(js, T.dom, T.cod, "check_decay_condition")
+        _between(js, T.dom, T.cod, "check_decay_condition")
     lam = np.asarray(js.lambdas)
     n = lam.size
     idx = np.arange(1, n + 1)
@@ -502,7 +495,7 @@ def hilbertian_series(A: LinOp, B: LinOp, js_T: JSpectrum,
     between A.dom and B.cod, raise GeometryError.
     """
     _check_factors(A, B, "hilbertian_series")
-    _spectrum_of(js_T, A.dom, B.cod, "hilbertian_series")
+    _between(js_T, A.dom, B.cod, "hilbertian_series")
     if n_terms is not None:
         n_terms = _count(n_terms, "n_terms",
                          below=f"n_terms must be an integer of at least 0, got {n_terms}")

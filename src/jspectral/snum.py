@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jspec import JSpectrum, _solver_args, _spectrum_of, compute_jspectrum, operator_norm
+from .jspec import JSpectrum, _between, _solver_args, compute_jspectrum, operator_norm
 from .oper import LinOp
 from .series import SeriesRep, _gram_dev, hilbert_source_series, hilbert_target_series
-from .space import ConvergenceError, GeometryError, _count, _csv_text, _lp_norm, _real
+from .space import ConvergenceError, GeometryError, _array, _count, _csv_text, _lp_norm, _real
 
 
 @dataclass
@@ -87,7 +87,7 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
     # tol, restarts and seed are checked also on the exact route, which never solves
     n_max, (tol, restarts, seed) = _count(n_max, "n_max"), _solver_args(tol, restarts, seed)
     if js is not None:
-        _spectrum_of(js, T.dom, T.cod, "approx_numbers_report")
+        _between(js, T.dom, T.cod, "approx_numbers_report")
     U, s, V = _scaled_svd(T, min(n_max, T.dom.dim, T.cod.dim))
     if T.dom.p == 2.0 and T.cod.p == 2.0:  # singular values of the scaled matrix
         vals = s.tolist() + [0.0] * (n_max - len(s))
@@ -126,6 +126,8 @@ def approx_numbers_report(T: LinOp, n_max: int, js: JSpectrum | None = None,
 
 def approx_numbers(T: LinOp, n_max: int, **kw) -> list[float]:
     """Nonincreasing approximation numbers (exact or certified upper bounds)."""
+    if kw.get("js") is not None:  # checked here too, so that its message names this call
+        _between(kw["js"], T.dom, T.cod, "approx_numbers")
     return approx_numbers_report(T, n_max, **kw)["values"]
 
 
@@ -134,10 +136,10 @@ def sandwich_check(js: JSpectrum, a, tol: float = 1e-6) -> SNumberReport:
 
     A violation beyond the combined tolerance flags an under-shot lambda_n,
     since the j-eigenvalues are computed variationally from below. tol must
-    be finite and positive.
+    be finite and positive and a a finite 1-d array of real numbers.
     """
     tol = _real(tol, "tol", 0)
-    a = list(a)
+    a = _array(a, "a", 1).tolist()
     n = min(len(a), js.n_levels)
     lower, upper, slo, sup, passed = [], [], [], [], []
     for k in range(n):
@@ -157,22 +159,23 @@ def eigenvector_bound_check(T: LinOp, js: JSpectrum, n_max: int | None = None,
     """For a Hilbert domain: a_i(T) <= ||T h_i|| = lambda_i on the orthonormal
     j-eigenvectors h_i = x_i, for the first n_max levels (an integer of at
     least 0; all if None), with js computed between T.dom and T.cod and tol
-    finite and positive, and a_values, when given, holding at least one
-    entry per level checked. Returns the slacks and the orthonormality of the
-    h_i (an upstream flag if it fails)."""
+    finite and positive, and a_values, when given, a finite 1-d array of
+    real numbers with at least one entry per level checked. Returns the
+    slacks and the orthonormality of the h_i (an upstream flag if it fails)."""
     if T.dom.p != 2.0:
         raise GeometryError("eigenvector_bound_check needs a Hilbert domain")
-    _spectrum_of(js, T.dom, T.cod, "eigenvector_bound_check")
+    _between(js, T.dom, T.cod, "eigenvector_bound_check")
     tol = _real(tol, "tol", 0)
     n = js.n_levels if n_max is None else min(_count(n_max, "n_max"), js.n_levels)
     if a_values is None:
         a_values = approx_numbers(T, n, js=js, **kw)
-    elif len(a_values) < n:
+    a_values = _array(a_values, "a_values", 1).tolist()
+    if len(a_values) < n:
         raise GeometryError(f"a_values needs at least {n} entries, got {len(a_values)}")
     th = _lp_norm(T.apply_coeffs(js.X[:, :n]), T.cod.weights, T.cod.p).tolist()
     slacks = [th[i] - a_values[i] for i in range(n)]
     return {
-        "a": list(a_values[:n]),
+        "a": a_values[:n],
         "Th_norms": th,
         "lambdas": list(js.lambdas[:n]),
         "slacks": slacks,

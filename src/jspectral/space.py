@@ -85,21 +85,29 @@ def _rng(seed):
     return np.random.default_rng(_count(seed, "seed"))
 
 
-def _readonly(a):
-    a = np.asarray(a, dtype=float).copy()
+# what _array calls the entries of a numpy dtype kind that it rejects
+_KINDS = {"b": "bools", "c": "complex numbers", "S": "strings", "U": "strings", "O": "objects"}
+
+
+def _array(values, name, ndim=None):
+    """values as a read-only float64 copy, if they hold integers or floats
+    (not bools), are not ragged, are all finite and have ndim dimensions
+    when given: the one check of every array argument, called name in its
+    message. Anything else raises a one-line GeometryError."""
+    try:
+        a = np.array(values)
+    except ValueError:  # numpy's refusal of a ragged sequence
+        raise GeometryError(f"{name} must be a rectangular array, got a ragged sequence") from None
+    if a.dtype.kind not in "iuf":
+        got = _KINDS.get(a.dtype.kind, f"dtype {a.dtype}")
+        raise GeometryError(f"{name} must hold real numbers, got {got}")
+    if ndim is not None and a.ndim != ndim:
+        raise GeometryError(f"{name} must be {ndim}-d, got {a.ndim}-d")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise GeometryError(f"{name} must be finite")
     a.setflags(write=False)
     return a
-
-
-def _checked_coeffs(coeffs, space):
-    """Read-only copy of coefficients on space; they must be finite and match
-    its grid."""
-    coeffs = _readonly(coeffs)
-    if coeffs.shape != (space.dim,):
-        raise GeometryError("coefficient length does not match the space")
-    if not np.all(np.isfinite(coeffs)):
-        raise GeometryError("coefficients must be finite")
-    return coeffs
 
 
 _TOO_FEW = "a Space needs at least 2 nodes"
@@ -111,14 +119,11 @@ class Space:
     __slots__ = ("nodes", "weights", "p", "b")
 
     def __init__(self, nodes, weights, p, b):
-        nodes = _readonly(nodes)
-        weights = _readonly(weights)
-        if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
+        nodes, weights = _array(nodes, "nodes", 1), _array(weights, "weights", 1)
+        if nodes.size != weights.size:
             raise GeometryError("nodes and weights must be 1-d arrays of equal length")
         _count(nodes.size, "n", 2, below=_TOO_FEW)
         b = _real(b, "b", 0)
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise GeometryError("nodes and weights must be finite")
         if np.any(weights <= 0):
             raise GeometryError("quadrature weights must be strictly positive")
         if abs(weights.sum() - b) > 1e-12 * b:
@@ -196,7 +201,10 @@ class _OnSpace:
     __slots__ = ("coeffs", "space")
 
     def __init__(self, coeffs: np.ndarray, space: Space):
-        object.__setattr__(self, "coeffs", _checked_coeffs(coeffs, space))
+        coeffs = _array(coeffs, "coefficients", 1)
+        if coeffs.size != space.dim:
+            raise GeometryError("coefficient length does not match the space")
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "space", space)
 
     def __setattr__(self, name, value):
@@ -228,7 +236,7 @@ class Vec(_OnSpace):
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
-        return cls(np.asarray(d["coeffs"]), Space(d["nodes"], d["weights"], d["p"], d["b"]))
+        return cls(d["coeffs"], Space(d["nodes"], d["weights"], d["p"], d["b"]))
 
 
 class Functional(_OnSpace):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from jspectral import (
@@ -16,6 +17,7 @@ from jspectral import (
     GenTrig,
     GeometryError,
     JSpectrum,
+    LinOp,
     Space,
     Vec,
     alber_decompose,
@@ -40,6 +42,7 @@ from jspectral import (
     hilbertian_series,
     inverse_duality_map,
     is_j_orthogonal,
+    kernel_op,
     konig_report,
     laplacian_residual_parts,
     norm,
@@ -831,6 +834,7 @@ def _wrong_operator(who):
      _mismatch("hilbertian_series", _ON_0_2)),
     (lambda s: approx_numbers_report(s["T23"], 2, js=s["js"]),
      _mismatch("approx_numbers_report", _L2_L3)),
+    (lambda s: approx_numbers(s["H2"], 2, js=s["js"]), _mismatch("approx_numbers", _ON_0_2)),
     (lambda s: eigenvector_bound_check(s["H2"], s["js"]),
      _mismatch("eigenvector_bound_check", _ON_0_2)),
     (lambda s: check_decay_condition(JSpectrum(lambdas=[0.5, 0.2]), "lp"),
@@ -876,7 +880,7 @@ def _wrong_operator(who):
 ], ids=[
     "hilbert_target_series-grid", "hilbert_source_series-exponent",
     "flag_biorthogonal_series-grid", "check_decay_condition-grid", "hilbertian_series-grid",
-    "approx_numbers_report-exponent", "eigenvector_bound_check-grid",
+    "approx_numbers_report-exponent", "approx_numbers-grid", "eigenvector_bound_check-grid",
     "check_decay_condition-lp-hand-built", "remainder-grid", "reconstruction_errors-grid",
     "to_json-grid", "dual_jspectrum-primal-grid", "eigenvector_bound_check-short-a_values",
     "bilap_eigenvalue-negative-b",
@@ -917,3 +921,118 @@ def test_real_and_choice_return_what_they_check():
     for value in ("diag", None, ["row"]):
         with pytest.raises(GeometryError, match="^order must be 'row' or 'col'$"):
             space._choice(value, "order", ("row", "col"))
+
+
+# ------------------------------------------------------------------ arrays
+
+_ON_4, _ON_2 = Space.uniform(4, 2.0), Space.uniform(2, 2.0)
+
+
+# each row: a call of the public API with one bad array, and the
+# GeometryError it raises (before the one array rule, each of these raised
+# a bare ValueError or TypeError, kept the real part with a ComplexWarning,
+# or raised nothing)
+@pytest.mark.parametrize("call, message", [
+    (lambda s: Vec(np.ones(4) + 1j, _ON_4), "coefficients must hold real numbers, got complex numbers"),
+    (lambda s: Functional(np.ones(4) + 1j, _ON_4),
+     "coefficients must hold real numbers, got complex numbers"),
+    (lambda s: Vec(np.ones(4, dtype=bool), _ON_4), "coefficients must hold real numbers, got bools"),
+    (lambda s: Vec(["1", "2", "3", "4"], _ON_4), "coefficients must hold real numbers, got strings"),
+    (lambda s: Vec([[1.0], [2.0, 3.0]], _ON_4),
+     "coefficients must be a rectangular array, got a ragged sequence"),
+    (lambda s: Vec.from_json(Vec(np.ones(4), _ON_4).to_json().replace(
+        "[1.0, 1.0, 1.0, 1.0]", '["1", "1", "1", "x"]')),
+     "coefficients must hold real numbers, got strings"),
+    (lambda s: Space(["0.25", "x"], [0.5, 0.5], 2.0, 1.0), "nodes must hold real numbers, got strings"),
+    (lambda s: Space([[0.25], [0.5, 0.75]], [0.5, 0.5], 2.0, 1.0),
+     "nodes must be a rectangular array, got a ragged sequence"),
+    (lambda s: Space([0.25, 0.75], np.array([0.5, 0.5]) + 1j, 2.0, 1.0),
+     "weights must hold real numbers, got complex numbers"),
+    (lambda s: Space([0.25, 0.75], [True, True], 2.0, 2.0), "weights must hold real numbers, got bools"),
+    (lambda s: LinOp(1j * np.eye(2), _ON_2, _ON_2),
+     "the operator matrix must hold real numbers, got complex numbers"),
+    (lambda s: LinOp(np.eye(2, dtype=bool), _ON_2, _ON_2),
+     "the operator matrix must hold real numbers, got bools"),
+    (lambda s: LinOp.from_csv("1,0\r\n0,x\r\n", _ON_2, _ON_2),
+     "the operator matrix must hold real numbers, got strings"),
+    (lambda s: LinOp.from_csv("1,0\r\n0\r\n", _ON_2, _ON_2),
+     "the operator matrix must be a rectangular array, got a ragged sequence"),
+    (lambda s: kernel_op(_ON_4, _ON_4, lambda x, y: 1j + 0 * x),
+     "the kernel k must hold real numbers, got complex numbers"),
+    (lambda s: kernel_op(_ON_4, _ON_4, lambda x, y: "1"),
+     "the kernel k must hold real numbers, got strings"),
+    (lambda s: kernel_op(_ON_4, _ON_4, lambda x, y: x > y),
+     "the kernel k must hold real numbers, got bools"),
+    (lambda s: GenTrig(3.0, 1.5).sin("0.1"), "x must hold real numbers, got strings"),
+    (lambda s: GenTrig(3.0, 1.5).sin(True), "x must hold real numbers, got bools"),
+    (lambda s: GenTrig(3.0, 1.5).cos(0.1 + 1j), "x must hold real numbers, got complex numbers"),
+    (lambda s: GenTrig(3.0, 1.5).sin([[0.1], [0.2, 0.3]], extend=True),
+     "x must be a rectangular array, got a ragged sequence"),
+    (lambda s: GenTrig(3.0, 1.5).table_csv(["0.1", "0.2"]), "x must hold real numbers, got strings"),
+    (lambda s: laplacian_residual_parts(s["u"].reshape(8, 8), 2.0, 2.0, 1.0, 1.0, "(p,2)"),
+     "u must be 1-d, got 2-d"),
+    (lambda s: laplacian_residual_parts(s["u"] + 1j, 2.0, 2.0, 1.0, 1.0, "(p,2)"),
+     "u must hold real numbers, got complex numbers"),
+    (lambda s: sandwich_check(s["js"], [_NAN] * 3), "a must be finite"),
+    (lambda s: sandwich_check(s["js"], [0.5, np.inf]), "a must be finite"),
+    (lambda s: sandwich_check(s["js"], ["0.5", "0.1"]), "a must hold real numbers, got strings"),
+    (lambda s: sandwich_check(s["js"], [[0.5, 0.1]]), "a must be 1-d, got 2-d"),
+    (lambda s: eigenvector_bound_check(s["H"], s["js"], a_values=[_NAN, _NAN]),
+     "a_values must be finite"),
+    (lambda s: eigenvector_bound_check(s["H"], s["js"], a_values=[0.5 + 1j, 0.1]),
+     "a_values must hold real numbers, got complex numbers"),
+], ids=[
+    "Vec-complex", "Functional-complex", "Vec-bool", "Vec-string", "Vec-ragged",
+    "Vec.from_json-string", "Space-string-nodes", "Space-ragged-nodes", "Space-complex-weights",
+    "Space-bool-weights", "LinOp-complex", "LinOp-bool", "LinOp.from_csv-string",
+    "LinOp.from_csv-ragged", "kernel_op-complex", "kernel_op-string", "kernel_op-bool",
+    "sin-string", "sin-bool", "cos-complex", "sin-ragged", "table_csv-string",
+    "laplacian_residual_parts-2d-u", "laplacian_residual_parts-complex-u", "sandwich_check-nan",
+    "sandwich_check-inf", "sandwich_check-string", "sandwich_check-2d",
+    "eigenvector_bound_check-nan-a_values", "eigenvector_bound_check-complex-a_values",
+])
+def test_bad_arrays_raise_one_line(wide, call, message):
+    with pytest.raises(GeometryError) as err:
+        call(wide)
+    assert str(err.value) == message
+
+
+def _reals(shape, lo, hi):
+    """Arrays of integers, float32 or float64 in [lo, hi], or the nested
+    lists of such arrays."""
+    floats = {"float32": st.floats(lo, hi, width=32), "float64": st.floats(lo, hi)}
+    arrays = st.one_of(hnp.arrays(np.int64, shape, elements=st.integers(int(lo), int(hi))),
+                       *(hnp.arrays(dtype, shape, elements=e) for dtype, e in floats.items()))
+    return st.one_of(arrays, arrays.map(np.ndarray.tolist))
+
+
+def _bitwise(a, b):
+    """a and b are float64 arrays of one shape and the same bits."""
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the integers reach beyond 2^53, where their floats round
+@settings(max_examples=40)
+@given(x=_reals(16, -2.0 ** 62, 2.0 ** 62), m=_reals((16, 16), -2.0 ** 62, 2.0 ** 62),
+       w=_reals(16, 1, 2 ** 20))
+def test_array_sites_store_the_float_array_of_their_argument(wide, x, m, w):
+    """Each checked site keeps, bitwise, np.asarray(argument, dtype=float)."""
+    sp = Space.uniform(16, 3.0)
+    want, want_m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
+    for cls in (Vec, Functional):
+        assert _bitwise(cls(x, sp).coeffs, want)
+    assert _bitwise(LinOp(m, sp, sp).matrix, want_m)
+    mask = np.tril(np.ones((16, 16)), -1) + np.eye(16) * 0.5
+    assert _bitwise(kernel_op(sp, sp, lambda s, t: m).matrix, want_m * mask * sp.weights[None, :])
+    want_w = np.asarray(w, dtype=float)
+    grid = Space(np.cumsum(want_w) - want_w / 2, w, 2.0, float(want_w.sum()))
+    assert _bitwise(grid.weights, want_w)
+    g = GenTrig(3.0, 1.5)
+    assert _bitwise(g.sin(x, extend=True), g.sin(want, extend=True))
+    assert g.table_csv(x) == g.table_csv(want)
+    assert (laplacian_residual_parts(x, 2.0, 2.0, 1.0, 1.0, "(p,2)")
+            == laplacian_residual_parts(want, 2.0, 2.0, 1.0, 1.0, "(p,2)"))
+    n = wide["js"].n_levels
+    assert sandwich_check(wide["js"], x).approx == want[:n].tolist()
+    checked = eigenvector_bound_check(wide["H"], wide["js"], a_values=x)
+    assert checked["a"] == want[:n].tolist()
