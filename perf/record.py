@@ -22,8 +22,10 @@ direction that BENCHMARK.json gives the metric.
 Then, once per label and in a fresh process, it solves each bench workload
 once for each of the bench's first 200 task seeds (7000 to 7199 at seed 7)
 with that checkout's ``jspectral`` and counts the applies and adjoints of its
-operators by wrapping the two kernels of ``LinOp``; it reports them per
-certified level. A change that moves the start draws moves the work per
+operators by wrapping the two kernels of ``LinOp``, and the calls, Newton
+systems and objective evaluations of ``space.min_norm_coeffs`` by wrapping it,
+``np.linalg.solve`` and ``space._power_sums``; it reports them per certified
+level. A change that moves the start draws moves the work per
 seed, so 20 seeds are too few: on 20 such a change read +4.9 % on
 quotient-dual's applies per level, on 200 -0.6 %. Before that, it times 30
 in-process re-imports each of ``jspectral`` and ``jspectral.cli`` as
@@ -52,6 +54,8 @@ SEEDS = range(7000, 7200)  # task i of a bench run at seed 7 solves at 7000 + i
 IMPORTS = ("jspectral", "jspectral.cli")
 REIMPORTS = 30
 LAYERS = ("series", "snum", "gtrig", "pcpt")  # what the cli's subcommands may load
+COUNTS = ("applies", "adjoints", "min_norm_calls", "newton_solves", "newton_systems",
+          "objective_evals")
 
 
 def bench_summary(checkout):
@@ -97,12 +101,21 @@ def import_times(checkout):
 
 
 def kernel_counts():
-    """Applies and adjoints per certified level of each workload, over SEEDS."""
+    """Per certified level of each workload, over SEEDS: the applies and
+    adjoints of its operators, and the work of space.min_norm_coeffs, whose
+    calls, Newton systems (its np.linalg.solve calls, "newton_solves",
+    batched, and the systems in them, "newton_systems") and objective
+    evaluations (its space._power_sums calls, the final norm included) are
+    counted while one of its calls runs."""
     sys.dont_write_bytecode = True  # leave no cache files in the checkout
+    import numpy as np
+
+    from jspectral import jspec, space
     from jspectral.oper import LinOp
     from workloads import WORKLOADS
 
-    calls = {"applies": 0, "adjoints": 0}
+    calls = dict.fromkeys(COUNTS, 0)
+    inside = [0]  # the min_norm_coeffs calls running
 
     def counted(name, kernel):
         def wrapped(self, coeffs):
@@ -110,16 +123,36 @@ def kernel_counts():
             return kernel(self, coeffs)
         return wrapped
 
+    def min_norm(*args, **kwargs):
+        calls["min_norm_calls"] += 1
+        inside[0] += 1
+        try:
+            return min_norm_coeffs(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def solve(a, b):
+        if inside[0]:
+            calls["newton_solves"] += 1
+            calls["newton_systems"] += a.shape[0] if a.ndim == 3 else 1
+        return np_solve(a, b)
+
+    def sums(*args):
+        calls["objective_evals"] += bool(inside[0])
+        return power_sums(*args)
+
     LinOp.apply_coeffs = counted("applies", LinOp.apply_coeffs)
     LinOp.apply_adjoint_coeffs = counted("adjoints", LinOp.apply_adjoint_coeffs)
+    min_norm_coeffs, np_solve, power_sums = space.min_norm_coeffs, np.linalg.solve, space._power_sums
+    space.min_norm_coeffs = jspec.min_norm_coeffs = min_norm
+    np.linalg.solve, space._power_sums = solve, sums
     out = {}
     for name, w in sorted(WORKLOADS.items()):
         ctx = w.build(w)
-        calls.update(applies=0, adjoints=0)
+        calls.update(dict.fromkeys(COUNTS, 0))
         levels = sum(w.n_levels(w.solve(w, ctx, seed)) for seed in SEEDS)
         out[name] = {"seeds": [SEEDS[0], SEEDS[-1]], "levels": levels, **calls,
-                     "applies_per_level": calls["applies"] / levels,
-                     "adjoints_per_level": calls["adjoints"] / levels}
+                     **{f"{key}_per_level": calls[key] / levels for key in COUNTS}}
     return out
 
 

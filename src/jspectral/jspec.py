@@ -58,7 +58,7 @@ from .space import (
     _choice,
     _count,
     _csv_text,
-    _grams,
+    _Basis,
     _jmap,
     _jtilde,
     _lp_norm,
@@ -324,6 +324,9 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
     hist = np.full((2, live.size), np.nan)
     ext = None  # the candidates of the armed columns, from _extrapolate
     loose_b = B is not None and p > 2.0  # the constraint side runs loose too
+    # the bases of the best-approximation solves, their column products made once
+    Mb = None if M is None else _Basis(M)
+    Bb = None if B is None or pp == 2.0 else _Basis(B)
     for it in range(max_iter + 1):
         if not live.size:
             break
@@ -349,7 +352,7 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
             if cand:  # the quotient is solved at x~ in place of x_{t+1}
                 E1, C1 = _columns(E, a), Cq[:, a]  # T x_{t+1} and c_t, for a fall-back
                 E, Et = _put(E, a, Et), None
-            Cq, lam = _best_approx(E, M, w_c, q, Cq if it else None, _forcing(rel, 1.0), X,
+            Cq, lam = _best_approx(E, Mb, w_c, q, Cq if it else None, _forcing(rel, 1.0), X,
                                    done)
             if cand:  # x~ is kept iff lambda(x~) >= lambda_t
                 back = lam[a] < lam_prev  # else x_{t+1} at its previous coefficients
@@ -375,7 +378,7 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
         elif pp == 2.0:
             V = project(R)
         else:
-            Cb, _ = _best_approx(R, B, w_d, pp, Cb if it else None,
+            Cb, _ = _best_approx(R, Bb, w_d, pp, Cb if it else None,
                                  _forcing(rel, _FORCING_B) if loose_b else _GTOL, X, done)
             live, X, E, lam, R, Cq, Cb, rel, hist, fell = _retire(
                 out, done, live, X, E, lam, R, Cq, Cb, rel, hist, fell)
@@ -385,7 +388,7 @@ def _ascent(T, project, B, X0, tol, lam_tiny, max_iter, M=None):
             if p < 2.0:  # Newton step on <f, odd_power(v, p' - 1)> = 0
                 h = (pp - 1.0) * w_d * np.abs(V.T) ** (pp - 2.0)
                 G = _matvecs(B.T, w_d * odd_power(V.T, pp - 1.0))
-                Cb = Cb + np.linalg.solve(_grams(B, h), G[:, :, None])[:, :, 0].T
+                Cb = Cb + np.linalg.solve(Bb.grams(h), G[:, :, None])[:, :, 0].T
                 V = R - _matvecs(B, Cb.T).T
         bound = _lp_norm(V - lam * odd_power(X, p - 1.0), w_d, pp)
         step = ~(bound <= tol) & (it < max_iter)
@@ -647,9 +650,11 @@ def _deflate(S: LinOp, n_levels, tol, restarts, seed, quotient):
     empty_d, empty_c = np.zeros((S.dom.dim, 0)), np.zeros((S.cod.dim, 0))
     js = JSpectrum(X=empty_d, Y=empty_c, JX=empty_d, JY=empty_c, dom=S.dom, cod=S.cod)
     for level in range(n_levels):
+        # the quotient basis goes Fortran-ordered, in which the stacked
+        # matrix-vector products of its best-approximation solves run fastest
+        M = np.asfortranarray(js.Y) if quotient and js.n_levels else None
         try:
-            lam, x, res = _best_start(S, js.JX, _rng(seed + 101 * level), restarts, tol,
-                                      M=js.Y if quotient and js.n_levels else None)
+            lam, x, res = _best_start(S, js.JX, _rng(seed + 101 * level), restarts, tol, M=M)
         except DeflationExhausted:
             js.meta["terminated"] = f"restriction of {name} is zero after level {level}"
             break
@@ -666,7 +671,8 @@ def _deflate(S: LinOp, n_levels, tol, restarts, seed, quotient):
         Sx = S.apply_coeffs(x)
         js.lambdas.append(lam)
         js.residuals.append(res)
-        # column_stack keeps the arrays C-ordered: later levels round in that layout
+        # column_stack keeps the arrays C-ordered: later levels round in that
+        # layout, but for M, the Fortran-ordered copy of js.Y taken above
         js.X = np.column_stack([js.X, x])
         js.Y = np.column_stack([js.Y, Sx / lam])
         js.JX = np.column_stack([js.JX, _jmap(x, S.dom.weights, S.dom.p)])

@@ -242,11 +242,17 @@ def hardy_dual(dom: Space, cod: Space) -> LinOp:
 def kernel_op(dom: Space, cod: Space, k) -> LinOp:
     """Volterra operator (Tf)(x) = integral_0^x k(x, y) f(y) dy.
 
-    k must be vectorized over numpy arrays; k = 1 reproduces hardy.
+    k must be vectorized over numpy arrays, with values that broadcast to
+    cod.dim x dom.dim (else GeometryError); k = 1 reproduces hardy.
     """
     _require_common_grid(dom, cod)
     x = cod.nodes[:, None]
     y = dom.nodes[None, :]
-    K = np.broadcast_to(_array(k(x, y), "the kernel k"), (cod.dim, dom.dim))
+    K = _array(k(x, y), "the kernel k")
+    try:
+        K = np.broadcast_to(K, (cod.dim, dom.dim))
+    except ValueError:
+        raise GeometryError(f"the kernel k must give values that broadcast to "
+                            f"{cod.dim} x {dom.dim}, got shape {K.shape}") from None
     mask = np.tril(np.ones((cod.dim, dom.dim)), -1) + np.eye(cod.dim) * 0.5
     return LinOp(K * mask * dom.weights[None, :], dom, cod)

@@ -11,6 +11,7 @@ weighted l_{p'} norm with 1/p + 1/p' = 1.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -264,7 +265,7 @@ def _stack(vectors, space, message):
     return np.column_stack([np.zeros((space.dim, 0)), *(v.coeffs for v in vectors)])
 
 
-def _lp_norm(coeffs, w, p):
+def _lp_norm(coeffs, w, p, sums=None):
     """Weighted l_p norm of a vector (a float), or of each column of an
     n x r block (an array of r norms).
 
@@ -273,9 +274,11 @@ def _lp_norm(coeffs, w, p):
     rounded exponent 1/p costs accuracy in proportion to |ln s|) the column
     is taken again as m ||column / m|| with m = max |column|, the safe
     scaling of the Level 1 BLAS; the other columns keep their one pass.
+    sums, when given, is that pass, _power_sums of the columns, already at
+    hand.
     """
     block = coeffs.reshape(len(coeffs), -1)
-    s = _power_sums(block, w, p)
+    s = _power_sums(block, w, p) if sums is None else sums
     nv = np.power(s, 1.0 / p)
     # a list, not array reductions: for the r <= 8 columns of a start block
     # (or one vector) this is a few times cheaper than np.min and np.max
@@ -321,19 +324,36 @@ def _matvecs(A, X):
     return np.matmul(A, np.ascontiguousarray(X)[:, :, None])[:, :, 0]
 
 
-def _grams(B, HD):
-    """B.T @ (hd[:, None] * B) for each row hd of HD, each bitwise as alone:
-    the scaled bases are laid out as hd[:, None] * B is, C- or F-ordered as
-    B is, since the matrix product rounds by layout."""
-    r, (n, k) = HD.shape[0], B.shape
-    if B.strides[0] < B.strides[1]:
-        HB = np.empty((r, k, n))
-        np.multiply(HD[:, None, :], B.T, out=HB)
-        HB = HB.transpose(0, 2, 1)
-    else:
-        HB = np.empty((r, n, k))
-        np.multiply(HD[:, :, None], B, out=HB)
-    return np.matmul(B.T, HB)
+class _Basis:
+    """A basis of min_norm_coeffs, the n x k array as the caller laid it out
+    (array), with the m = k(k + 1)/2 products B_a * B_b (a <= b) of its
+    columns as the rows of one m x n array, made on first use. With them the
+    Gram matrix of each Newton system is one matrix-vector product (grams),
+    where B.T @ (h[:, None] * B) makes an n x k temporary per system and
+    runs at a speed that depends on the layout of B. A caller that solves on
+    one basis many times passes one _Basis in place of the array, so that
+    the products are made once."""
+
+    def __init__(self, array):
+        self.array = array
+
+    @functools.cached_property
+    def _products(self):
+        a, b = np.triu_indices(self.array.shape[1])
+        rows = self.array.T
+        return a, b, rows[a] * rows[b]
+
+    def grams(self, HD):
+        """B.T @ (hd[:, None] * B) for each row hd of HD: entry (a, b) is the
+        dot product of hd with B_a * B_b, so each is bitwise as alone and
+        exactly symmetric."""
+        a, b, P = self._products
+        k = self.array.shape[1]
+        dots = _matvecs(P, HD)
+        H = np.empty((len(dots), k, k))
+        H[:, a, b] = dots
+        H[:, b, a] = dots
+        return H
 
 
 def _jmap(coeffs, w, p):
@@ -436,32 +456,39 @@ def min_norm_coeffs(target, basis, w, p, max_iter=10_000, c0=None, gtol=1e-10):
     target is a vector, or an n x r block whose columns are r problems on
     the one basis; c0, when given, is a warm start of the same shape as the
     result (k, or k x r), and gtol is one gradient tolerance, or one per
-    column. The columns step together: each iteration solves the Newton
-    systems of all columns still running in one batched np.linalg.solve,
-    and a column leaves once it stops (on a large grid the block steps in
-    groups of columns, see _GROUP_ENTRIES). Every operation acts on one
-    column at a time, so each column of a block ends bitwise as its own 1-d
-    call; the 1-d call is the block of one column.
+    column. basis is the n x k array, or a _Basis of it, which the solver's
+    repeated calls on one basis pass so that its column products are made
+    once; either way the arithmetic runs on the array as laid out, and the
+    result is bitwise the same. The columns step together: each iteration
+    solves the Newton systems of all columns still running in one batched
+    np.linalg.solve, and a column leaves once it stops (on a large grid the
+    block steps in groups of columns, see _GROUP_ENTRIES). Every operation
+    acts on one column at a time, so each column of a block ends bitwise as
+    its own 1-d call; the 1-d call is the block of one column.
 
     The iteration starts at c0 when given, else at the weighted
     least-squares solution, which is exact for p = 2 (there c0 and gtol are
     ignored). For p < 2 each iteration solves the reweighted least-squares
-    system and tries two steps along its direction: the reweighted step,
-    whose quadratic model majorizes the p-th power so that it never
-    increases the value, and the Newton step, 1/(p - 1) times longer, which
-    converges quadratically near the minimizer. It keeps the lower value of
-    the two and halves the step only if neither decreases it. For p > 2 it
-    is ridge-damped Newton with backtracking. A column stops when its
-    gradient falls below gtol relative to its scale at c = 0 or its value
-    stagnates at machine precision. Returns (c, residual_norm), with the
-    norm a float for a vector target and an array of r for a block; raises
-    ConvergenceError if the iteration limit is hit first, carrying what it
-    would have returned (residual, coeffs) and the mask of the columns that
-    failed. Any c bounds the distance from above, so the returned norm never
-    understates it.
+    system H d = g (g the gradient) and tries the Newton step t = 1/(p - 1)
+    along d first (the Hessian is p - 1 times the reweighted matrix H),
+    which converges quadratically near the minimizer. A column keeps it if
+    it lowers the value by at least _NEWTON_GAIN of the quadratic model's
+    prediction t g.d / 2. Only the other columns try the reweighted step
+    t = 1, whose model majorizes the p-th power so that it never increases
+    the value, and keep the lower value of the two; the step is halved only
+    where neither decreases it. For p > 2 it is ridge-damped Newton with
+    backtracking. A column stops when its gradient falls below gtol relative
+    to its scale at c = 0 or its value stagnates at machine precision.
+    Returns (c, residual_norm), with the norm a float for a vector target
+    and an array of r for a block; raises ConvergenceError if the iteration
+    limit is hit first, carrying what it would have returned (residual,
+    coeffs) and the mask of the columns that failed. Any c bounds the
+    distance from above, so the returned norm never understates it.
     """
     target = np.asarray(target, dtype=float)
-    B = np.asarray(basis, dtype=float)
+    if not isinstance(basis, _Basis):
+        basis = _Basis(np.asarray(basis, dtype=float))
+    B = basis.array
     if B.ndim != 2 or target.ndim not in (1, 2) or B.shape[0] != target.shape[0]:
         raise GeometryError("basis matrix shape does not match the target")
     n, k = B.shape
@@ -479,13 +506,16 @@ def min_norm_coeffs(target, basis, w, p, max_iter=10_000, c0=None, gtol=1e-10):
         C = np.ascontiguousarray(C.reshape(k, r).T)
     V = Y - _matvecs(B, C)
     failed = np.zeros(r, dtype=bool)
+    sums = None  # the power sums of the final residuals, where the descent has them
     if p != 2.0:
+        sums = np.empty(r)
         gtol = np.broadcast_to(np.asarray(gtol, dtype=float), (r,))
         group = max(1, _GROUP_ENTRIES // max(n, 1))
         for j in range(0, r, group):
             g = slice(j, j + group)
-            C[g], V[g], failed[g] = _descent(Y[g], C[g], V[g], B, w, p, gtol[g], max_iter)
-    d = _lp_norm(V.T, w, p)
+            C[g], V[g], sums[g], failed[g] = _descent(Y[g], C[g], V[g], basis, w, p, gtol[g],
+                                                      max_iter)
+    d = _lp_norm(V.T, w, p, sums)
     c, d = (C[0], float(d[0])) if target.ndim == 1 else (C.T, d)
     if failed.any():
         raise ConvergenceError("minimal-norm descent hit the iteration limit",
@@ -500,53 +530,66 @@ def min_norm_coeffs(target, basis, w, p, max_iter=10_000, c0=None, gtol=1e-10):
 # one BLAS thread) took 5.3 and 6.9 s in groups of 8 columns, 4.4 and 4.7 s
 # in groups of 2; the workloads at n <= 1024 step their blocks whole.
 _GROUP_ENTRIES = 2 ** 15
+# the share of its predicted decrease that a Newton step (p < 2) must achieve
+# to be kept without trying the reweighted step; 0.75 takes about as many
+# iterations
+_NEWTON_GAIN = 0.9
 
 
-def _descent(Y, C, V, B, w, p, gtol, max_iter):
+def _descent(Y, C, V, basis, w, p, gtol, max_iter):
     """The iteration of min_norm_coeffs for p != 2 on the rows of Y (targets),
-    C (coefficients) and V = Y - B C (residuals): returns the final C and V
-    and the mask of the rows still running after max_iter iterations."""
+    C (coefficients) and V = Y - B C (residuals): returns the final C and V,
+    the power sums sum_i w_i |v_i|^p of the final residuals (the objective,
+    p times the value) and the mask of the rows still running after max_iter
+    iterations."""
+    B = basis.array
 
-    def grads(V):
-        return -_matvecs(B.T, w * odd_power(V, p - 1.0))
+    def grads(V, A):  # the gradients of the value at residuals V, A = |V|
+        U = A ** (p - 1.0)
+        np.copysign(U, V, out=U)
+        U *= w
+        return -_matvecs(B.T, U)
 
-    def fvals(V):
-        return _power_sums(V.T, w, p) / p
+    def sums(V):
+        return _power_sums(V.T, w, p)
 
     def trials(t, C, S, Y):
         C_try = C - t * S
         V_try = Y - _matvecs(B, C_try)
-        return fvals(V_try), C_try, V_try
+        return sums(V_try), C_try, V_try
 
     k = B.shape[1]
-    gstop = gtol * np.maximum(_row_norms(grads(Y)), 1e-300)
-    f = fvals(V)
+    gstop = gtol * np.maximum(_row_norms(grads(Y, np.abs(Y))), 1e-300)
+    s = sums(V)
     vfloor = 1e-14 * np.maximum(np.max(np.abs(Y), axis=1, initial=0.0), 1e-300)
-    # step lengths tried first along the solved direction: the reweighted
-    # step, and for p < 2 also the Newton step (the Hessian is p - 1 times
-    # the reweighted matrix); halving from 1/2 only if neither decreases f
-    lead = (1.0, 1.0 / (p - 1.0)) if p < 2.0 else (1.0,)
-    C_out, V_out = C.copy(), V.copy()  # the rows of the columns that have stopped
-    run = np.arange(len(Y))  # the columns still iterating: the rows of Y, C, V, f, ...
+    t_newton = 1.0 / (p - 1.0)
+    # the rows of the columns that have stopped
+    C_out, V_out, s_out = C.copy(), V.copy(), s.copy()
+    run = np.arange(len(Y))  # the columns still iterating: the rows of Y, C, V, s, ...
 
     def stop(go, *rows):
-        C_out[run[~go]], V_out[run[~go]] = C[~go], V[~go]
+        gone = run[~go]
+        C_out[gone], V_out[gone], s_out[gone] = C[~go], V[~go], s[~go]
         return (a[go] for a in rows)
 
     for _ in range(max_iter):
-        G = grads(V)
+        A = np.abs(V)
+        G = grads(V, A)
         gn = _row_norms(G)
         go = ~(gn <= gstop)
         if not go.all():
-            run, Y, C, V, f, G, gn, gstop, vfloor = stop(
-                go, run, Y, C, V, f, G, gn, gstop, vfloor)
+            run, Y, C, V, s, A, G, gn, gstop, vfloor = stop(
+                go, run, Y, C, V, s, A, G, gn, gstop, vfloor)
         if not run.size:
             break
-        absv = np.maximum(np.abs(V), vfloor[:, None])
-        hd = w * absv ** (p - 2.0)
+        # the Hessian weights, in place of A: w |v|^(p - 2), floored, and for
+        # p > 2 times p - 1 (for p < 2 the reweighted least-squares matrix)
+        np.maximum(A, vfloor[:, None], out=A)
+        A **= p - 2.0
+        A *= w
         if p > 2.0:
-            hd = hd * (p - 1.0)
-        H = _grams(B, hd)
+            A *= p - 1.0
+        H = basis.grams(A)
         Hd = H.reshape(len(H), -1)[:, :: k + 1]  # a view of each diagonal
         Hd += (1e-13 * np.maximum(Hd.sum(axis=1) / k, 1e-300))[:, None]
         try:
@@ -558,34 +601,38 @@ def _descent(Y, C, V, B, w, p, gtol, max_iter):
                     S[j] = np.linalg.solve(H[j], G[j])
                 except np.linalg.LinAlgError:
                     S[j] = G[j] / max(gn[j], 1e-300)
-        f_try, C_try, V_try = trials(lead[0], C, S, Y)
-        for t in lead[1:]:
-            f_t, C_t, V_t = trials(t, C, S, Y)
-            better = f_t < f_try
-            if better.all():
-                f_try, C_try, V_try = f_t, C_t, V_t
-            elif better.any():
-                f_try[better], C_try[better], V_try[better] = (
-                    f_t[better], C_t[better], V_t[better])
+        if p < 2.0:
+            s_try, C_try, V_try = trials(t_newton, C, S, Y)
+            # the model's decrease of the power sum (p times the value) at
+            # the Newton step: p t G.S / 2
+            gs = np.matmul(G[:, None, :], S[:, :, None])[:, 0, 0]
+            short = np.flatnonzero(~(s - s_try >= _NEWTON_GAIN * 0.5 * p * t_newton * gs))
+            if short.size:
+                s_t, C_t, V_t = trials(1.0, C[short], S[short], Y[short])
+                better = s_t < s_try[short]
+                j = short[better]
+                s_try[j], C_try[j], V_try[j] = s_t[better], C_t[better], V_t[better]
+        else:
+            s_try, C_try, V_try = trials(1.0, C, S, Y)
         t = 0.5
         while t >= 2.0 ** -59:
-            up = np.flatnonzero(~(f_try <= f))
+            up = np.flatnonzero(~(s_try <= s))
             if not up.size:
                 break
-            f_try[up], C_try[up], V_try[up] = trials(t, C[up], S[up], Y[up])
+            s_try[up], C_try[up], V_try[up] = trials(t, C[up], S[up], Y[up])
             t *= 0.5
-        failed = ~(f_try <= f)
-        stalled = ~failed & (f - f_try <= 1e-15 * np.maximum(f, 1e-300))
+        failed = ~(s_try <= s)
+        stalled = ~failed & (s - s_try <= 1e-15 * np.maximum(s, 1e-300))
         if failed.any():  # these keep their iterate
-            f_try[failed], C_try[failed], V_try[failed] = f[failed], C[failed], V[failed]
-        C, V, f = C_try, V_try, f_try
+            s_try[failed], C_try[failed], V_try[failed] = s[failed], C[failed], V[failed]
+        C, V, s = C_try, V_try, s_try
         go = ~(failed | stalled)
         if not go.all():
-            run, Y, C, V, f, gstop, vfloor = stop(go, run, Y, C, V, f, gstop, vfloor)
-    C_out[run], V_out[run] = C, V
+            run, Y, C, V, s, gstop, vfloor = stop(go, run, Y, C, V, s, gstop, vfloor)
+    C_out[run], V_out[run], s_out[run] = C, V, s
     running = np.zeros(len(C_out), dtype=bool)
     running[run] = True
-    return C_out, V_out, running
+    return C_out, V_out, s_out, running
 
 
 def alber_decompose(x: Vec, M_basis: list[Vec]) -> tuple[Vec, Vec]:

@@ -533,15 +533,20 @@ def test_fixed_point_step_takes_three_norms(hardy_l3_l2, monkeypatch):
     assert counts[1] - counts[0] == 3
 
 
+def _basis_array(basis):
+    return basis.array if isinstance(basis, space._Basis) else basis
+
+
 def _recording_min_norm(monkeypatch, sides):
     """Patch the solver's min_norm_coeffs to record, for each call, whether it
     started cold, its number of columns and its gradient tolerances, keyed
-    by sides[id(basis)]."""
+    by sides[id(array)], where array is the basis array, passed as it is or
+    as the space._Basis the solver makes of it."""
     calls = {side: [] for side in sides.values()}
     inner = jspec.min_norm_coeffs
 
     def recorded(target, basis, *args, c0=None, gtol=1e-10, **kwargs):
-        calls[sides[id(basis)]].append(
+        calls[sides[id(_basis_array(basis))]].append(
             (c0 is None, target.shape[1], np.broadcast_to(gtol, target.shape[1:]).copy()))
         return inner(target, basis, *args, c0=c0, gtol=gtol, **kwargs)
 
@@ -837,15 +842,16 @@ def test_columns_leaving_before_the_adjoint_leave_the_others_stepping(quotient):
 
 def _failing_min_norm(monkeypatch, basis, call, column):
     """Patch the solver's min_norm_coeffs so that its call-th call (from 0)
-    on basis marks one block column failed, as the iteration limit would: a
-    ConvergenceError with the real coefficients and distances. Returns the
-    number of columns of each call on basis."""
+    on basis (the array, passed as it is or as a space._Basis of it) marks
+    one block column failed, as the iteration limit would: a ConvergenceError
+    with the real coefficients and distances. Returns the number of columns
+    of each call on basis."""
     inner = jspec.min_norm_coeffs
     widths = []
 
     def failing(target, B, *args, **kwargs):
         c, d = inner(target, B, *args, **kwargs)
-        if B is basis:
+        if _basis_array(B) is basis:
             widths.append(target.shape[1])
             if len(widths) == call + 1:
                 failed = np.zeros(target.shape[1], dtype=bool)

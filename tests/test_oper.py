@@ -78,6 +78,12 @@ def test_kernel_op_rejects_nonfinite():
         kernel_op(sp, sp, lambda x, y: np.full(np.broadcast(x, y).shape, np.inf))
 
 
+def test_kernel_op_rejects_values_that_do_not_broadcast_to_the_grid():
+    sp = Space.uniform(4, 2.0)
+    with pytest.raises(GeometryError, match="broadcast to 4 x 4, got shape \\(3,\\)"):
+        kernel_op(sp, sp, lambda x, y: np.ones(3))
+
+
 def test_second_antiderivative_kernel_matches_double_hardy():
     # k(x, y) = x - y realizes the second antiderivative, i.e. hardy squared
     sp = Space.uniform(512, 2.0)

@@ -608,6 +608,49 @@ def test_min_norm_coeffs_block_columns_match_single_solves(n, k, r, p, fortran, 
         assert dj >= d_tight * (1.0 - 4.0 * np.finfo(float).eps)
 
 
+@settings(max_examples=60)
+@given(n=st.integers(1, 64), k=st.integers(1, 8), r=st.integers(1, 4),
+       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_basis_grams_match_the_weighted_gram(n, k, r, fortran, seed):
+    # built from the column products, each Gram matrix equals
+    # B.T @ (h[:, None] * B) to 1e-13 relative, is exactly symmetric and is
+    # bitwise as alone, for a C- or F-ordered B and weights over 12 decades
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, k))
+    if fortran:
+        B = np.asfortranarray(B)
+    HD = 10.0 ** rng.uniform(-6.0, 6.0, (r, n))
+    basis = space._Basis(B)
+    H = basis.grams(HD)
+    assert H.shape == (r, k, k)
+    for j in range(r):
+        want = B.T @ (HD[j][:, None] * B)
+        assert np.max(np.abs(H[j] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(H[j], H[j].T)
+        assert np.array_equal(_bits(basis.grams(HD[j:j + 1])[0]), _bits(H[j]))
+
+
+@settings(max_examples=40)
+@given(n=st.integers(8, 64), k=st.integers(1, 6), r=st.integers(1, 4),
+       p=st.floats(1.1, 5.0), fortran=st.booleans(), warm=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_norm_coeffs_prepared_basis_matches_the_array(n, k, r, p, fortran, warm, seed):
+    # a _Basis in place of its array gives bitwise the same result, for one
+    # column and for a block, also when one _Basis serves several calls
+    rng = np.random.default_rng(seed)
+    w = Space.uniform(n, p).weights
+    B = rng.standard_normal((n, k))
+    if fortran:
+        B = np.asfortranarray(B)
+    target = rng.standard_normal((n, r))
+    C0 = rng.standard_normal((k, r)) if warm else None
+    basis = space._Basis(B)
+    for tgt, c0 in ((target, C0), (target[:, 0], None if C0 is None else C0[:, 0])):
+        c, d = min_norm_coeffs(tgt, B, w, p, c0=c0)
+        cb, db = min_norm_coeffs(tgt, basis, w, p, c0=c0)
+        assert np.array_equal(_bits(cb), _bits(c)) and np.array_equal(_bits(db), _bits(d))
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_min_norm_coeffs_block_in_groups_matches_the_whole_block(monkeypatch, p):
     # on a large grid the columns descend in groups; the bits do not change
@@ -663,6 +706,19 @@ def test_min_norm_steps_on_dense_residual(monkeypatch):
     _, d = min_norm_coeffs(target, B, w, 1.5)
     assert len(calls) <= 8  # reweighted least-squares steps alone take 20
     assert d <= space._lp_norm(target - B @ _lstsq_coeffs(target, B, w), w, 1.5)
+
+
+def test_min_norm_keeps_the_newton_step_on_dense_residual(monkeypatch):
+    # at p = 1.5 every Newton step lowers the value by as much as its model
+    # predicts, so no iteration evaluates the reweighted step: the value is
+    # taken once at the start and once per Newton system
+    _, target, B, w = _micro_case()
+    calls = _solve_count(monkeypatch)
+    sums = []
+    inner = space._power_sums
+    monkeypatch.setattr(space, "_power_sums", lambda *args: sums.append(1) or inner(*args))
+    min_norm_coeffs(target, B, w, 1.5)
+    assert len(sums) == len(calls) + 1
 
 
 def test_min_norm_steps_on_sparse_residual(monkeypatch):
