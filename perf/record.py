@@ -143,9 +143,10 @@ def kernel_counts():
 
     LinOp.apply_coeffs = counted("applies", LinOp.apply_coeffs)
     LinOp.apply_adjoint_coeffs = counted("adjoints", LinOp.apply_adjoint_coeffs)
-    min_norm_coeffs, np_solve, power_sums = space.min_norm_coeffs, np.linalg.solve, space._power_sums
-    space.min_norm_coeffs = jspec.min_norm_coeffs = min_norm
-    np.linalg.solve, space._power_sums = solve, sums
+    min_norm_coeffs, space.min_norm_coeffs = space.min_norm_coeffs, min_norm
+    jspec.min_norm_coeffs = min_norm
+    np_solve, np.linalg.solve = np.linalg.solve, solve
+    power_sums, space._power_sums = space._power_sums, sums
     out = {}
     for name, w in sorted(WORKLOADS.items()):
         ctx = w.build(w)
